@@ -1,8 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"rimarket/internal/obs"
 )
 
 func TestRunDemo(t *testing.T) {
@@ -86,5 +92,43 @@ func TestRunErrors(t *testing.T) {
 				t.Error("run succeeded, want error")
 			}
 		})
+	}
+}
+
+// TestSessionManifestCountsEngineRuns pins the -session manifest to the
+// session's real engine work: every seller replay books one engine run
+// (cards × three selling policies × cohort users), in per-user and
+// batch mode alike, and writing the manifest leaves stdout unchanged.
+func TestSessionManifestCountsEngineRuns(t *testing.T) {
+	const perGroup = 4
+	base := []string{"-session", "-per-group", strconv.Itoa(perGroup), "-instances", "d2.xlarge,m4.large"}
+	var plain strings.Builder
+	if err := run(base, &plain); err != nil {
+		t.Fatal(err)
+	}
+	const cards, policies, users = 2, 3, 3 * perGroup
+	for _, mode := range [][]string{nil, {"-batch"}} {
+		path := filepath.Join(t.TempDir(), "run.json")
+		var out strings.Builder
+		if err := run(append(append(append([]string{}, base...), mode...), "-metrics", path), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != plain.String() {
+			t.Errorf("mode %v: -metrics changed stdout:\n--- got ---\n%s--- want ---\n%s", mode, out.String(), plain.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mf obs.Manifest
+		if err := json.Unmarshal(data, &mf); err != nil {
+			t.Fatalf("manifest parse: %v", err)
+		}
+		if mf.Metrics == nil {
+			t.Fatal("manifest has no metrics snapshot")
+		}
+		if got, want := mf.Metrics.EngineRuns, int64(cards*policies*users); got != want {
+			t.Errorf("mode %v: engine_runs = %d, want %d replays", mode, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"rimarket/internal/analysis"
 	"rimarket/internal/core"
+	"rimarket/internal/obs"
 	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
@@ -35,6 +36,11 @@ type AuditResult struct {
 // schedules for A_{kT}. The horizon is extended to two periods so
 // instances reserved during the first period live out their full term
 // and have complete schedules.
+//
+// Users fan out over Config.Parallelism workers with runIndexed's
+// contract: the result is identical at any worker count, a failure
+// reports the lowest-index failing user's error, and cancelling ctx
+// drains the in-flight users and returns the context's error.
 func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -58,39 +64,61 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 		return AuditResult{}, err
 	}
 
-	res := AuditResult{Fraction: fraction, Bound: bound}
-	var sum float64
-	nearBound := 0
+	// Observability: the audit's replays count as engine runs and feed
+	// the run-latency histogram like every other driver's; inert
+	// without metrics, and never part of the result.
+	m := obs.FromContext(ctx)
 	engCfg := simulate.Config{
 		Instance:        cfg.Instance,
 		SellingDiscount: cfg.SellingDiscount,
 		RecordSchedules: true,
+		Metrics:         m.EngineHook(),
 	}
-	for i, tr := range traces {
-		if err := ctx.Err(); err != nil {
-			return AuditResult{}, err
-		}
+	// Fan out one job per user: plan, replay with schedules, and verify
+	// every full-period instance, keeping only the ratios. Plans and
+	// schedules die with their job, so the fan-out never holds more than
+	// one user's replay per worker.
+	ratios := make([][]float64, len(traces))
+	err = runIndexed(ctx, cfg.Parallelism, len(traces), func(i int) error {
+		tr := traces[i]
 		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
 		if err != nil {
-			return AuditResult{}, err
+			return err
 		}
 		newRes, err := purchasing.PlanReservations(tr.Demand, period, planner)
 		if err != nil {
-			return AuditResult{}, err
+			return err
 		}
-		run, err := simulate.Run(tr.Demand, newRes, engCfg, core.KeepReserved{})
+		run, _, err := obsRun(m, tr.Demand, newRes, engCfg, core.KeepReserved{})
 		if err != nil {
-			return AuditResult{}, err
+			return err
 		}
+		var rs []float64
 		for _, inst := range run.Instances {
 			if inst.Start+period > tr.Len() {
 				continue // truncated lifetime: schedule incomplete
 			}
 			measured, _, err := analysis.VerifyBound(inst.Schedule, policy, cfg.SellingDiscount)
 			if err != nil {
-				return AuditResult{}, fmt.Errorf("experiments: user %s instance at %d: %w",
+				return fmt.Errorf("experiments: user %s instance at %d: %w",
 					tr.User, inst.Start, err)
 			}
+			rs = append(rs, measured)
+		}
+		ratios[i] = rs
+		return nil
+	})
+	if err != nil {
+		return AuditResult{}, err
+	}
+
+	// Reduce serially in cohort order, so the float sum and every
+	// statistic are bit-identical at any parallelism.
+	res := AuditResult{Fraction: fraction, Bound: bound}
+	var sum float64
+	nearBound := 0
+	for _, rs := range ratios {
+		for _, measured := range rs {
 			res.Audited++
 			sum += measured
 			if measured > res.MaxMeasured {

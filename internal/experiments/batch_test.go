@@ -242,17 +242,17 @@ func TestBatchSpillInterop(t *testing.T) {
 			// the instrumented window sees only cell work.
 			warmBaseline(t, rPlan)
 			// Any engine invocation would mean a cell failed to resume.
-			origRun, origBatch := simulateRun, simulateRunBatchTotals
+			origRun, origBatch := simulateTotals, simulateRunBatchTotals
 			var engineCalls atomic.Int64
-			simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 				engineCalls.Add(1)
-				return origRun(demand, newRes, ec, pol)
+				return origRun(s, demand, newRes, ec, pol)
 			}
 			simulateRunBatchTotals = func(ctx context.Context, users []simulate.BatchUser, ec simulate.Config, pol simulate.SellingPolicy, opts simulate.BatchOptions) ([]simulate.BatchTotal, error) {
 				engineCalls.Add(1)
 				return origBatch(ctx, users, ec, pol, opts)
 			}
-			defer func() { simulateRun, simulateRunBatchTotals = origRun, origBatch }()
+			defer func() { simulateTotals, simulateRunBatchTotals = origRun, origBatch }()
 
 			got, err := rPlan.RunGrid(context.Background(), resumeCells(t, cfg, rPlan))
 			if err != nil {

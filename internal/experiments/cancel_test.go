@@ -245,14 +245,14 @@ func TestRunGridCancellation(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var calls atomic.Int64
-				orig := simulateRun
-				simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+				orig := simulateTotals
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
-					return orig(demand, newRes, ec, pol)
+					return orig(s, demand, newRes, ec, pol)
 				}
-				defer func() { simulateRun = orig }()
+				defer func() { simulateTotals = orig }()
 
 				plan.cfg.Parallelism = par
 				got, err := plan.RunGrid(ctx, mkCells())
@@ -334,15 +334,15 @@ func TestGridPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := simulateRun
+	orig := simulateTotals
 	var calls atomic.Int64
-	simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		if calls.Add(1) == 3 {
 			panic("engine bug")
 		}
-		return orig(demand, newRes, ec, pol)
+		return orig(s, demand, newRes, ec, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	policy, err := core.NewA3T4(plan.cfg.Instance, plan.cfg.SellingDiscount)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"rimarket/internal/core"
+	"rimarket/internal/obs"
 	"rimarket/internal/simulate"
 	"rimarket/internal/trade"
 )
@@ -40,14 +41,15 @@ func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPoli
 // user i's sell events in decision order.
 func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policy simulate.SellingPolicy) ([][]trade.SellEvent, error) {
 	cfg := p.cfg
-	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
+	m := obs.FromContext(ctx)
+	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
 
 	perUser := make([][]trade.SellEvent, p.Len())
 	if cfg.Batch {
 		// The batch engine records sales in reservation order — the same
 		// order the per-user path walks run.Instances in — so the event
 		// stream is identical whichever engine produced it.
-		totals, err := simulateRunBatchTotals(ctx, p.batchUsers(), engCfg, policy,
+		totals, _, err := obsBatch(ctx, m, p.batchUsers(), engCfg, policy,
 			simulate.BatchOptions{Parallelism: cfg.Parallelism, RecordSales: true})
 		if err != nil {
 			return nil, p.mapBatchErr(err, "")
@@ -64,7 +66,7 @@ func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policy simulate.Sell
 		}
 	} else {
 		err := p.ForEachUser(ctx, func(i int, u PlannedUser) error {
-			run, err := simulateRun(u.Trace.Demand, u.NewRes, engCfg, policy)
+			run, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, policy)
 			if err != nil {
 				return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 			}

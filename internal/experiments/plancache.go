@@ -203,18 +203,15 @@ func (p *CohortPlan) KeepStats(ctx context.Context, engCfg simulate.Config) ([]K
 			out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
 		}
 	} else {
-		err := runIndexed(ctx, p.cfg.Parallelism, len(p.users), func(i int) error {
+		// One Scratch per pool worker, as in RunGridNamed.
+		scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, len(p.users)))
+		_, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(p.users), func(w, i int) error {
 			u := &p.users[i]
-			run, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
+			tot, _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
 			if err != nil {
 				return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 			}
-			idle := 0
-			for _, h := range run.Hours {
-				served := h.Demand - h.OnDemand
-				idle += h.ActiveRes - served
-			}
-			out[i] = KeepStat{Total: run.Cost.Total(), IdleHours: idle}
+			out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
 			return nil
 		})
 		if err != nil {

@@ -37,7 +37,7 @@ func resumeCells(t *testing.T, cfg Config, plan *CohortPlan) []Cell {
 }
 
 // warmBaseline computes the plan's Keep-Reserved baseline outside the
-// instrumented window, so the simulateRun hooks below observe (and
+// instrumented window, so the simulateTotals hooks below observe (and
 // count) only the grid's own engine runs.
 func warmBaseline(t *testing.T, plan *CohortPlan) {
 	t.Helper()
@@ -76,15 +76,15 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var calls atomic.Int64
-				orig := simulateRun
-				simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+				orig := simulateTotals
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
-					return orig(demand, newRes, ec, pol)
+					return orig(s, demand, newRes, ec, pol)
 				}
 				_, err = crashPlan.RunGrid(ctx, resumeCells(t, cfg, crashPlan))
-				simulateRun = orig
+				simulateTotals = orig
 				if err == nil {
 					t.Skip("cancellation raced completion; nothing to resume")
 				}
@@ -110,11 +110,11 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				}
 				warmBaseline(t, resumePlan)
 				var recomputed atomic.Int64
-				simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 					recomputed.Add(1)
-					return orig(demand, newRes, ec, pol)
+					return orig(s, demand, newRes, ec, pol)
 				}
-				defer func() { simulateRun = orig }()
+				defer func() { simulateTotals = orig }()
 				got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 				if err != nil {
 					t.Fatalf("resume failed: %v", err)
@@ -160,12 +160,12 @@ func TestGridResumeAfterCompletion(t *testing.T) {
 	}
 	warmBaseline(t, resumePlan)
 	var recomputed atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		recomputed.Add(1)
-		return orig(demand, newRes, ec, pol)
+		return orig(s, demand, newRes, ec, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 	got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +214,12 @@ func TestGridResumeTornTail(t *testing.T) {
 	}
 	warmBaseline(t, resumePlan)
 	var recomputed atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		recomputed.Add(1)
-		return orig(demand, newRes, ec, pol)
+		return orig(s, demand, newRes, ec, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 	got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 	if err != nil {
 		t.Fatal(err)

@@ -18,23 +18,41 @@ import (
 // invocations; production code always calls the real simulate.Run.
 var simulateRun = simulate.Run
 
-// obsRun is the drivers' timed engine call: one clock pair around
-// simulateRun feeding the run-latency histogram, so the engine itself
-// never reads a clock (floatdet forbids it there). With observability
-// off (nil m) it is exactly simulateRun. Returns the run's wall time
-// in nanoseconds for per-cell attribution.
-func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Result, int64, error) {
+// timeEngine is the drivers' timed engine call: one clock pair around
+// call feeding the run-latency histogram, so the engine itself never
+// reads a clock (floatdet forbids it there). With observability off
+// (nil m) it is exactly call(). Returns the call's wall time in
+// nanoseconds for per-cell attribution.
+func timeEngine[T any](m *obs.Metrics, call func() (T, error)) (T, int64, error) {
 	if m == nil {
-		res, err := simulateRun(demand, newRes, cfg, policy)
-		return res, 0, err
+		out, err := call()
+		return out, 0, err
 	}
 	start := m.Now()
-	res, err := simulateRun(demand, newRes, cfg, policy)
+	out, err := call()
 	ns := m.Now().Sub(start).Nanoseconds()
 	if err == nil {
 		m.EngineRunNs.Observe(ns)
 	}
-	return res, ns, err
+	return out, ns, err
+}
+
+// obsRun is simulateRun under timeEngine.
+func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Result, int64, error) {
+	return timeEngine(m, func() (simulate.Result, error) { return simulateRun(demand, newRes, cfg, policy) })
+}
+
+// simulateTotals indirects the scratch-reusing engine call the grid and
+// the Keep-Reserved baselines make — one replay on the claiming
+// worker's own Scratch — so tests can count or fail those invocations;
+// production code always calls the real Scratch.Totals.
+var simulateTotals = (*simulate.Scratch).Totals
+
+// obsTotals is simulateTotals under timeEngine. The engine's own
+// RecordRun still fires through cfg.Metrics, so a totals replay counts
+// as one engine run.
+func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.BatchTotal, int64, error) {
+	return timeEngine(m, func() (simulate.BatchTotal, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
 }
 
 // simulateRunBatchTotals indirects the batch engine the same way
@@ -42,24 +60,11 @@ func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy si
 // batch invocations.
 var simulateRunBatchTotals = simulate.RunBatchTotals
 
-// obsBatch is the drivers' timed batch-engine call: one clock pair
-// around RunBatchTotals feeding the run-latency histogram with the
-// whole batch's wall time (the batch engine replaces many Run calls
-// with one, so it gets one observation). With observability off it is
-// exactly RunBatchTotals. Returns the call's wall time in nanoseconds
-// for per-cell attribution.
+// obsBatch is RunBatchTotals under timeEngine: the batch engine
+// replaces many Run calls with one, so the whole batch gets one
+// latency observation.
 func obsBatch(ctx context.Context, m *obs.Metrics, users []simulate.BatchUser, cfg simulate.Config, policy simulate.SellingPolicy, opts simulate.BatchOptions) ([]simulate.BatchTotal, int64, error) {
-	if m == nil {
-		totals, err := simulateRunBatchTotals(ctx, users, cfg, policy, opts)
-		return totals, 0, err
-	}
-	start := m.Now()
-	totals, err := simulateRunBatchTotals(ctx, users, cfg, policy, opts)
-	ns := m.Now().Sub(start).Nanoseconds()
-	if err == nil {
-		m.EngineRunNs.Observe(ns)
-	}
-	return totals, ns, err
+	return timeEngine(m, func() ([]simulate.BatchTotal, error) { return simulateRunBatchTotals(ctx, users, cfg, policy, opts) })
 }
 
 // mapBatchErr rewrites the batch engine's first-invalid-user error into
@@ -308,19 +313,23 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 	for _, ci := range pending {
 		remaining[ci].Store(int64(users))
 	}
-	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(pending)*users, func(w, j int) error {
+	// Each worker replays on its own Scratch, indexed by the worker id
+	// the pool passes, so no scratch is ever shared between goroutines.
+	jobs := len(pending) * users
+	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
+	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, j int) error {
 		ci, ui := pending[j/users], j%users
 		u := &p.users[ui]
-		run, ns, err := obsRun(m, u.Trace.Demand, u.NewRes, engs[ci], cells[ci].Policy)
+		tot, ns, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engs[ci], cells[ci].Policy)
 		if err != nil {
 			return fmt.Errorf("experiments: cell %s: user %s: %w", cells[ci].Name, u.Trace.User, err)
 		}
 		tracker.JobDone(ci, ns)
 		cell := &out[ci]
-		cell.Cost[ui] = run.Cost.Total()
-		cell.Sold[ui] = run.SoldCount()
+		cell.Cost[ui] = tot.Cost.Total()
+		cell.Sold[ui] = tot.Sold
 		if keep := keeps[ci][ui].Total; keep != 0 {
-			cell.Norm[ui] = run.Cost.Total() / keep
+			cell.Norm[ui] = tot.Cost.Total() / keep
 		} else {
 			cell.Norm[ui] = 1
 		}

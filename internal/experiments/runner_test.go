@@ -147,14 +147,14 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 		&plan.users[3].Trace.Demand[0]: plan.users[3].Trace.User,
 		&plan.users[7].Trace.Demand[0]: plan.users[7].Trace.User,
 	}
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		if _, bad := fail[&demand[0]]; bad {
-			return simulate.Result{}, errors.New("injected engine failure")
+			return simulate.BatchTotal{}, errors.New("injected engine failure")
 		}
-		return orig(demand, newRes, cfg, pol)
+		return orig(s, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	policy, err := core.NewA3T4(plan.cfg.Instance, plan.cfg.SellingDiscount)
 	if err != nil {
@@ -186,12 +186,12 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 // not users*2V.
 func TestSweepKeepBaselineHoisted(t *testing.T) {
 	var calls atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		calls.Add(1)
-		return orig(demand, newRes, cfg, pol)
+		return orig(s, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	cfg := smallConfig()
 	values := []float64{0.25, 0.5, 0.75}
@@ -211,12 +211,12 @@ func TestSweepKeepBaselineHoisted(t *testing.T) {
 // Keep-Reserved cost only depends on the price card.
 func TestSensitivityRunsOneBaselinePerCard(t *testing.T) {
 	var calls atomic.Int64
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		calls.Add(1)
-		return orig(demand, newRes, cfg, pol)
+		return orig(s, demand, newRes, cfg, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	cfg := smallConfig()
 	discounts := []float64{0.2, 0.5, 0.8}

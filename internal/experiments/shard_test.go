@@ -179,13 +179,13 @@ func TestGridSkewDeterminism(t *testing.T) {
 
 	// Make cell 0 heavy: every one of its engine runs spins before
 	// delegating, so worker 0's shard is the hot spot thieves drain.
-	orig := simulateRun
+	orig := simulateTotals
 	var sink atomic.Uint64 // workers run the hook concurrently
-	simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
 		sink.Add(uint64(spinWork(0, 50_000)))
-		return orig(demand, newRes, ec, pol)
+		return orig(s, demand, newRes, ec, pol)
 	}
-	defer func() { simulateRun = orig }()
+	defer func() { simulateTotals = orig }()
 
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {

@@ -2,12 +2,13 @@ package simulate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // instState is the engine's mutable per-reservation state, stored in
-// one contiguous slab per run (see Run) so a whole-cohort experiment
-// makes O(users) allocations rather than O(users·instances).
+// one contiguous slab per replay (see Scratch) so a whole-cohort
+// experiment makes O(users) allocations rather than O(users·instances).
 type instState struct {
 	rec    InstanceRecord
 	sold   bool
@@ -20,17 +21,23 @@ type instState struct {
 // honoring the optional MultiCheckpointPolicy extension. The returned
 // slice is sorted, deduplicated and restricted to (0, period).
 func checkpointAges(policy SellingPolicy, period int) []int {
-	var raw []int
+	return appendCheckpointAges(nil, policy, period)
+}
+
+// appendCheckpointAges is checkpointAges writing into dst[:0], so a
+// reused Scratch resolves a single-age policy without allocating.
+func appendCheckpointAges(dst []int, policy SellingPolicy, period int) []int {
+	ages := dst[:0]
 	if mp, ok := policy.(MultiCheckpointPolicy); ok {
-		raw = mp.CheckpointAges(period)
-	} else {
-		raw = []int{policy.CheckpointAge(period)}
-	}
-	ages := make([]int, 0, len(raw))
-	for _, a := range raw {
-		if a > 0 && a < period {
-			ages = append(ages, a)
+		raw := mp.CheckpointAges(period)
+		ages = slices.Grow(ages, len(raw))
+		for _, a := range raw {
+			if a > 0 && a < period {
+				ages = append(ages, a)
+			}
 		}
+	} else if a := policy.CheckpointAge(period); a > 0 && a < period {
+		ages = append(ages, a)
 	}
 	sort.Ints(ages)
 	out := ages[:0]
@@ -42,8 +49,9 @@ func checkpointAges(policy SellingPolicy, period int) []int {
 	return out
 }
 
-// validateRun is the shared input validation of Run and the test-only
-// reference engine; both must reject identical inputs identically.
+// validateRun is the shared input validation of Run, Scratch.Totals and
+// the test-only reference engine; all must reject identical inputs
+// identically.
 func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -64,6 +72,34 @@ func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 		return fmt.Errorf("simulate: nil selling policy")
 	}
 	return nil
+}
+
+// Scratch is the replay engine's reusable working memory: the batch
+// offsets, the checkpoint event schedule, the active list, the
+// instance slab and the per-instance age backing that Run would
+// otherwise allocate afresh for every replay. Each replay grows the
+// buffers on demand and overwrites or clears every element it reads,
+// so nothing leaks from one replay into the next.
+//
+// The zero value is ready to use. A Scratch is not safe for concurrent
+// use: a worker pool gives each goroutine its own.
+type Scratch struct {
+	batchOff   []int
+	evOff      []int
+	events     []int
+	active     []int
+	slab       []instState
+	soloAges   []int
+	sharedAges []int
+}
+
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Run replays the demand series against the reservation series under
@@ -100,36 +136,73 @@ func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 // schedule up front instead of scanning the active list every hour.
 // The whole replay makes O(1) heap allocations: instance state, hour
 // records, checkpoint events and (optionally) schedules live in
-// pre-sized slabs.
+// pre-sized slabs. Run uses a fresh Scratch; Scratch.Totals is the same
+// replay on a caller-owned one.
 func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Result{}, err
 	}
+	var s Scratch
+	res := Result{Hours: make([]HourRecord, len(demand))}
+	tot := s.replay(demand, newRes, cfg, policy, &res)
+	res.Cost = tot.Cost
+	res.Instances = make([]InstanceRecord, len(s.slab))
+	for j := range s.slab {
+		res.Instances[j] = s.slab[j].rec
+	}
+	return res, nil
+}
 
+// Totals replays one user exactly as Run does — same decisions, same
+// float accumulation order, so Cost is bit-identical to Run's — but
+// returns only the lean BatchTotal (Cost, Sold, IdleHours; Sales stays
+// nil) and materializes neither Hours nor Instances.
+// Config.RecordSchedules is ignored, since no schedule is returned.
+// On a warm Scratch whose buffers already fit the input, a replay
+// under a single-checkpoint, per-instance or never-selling policy
+// allocates nothing.
+func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy) (BatchTotal, error) {
+	if err := validateRun(demand, newRes, cfg, policy); err != nil {
+		return BatchTotal{}, err
+	}
+	cfg.RecordSchedules = false // no schedule to return, so none to record
+	return s.replay(demand, newRes, cfg, policy, nil), nil
+}
+
+// replay is the engine kernel behind Run and Totals. Inputs must have
+// passed validateRun. When res is non-nil its len(demand) Hours are
+// written; with cfg.RecordSchedules set each instance's busy schedule
+// is recorded into a freshly allocated slab, since the caller's
+// InstanceRecords keep it. On return s.slab holds the replay's
+// instances in reservation order.
+func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) BatchTotal {
 	it := cfg.Instance
 	period := it.PeriodHours
 	alphaHourly := it.ReservedHourly
-	saleKeep := 1 - cfg.MarketFee
 	horizon := len(demand)
 
-	sharedAges := checkpointAges(policy, period)
+	s.sharedAges = appendCheckpointAges(s.sharedAges, policy, period)
+	sharedAges := s.sharedAges
 	perInst, isPerInstance := policy.(PerInstancePolicy)
 
 	// Slab of all instances ever reserved, in reservation order (start
 	// ascending, batch index ascending). batchOff[t]..batchOff[t+1] is
 	// hour t's batch.
 	total := 0
-	batchOff := make([]int, horizon+1)
+	s.batchOff = grow(s.batchOff, horizon+1)
+	batchOff := s.batchOff
 	for t, n := range newRes {
 		batchOff[t] = total
 		total += n
 	}
 	batchOff[horizon] = total
 
-	slab := make([]instState, total)
+	s.slab = grow(s.slab, total)
+	slab := s.slab
 	var soloAges []int // backing for per-instance single-age slices
 	if isPerInstance {
-		soloAges = make([]int, total)
+		s.soloAges = grow(s.soloAges, total)
+		soloAges = s.soloAges
 	}
 	var schedSlab []bool
 	if cfg.RecordSchedules {
@@ -139,8 +212,10 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		for i := 1; i <= newRes[t]; i++ {
 			j := batchOff[t] + i - 1
 			in := &slab[j]
-			in.rec = InstanceRecord{Start: t, BatchIndex: i, SoldAt: -1, WorkedAtCheckpoint: -1}
-			in.expiry = t + period
+			*in = instState{
+				rec:    InstanceRecord{Start: t, BatchIndex: i, SoldAt: -1, WorkedAtCheckpoint: -1},
+				expiry: t + period,
+			}
 			if isPerInstance {
 				if age := perInst.InstanceCheckpointAge(t, i, period); age > 0 && age < period {
 					soloAges[j] = age
@@ -162,8 +237,11 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 	// counting pass and one fill pass over two shared arrays.
 	var evOff []int // evOff[t]..evOff[t+1] indexes events for hour t
 	var events []int
-	if total > 0 && (len(sharedAges) > 0 || isPerInstance) {
-		evOff = make([]int, horizon+2)
+	hasEvents := total > 0 && (len(sharedAges) > 0 || isPerInstance)
+	if hasEvents {
+		s.evOff = grow(s.evOff, horizon+2)
+		evOff = s.evOff
+		clear(evOff)
 		for j := range slab {
 			in := &slab[j]
 			for _, a := range in.ckAges {
@@ -175,7 +253,8 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		for t := 2; t <= horizon+1; t++ {
 			evOff[t] += evOff[t-1]
 		}
-		events = make([]int, evOff[horizon+1])
+		s.events = grow(s.events, evOff[horizon+1])
+		events = s.events
 		// Fill in (start asc, batch index desc) order so each bucket
 		// comes out in working-sequence order; evOff[t+1] doubles as the
 		// running fill cursor for hour t and ends at its final value.
@@ -191,16 +270,24 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		}
 	}
 
-	res := Result{Hours: make([]HourRecord, horizon)}
+	// The totals accumulate in scalar locals, which the compiler keeps
+	// in registers across the hourly loop; a struct field would be a
+	// memory round trip per add. The adds and their order are Eq. (1)'s,
+	// so the float results are unchanged.
+	var onDemandCost, upfrontCost, reservedCost, saleIncome float64
+	var sold int
 	// active holds the currently active (unexpired, unsold) instances'
 	// slab indices in working-sequence order; the window active[head:]
 	// is the live list. Expiry only ever removes a prefix (constant
 	// period ⇒ expiry order = start order), so head advances instead of
 	// reslicing; sales splice the window in place on the rare hours a
-	// sale happens.
-	active := make([]int, 0, total)
+	// sale happens. Every instance is appended at most once, so
+	// capacity total is never outgrown.
+	if cap(s.active) < total {
+		s.active = make([]int, 0, total)
+	}
+	active := s.active[:0]
 	head := 0
-	soldTotal := 0
 
 	for t := 0; t < horizon; t++ {
 		// Drop expired instances: always a prefix of the window.
@@ -219,41 +306,9 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		// 2. Selling checkpoints: only the instances scheduled for hour t.
 		var soldNow int
 		var income float64
-		if events != nil && evOff[t] < evOff[t+1] {
-			for _, j := range events[evOff[t]:evOff[t+1]] {
-				in := &slab[j]
-				if in.sold || in.nextCk >= len(in.ckAges) || t-in.rec.Start != in.ckAges[in.nextCk] {
-					continue
-				}
-				in.nextCk++
-				in.rec.WorkedAtCheckpoint = in.rec.Worked
-				ck := Checkpoint{
-					Hour:      t,
-					Start:     in.rec.Start,
-					Age:       t - in.rec.Start,
-					Worked:    in.rec.Worked,
-					Remaining: in.expiry - t,
-				}
-				if policy.ShouldSell(ck) {
-					in.sold = true
-					in.rec.SoldAt = t
-					soldNow++
-					remFrac := float64(in.expiry-t) / float64(period)
-					income += cfg.SellingDiscount * remFrac * it.Upfront * saleKeep
-				}
-			}
-			if soldNow > 0 {
-				soldTotal += soldNow
-				w := active[head:]
-				k := 0
-				for _, j := range w {
-					if !slab[j].sold {
-						w[k] = j
-						k++
-					}
-				}
-				active = active[:head+k]
-			}
+		if hasEvents && evOff[t] < evOff[t+1] {
+			active, soldNow, income = checkpoints(t, events[evOff[t]:evOff[t+1]], slab, active, head, policy, &cfg)
+			sold += soldNow
 		}
 
 		// 3. Working sequence: first d_t active instances serve demand.
@@ -276,25 +331,90 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		}
 
 		// 4. Book C_t per Eq. (1).
-		res.Hours[t] = HourRecord{
-			Demand:    d,
-			NewlyRes:  newRes[t],
-			ActiveRes: len(win),
-			OnDemand:  onDemand,
-			Sold:      soldNow,
+		if res != nil {
+			res.Hours[t] = HourRecord{
+				Demand:    d,
+				NewlyRes:  newRes[t],
+				ActiveRes: len(win),
+				OnDemand:  onDemand,
+				Sold:      soldNow,
+			}
 		}
-		res.Cost.OnDemand += float64(onDemand) * it.OnDemandHourly
-		res.Cost.Upfront += float64(newRes[t]) * it.Upfront
-		res.Cost.ReservedHourly += float64(len(win)) * alphaHourly
-		res.Cost.SaleIncome += income
+		onDemandCost += float64(onDemand) * it.OnDemandHourly
+		upfrontCost += float64(newRes[t]) * it.Upfront
+		reservedCost += float64(len(win)) * alphaHourly
+		saleIncome += income
 	}
 
-	res.Instances = make([]InstanceRecord, total)
+	// Idle hours: every active instance-hour that served no demand,
+	// summed per instance from its lifetime and working hours.
+	idle := 0
 	for j := range slab {
-		res.Instances[j] = slab[j].rec
+		in := &slab[j]
+		end := min(in.expiry, horizon)
+		if in.sold {
+			end = in.rec.SoldAt
+		}
+		idle += end - in.rec.Start - in.rec.Worked
 	}
-	cfg.Metrics.RecordRun(horizon, total, soldTotal)
-	return res, nil
+	cfg.Metrics.RecordRun(horizon, total, sold)
+	return BatchTotal{
+		Cost: CostBreakdown{
+			OnDemand:       onDemandCost,
+			Upfront:        upfrontCost,
+			ReservedHourly: reservedCost,
+			SaleIncome:     saleIncome,
+		},
+		Sold:      sold,
+		IdleHours: idle,
+	}
+}
+
+// checkpoints is step 2 of the hourly loop: it consults the policy for
+// the instances due at hour t, in working-sequence order, and splices
+// the sold ones out of the live window active[head:]. It returns the
+// active list, the number sold and the hour's sale income. Only hours
+// with a due checkpoint call it, which keeps its state out of the
+// every-hour path's registers.
+func checkpoints(t int, due []int, slab []instState, active []int, head int, policy SellingPolicy, cfg *Config) ([]int, int, float64) {
+	period := cfg.Instance.PeriodHours
+	saleKeep := 1 - cfg.MarketFee
+	var soldNow int
+	var income float64
+	for _, j := range due {
+		in := &slab[j]
+		if in.sold || in.nextCk >= len(in.ckAges) || t-in.rec.Start != in.ckAges[in.nextCk] {
+			continue
+		}
+		in.nextCk++
+		in.rec.WorkedAtCheckpoint = in.rec.Worked
+		ck := Checkpoint{
+			Hour:      t,
+			Start:     in.rec.Start,
+			Age:       t - in.rec.Start,
+			Worked:    in.rec.Worked,
+			Remaining: in.expiry - t,
+		}
+		if policy.ShouldSell(ck) {
+			in.sold = true
+			in.rec.SoldAt = t
+			soldNow++
+			remFrac := float64(in.expiry-t) / float64(period)
+			income += cfg.SellingDiscount * remFrac * cfg.Instance.Upfront * saleKeep
+		}
+	}
+	if soldNow > 0 {
+		w := active[head:]
+		k := 0
+		for _, j := range w {
+			if !slab[j].sold {
+				w[k] = j
+				k++
+			}
+		}
+		active = active[:head+k]
+	}
+	return active, soldNow, income
 }
 
 // KeepReserved is the paper's Keep-Reserved benchmark: never sell.

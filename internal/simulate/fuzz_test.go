@@ -10,8 +10,10 @@ import (
 // FuzzEngineRun drives the optimized engine with arbitrary byte-derived
 // demand/reservation series, price cards and policy shapes, and checks
 // that it (a) never panics, (b) conserves the Eq. (1) accounting
-// identities, and (c) stays field-for-field identical to the reference
-// engine. Seed corpus lives in testdata/fuzz/FuzzEngineRun.
+// identities, (c) stays field-for-field identical to the reference
+// engine, and (d) agrees bit for bit with Scratch.Totals on one Scratch
+// reused, dirty, across every input the fuzzer feeds this process.
+// Seed corpus lives in testdata/fuzz/FuzzEngineRun.
 func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 7, 1}, []byte{1, 0, 2}, byte(40), byte(80), byte(12), byte(1), byte(10))
 	f.Add([]byte{}, []byte{}, byte(1), byte(0), byte(0), byte(0), byte(0))
@@ -19,6 +21,7 @@ func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}, []byte{1}, byte(8), byte(50), byte(0), byte(3), byte(200))
 	f.Add([]byte{4, 4, 4, 4, 4, 4}, []byte{0, 3, 0, 3}, byte(5), byte(75), byte(30), byte(10), byte(4))
 
+	var scratch Scratch // inputs run one at a time per process
 	f.Fuzz(func(t *testing.T, demandB, resB []byte, periodB, discountB, feeB, shapeB, ageB byte) {
 		n := len(demandB)
 		if n > 300 {
@@ -123,5 +126,13 @@ func FuzzEngineRun(f *testing.F) {
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("optimized result diverges from reference:\n got %+v\nwant %+v", res.Cost, want.Cost)
 		}
+
+		// Totals oracle: the lean output of the same kernel on a reused
+		// scratch carries Run's exact totals.
+		tot, err := scratch.Totals(demand, newRes, cfg, policy)
+		if err != nil {
+			t.Fatalf("Totals rejected input Run accepted: %v", err)
+		}
+		assertTotalsIdentical(t, tot, totalsFromRun(res))
 	})
 }

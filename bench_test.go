@@ -351,64 +351,6 @@ func BenchmarkPortfolioEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkMillionUsers pushes a 100k-user cohort through one 1-year
-// sweep cell of the streaming batch engine (simulate.RunBatchTotals).
-// The cohort aliases 64 distinct year-long demand patterns across all
-// users — the BatchUser contract explicitly permits shared backing
-// arrays — so the input costs 64 traces of memory while the engine
-// still advances every user through every hour. Besides the gated
-// ns/op, the bench reports the two throughput figures the scale-out
-// roadmap tracks: users/sec and simulated instance-hours/sec.
-func BenchmarkMillionUsers(b *testing.B) {
-	it := pricing.D2XLarge() // 1-year card: 8760-hour period
-	const users = 100_000
-	const patterns = 64
-	demands := make([][]int, patterns)
-	plans := make([][]int, patterns)
-	for p := range demands {
-		d := make([]int, it.PeriodHours)
-		for t := range d {
-			// Varied phase and amplitude per pattern, with idle tails
-			// so the selling policy actually fires for some users.
-			d[t] = (t*(p+1) + p) % 9
-			if t > it.PeriodHours/2+p*50 {
-				d[t] = 0
-			}
-		}
-		plan, err := purchasing.PlanReservations(d, it.PeriodHours, purchasing.AllReserved{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		demands[p], plans[p] = d, plan
-	}
-	batch := make([]simulate.BatchUser, users)
-	for i := range batch {
-		batch[i] = simulate.BatchUser{Demand: demands[i%patterns], NewRes: plans[i%patterns]}
-	}
-	policy, err := core.NewA3T4(it, 0.8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := simulate.Config{Instance: it, SellingDiscount: 0.8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		totals, err := simulate.RunBatchTotals(context.Background(), batch, cfg, policy, simulate.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(totals) != users {
-			b.Fatalf("totals = %d", len(totals))
-		}
-	}
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
-		ops := float64(b.N)
-		b.ReportMetric(users*ops/secs, "users/sec")
-		b.ReportMetric(users*float64(it.PeriodHours)*ops/secs, "hours/sec")
-	}
-}
-
 // BenchmarkMarketSession measures the market-dynamics session over the
 // bench cohort's sell events.
 func BenchmarkMarketSession(b *testing.B) {

@@ -12,9 +12,11 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,23 +62,36 @@ func TestGolden(t *testing.T) {
 
 // TestGoldenParallelismSmoke asserts the -parallelism flag is accepted
 // and does not change results: the golden comparison above runs at the
-// default worker count, so matching it at explicit worker counts pins
-// the whole CLI path's determinism.
+// default worker count, so matching a serial run at explicit worker
+// counts pins the whole CLI path's determinism, for every experiment
+// that fans out over the worker pool. The smaller cohorts keep the
+// matrix fast.
 func TestGoldenParallelismSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs use the full test-scale cohort; skipped in -short mode")
 	}
-	var ref strings.Builder
-	if err := run(context.Background(), []string{"-exp", "sweep-k", "-parallelism", "1"}, &ref, io.Discard); err != nil {
-		t.Fatal(err)
+	exps := []struct {
+		name string
+		args []string
+	}{
+		{name: "sweep-k", args: []string{"-exp", "sweep-k"}},
+		{name: "all", args: []string{"-exp", "all", "-pergroup", "4"}},
+		{name: "sweep-a", args: []string{"-exp", "sweep-a", "-pergroup", "3"}},
+		{name: "sensitivity", args: []string{"-exp", "sensitivity", "-pergroup", "2"}},
+		{name: "extensions", args: []string{"-exp", "extensions", "-pergroup", "3"}},
+		{name: "market", args: []string{"-exp", "market", "-pergroup", "3"}},
+		{name: "resell", args: []string{"-exp", "resell", "-pergroup", "3"}},
+		{name: "audit", args: []string{"-exp", "audit", "-pergroup", "2"}},
 	}
-	for _, par := range []string{"2", "8"} {
-		var out strings.Builder
-		if err := run(context.Background(), []string{"-exp", "sweep-k", "-parallelism", par}, &out, io.Discard); err != nil {
-			t.Fatalf("parallelism %s: %v", par, err)
-		}
-		if out.String() != ref.String() {
-			t.Errorf("parallelism %s output differs from serial:\n%s", par, out.String())
-		}
+	for _, exp := range exps {
+		t.Run(exp.name, func(t *testing.T) {
+			ref := runStdout(t, append([]string{"-parallelism", "1"}, exp.args...)...)
+			for _, par := range []int{2, 4, 8, runtime.NumCPU()} {
+				got := runStdout(t, append([]string{"-parallelism", fmt.Sprint(par)}, exp.args...)...)
+				if got != ref {
+					t.Errorf("-parallelism %d output differs from serial:\n%s", par, got)
+				}
+			}
+		})
 	}
 }

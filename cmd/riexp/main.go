@@ -61,7 +61,6 @@ type params struct {
 	seed               int64
 	discount, fee      float64
 	term, par          int
-	batch              bool
 	traceDir, traceErr string
 	traceFmt           string
 	traceBud           int
@@ -81,7 +80,6 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs.Float64Var(&p.fee, "fee", 0, "marketplace fee in [0, 1) applied to sale income")
 	fs.IntVar(&p.term, "term", 1, "reservation term in years (1 or 3)")
 	fs.IntVar(&p.par, "parallelism", 0, "worker goroutines evaluating users and grid cells; 0 means GOMAXPROCS (results are identical at any setting)")
-	fs.BoolVar(&p.batch, "batch", false, "advance whole cohorts through the streaming batch engine (one struct-of-arrays pass per grid cell) instead of one engine run per user; results are bit-identical either way")
 	fs.StringVar(&p.traceDir, "tracedir", "", "run on real trace files from this directory instead of the synthetic cohort (see -trace-format)")
 	fs.StringVar(&p.traceFmt, "trace-format", "ec2-log", "format of -tracedir files: ec2-log (.csv/.csv.gz usage logs) or colt (columnar cohort stores, .colt)")
 	fs.StringVar(&p.traceErr, "trace-errors", "strict", "error policy for -tracedir files: strict (fail on the first bad file) or best-effort (skip bad files, warn, exit 3)")
@@ -189,7 +187,6 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 	}
 	cfg.MarketFee = p.fee
 	cfg.Parallelism = p.par
-	cfg.Batch = p.batch
 	if p.spill != "" && p.resume != "" {
 		return cli.Usagef("-spill and -resume are mutually exclusive: -resume already keeps spilling into its directory")
 	}

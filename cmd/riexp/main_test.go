@@ -322,6 +322,25 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBatchStdoutIdentity: -batch left with the streaming batch engine
+// it selected. Every experiment must now reject it as a usage error
+// before writing a byte of stdout, so a script that still passes it
+// fails loudly instead of printing results it did not ask for.
+func TestBatchStdoutIdentity(t *testing.T) {
+	for _, exp := range []string{"all", "sweep-k", "sweep-a", "sensitivity", "extensions", "market", "resell", "audit"} {
+		t.Run(exp, func(t *testing.T) {
+			var out strings.Builder
+			err := run(context.Background(), fastArgs("-exp", exp, "-batch"), &out, io.Discard)
+			if code := cli.ExitCode(err); code != cli.ExitUsage {
+				t.Fatalf("-exp %s -batch = %v (exit %d), want usage error (exit %d)", exp, err, code, cli.ExitUsage)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("-exp %s -batch wrote %d bytes of stdout before failing", exp, out.Len())
+			}
+		})
+	}
+}
+
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

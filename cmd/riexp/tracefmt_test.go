@@ -1,10 +1,8 @@
 package main
 
-// Stdout-identity suite for -batch: the streaming batch engine must be
-// invisible in the output — every experiment's rendering is
-// byte-identical to the default per-user path at parallelism
-// {1, 4, NumCPU} — and -trace-format colt must reproduce the CSV
-// loader's output byte for byte from a converted store.
+// -trace-format colt must reproduce the CSV loader's output byte for
+// byte from a converted store, and reject unknown formats, empty
+// directories and corrupt stores with errors that name the cause.
 
 import (
 	"context"
@@ -12,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -21,12 +18,6 @@ import (
 	"rimarket/internal/workload"
 )
 
-// batchParallelisms is the worker-count matrix the issue pins the
-// stdout identity at.
-func batchParallelisms() []int {
-	return []int{1, 4, runtime.GOMAXPROCS(0)}
-}
-
 func runStdout(t *testing.T, args ...string) string {
 	t.Helper()
 	var out strings.Builder
@@ -34,33 +25,6 @@ func runStdout(t *testing.T, args ...string) string {
 		t.Fatalf("riexp %s: %v", strings.Join(args, " "), err)
 	}
 	return out.String()
-}
-
-func TestBatchStdoutIdentity(t *testing.T) {
-	exps := []struct {
-		name string
-		args []string
-	}{
-		{name: "all", args: []string{"-exp", "all", "-pergroup", "4"}},
-		{name: "sweep-k", args: []string{"-exp", "sweep-k", "-pergroup", "3"}},
-		{name: "sweep-a", args: []string{"-exp", "sweep-a", "-pergroup", "3"}},
-		{name: "sensitivity", args: []string{"-exp", "sensitivity", "-pergroup", "2"}},
-		{name: "extensions", args: []string{"-exp", "extensions", "-pergroup", "3"}},
-		{name: "market", args: []string{"-exp", "market", "-pergroup", "3"}},
-		{name: "resell", args: []string{"-exp", "resell", "-pergroup", "3"}},
-		{name: "audit", args: []string{"-exp", "audit", "-pergroup", "2"}},
-	}
-	for _, exp := range exps {
-		t.Run(exp.name, func(t *testing.T) {
-			ref := runStdout(t, exp.args...)
-			for _, par := range batchParallelisms() {
-				got := runStdout(t, append([]string{"-batch", "-parallelism", fmt.Sprint(par)}, exp.args...)...)
-				if got != ref {
-					t.Fatalf("-batch -parallelism %d output differs from the per-user path", par)
-				}
-			}
-		})
-	}
 }
 
 // writeTraceDirs builds a CSV trace directory and its converted .colt
@@ -105,10 +69,6 @@ func TestTraceFormatColtStdoutIdentity(t *testing.T) {
 	got := runStdout(t, "-exp", "table3", "-tracedir", coltDir, "-trace-format", "colt")
 	if got != ref {
 		t.Fatalf("-trace-format colt output differs from the CSV loader:\n--- csv\n%s\n--- colt\n%s", ref, got)
-	}
-	batch := runStdout(t, "-exp", "table3", "-tracedir", coltDir, "-trace-format", "colt", "-batch")
-	if batch != ref {
-		t.Fatal("-trace-format colt -batch output differs from the CSV loader")
 	}
 }
 

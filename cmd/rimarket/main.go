@@ -58,7 +58,6 @@ func runStderr(args []string, w, stderr io.Writer) error {
 		perGroup    = fs.Int("per-group", 8, "-session cohort users per fluctuation group")
 		scale       = fs.Float64("scale", 6, "-session period divisor: scales the 1-year term down for fast runs")
 		parallelism = fs.Int("parallelism", 0, "-session worker bound for cohort planning (0 = GOMAXPROCS)")
-		batch       = fs.Bool("batch", false, "-session uses the streaming batch engine for the seller runs")
 	)
 	var obsFlags cli.ObsFlags
 	obsFlags.RegisterBasic(fs)
@@ -71,7 +70,7 @@ func runStderr(args []string, w, stderr io.Writer) error {
 		}
 		if *runSession {
 			return marketSession(sess.Context(context.Background()), w,
-				*instances, *discount, *fee, *perGroup, *scale, *seed, *parallelism, *batch)
+				*instances, *discount, *fee, *perGroup, *scale, *seed, *parallelism)
 		}
 		return session(w, *sellers, *buyers, *instance, *fee, *seed)
 	})
@@ -80,7 +79,7 @@ func runStderr(args []string, w, stderr io.Writer) error {
 // marketSession runs the two-sided cohort market session and prints
 // its per-instance-type outcome table.
 func marketSession(ctx context.Context, w io.Writer, instances string, discount, fee float64,
-	perGroup int, scale float64, seed int64, parallelism int, batch bool) error {
+	perGroup int, scale float64, seed int64, parallelism int) error {
 	if scale < 1 {
 		return fmt.Errorf("scale %v below 1", scale)
 	}
@@ -119,7 +118,6 @@ func marketSession(ctx context.Context, w io.Writer, instances string, discount,
 			Hours:           cards[0].PeriodHours,
 			Seed:            seed,
 			Parallelism:     parallelism,
-			Batch:           batch,
 		},
 		Cards: cards,
 	}

@@ -61,14 +61,16 @@ func TestRunSession(t *testing.T) {
 			t.Errorf("session output missing %q:\n%s", want, s)
 		}
 	}
-	// The session is deterministic: batch mode and a parallelism bound
-	// must reproduce it byte for byte.
-	var again strings.Builder
-	if err := run(append(args, "-batch", "-parallelism", "2"), &again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != s {
-		t.Errorf("batch session diverged:\n--- got ---\n%s--- want ---\n%s", again.String(), s)
+	// The session is deterministic: any parallelism bound must
+	// reproduce it byte for byte.
+	for _, par := range []string{"1", "2", "4"} {
+		var again strings.Builder
+		if err := run(append(args, "-parallelism", par), &again); err != nil {
+			t.Fatal(err)
+		}
+		if again.String() != s {
+			t.Errorf("-parallelism %s session diverged:\n--- got ---\n%s--- want ---\n%s", par, again.String(), s)
+		}
 	}
 }
 
@@ -97,8 +99,8 @@ func TestRunErrors(t *testing.T) {
 
 // TestSessionManifestCountsEngineRuns pins the -session manifest to the
 // session's real engine work: every seller replay books one engine run
-// (cards × three selling policies × cohort users), in per-user and
-// batch mode alike, and writing the manifest leaves stdout unchanged.
+// (cards × three selling policies × cohort users) at any parallelism,
+// and writing the manifest leaves stdout unchanged.
 func TestSessionManifestCountsEngineRuns(t *testing.T) {
 	const perGroup = 4
 	base := []string{"-session", "-per-group", strconv.Itoa(perGroup), "-instances", "d2.xlarge,m4.large"}
@@ -107,14 +109,14 @@ func TestSessionManifestCountsEngineRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cards, policies, users = 2, 3, 3 * perGroup
-	for _, mode := range [][]string{nil, {"-batch"}} {
+	for _, par := range []string{"1", "4"} {
 		path := filepath.Join(t.TempDir(), "run.json")
 		var out strings.Builder
-		if err := run(append(append(append([]string{}, base...), mode...), "-metrics", path), &out); err != nil {
+		if err := run(append(append([]string{}, base...), "-parallelism", par, "-metrics", path), &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != plain.String() {
-			t.Errorf("mode %v: -metrics changed stdout:\n--- got ---\n%s--- want ---\n%s", mode, out.String(), plain.String())
+			t.Errorf("-parallelism %s: -metrics changed stdout:\n--- got ---\n%s--- want ---\n%s", par, out.String(), plain.String())
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -128,7 +130,7 @@ func TestSessionManifestCountsEngineRuns(t *testing.T) {
 			t.Fatal("manifest has no metrics snapshot")
 		}
 		if got, want := mf.Metrics.EngineRuns, int64(cards*policies*users); got != want {
-			t.Errorf("mode %v: engine_runs = %d, want %d replays", mode, got, want)
+			t.Errorf("-parallelism %s: engine_runs = %d, want %d replays", par, got, want)
 		}
 	}
 }

@@ -153,18 +153,19 @@ func BenchmarkCohortPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineKernels races the two engine kernels on one input:
-// the aliased 100k-user, 1-year cohort of the root BenchmarkMillionUsers
-// (64 distinct demand patterns shared across users, all-reserved
-// plans, A_{3T/4} at a = 0.8). kernel=scratch is the grid's path, one
-// Scratch.Totals per user over the worker pool with one reused Scratch
-// per worker; kernel=batch is simulate.RunBatchTotals. Each runs at
-// parallelism 1 and NumCPU, and reports time, bytes and allocations
-// per user-year. It is the measurement the one-engine decision rests
-// on:
+// BenchmarkMillionUsers pushes a 100k-user cohort through one 1-year
+// sweep cell the way the grid does: one Scratch.Totals per user over
+// the worker pool at GOMAXPROCS, one reused Scratch per worker. The
+// cohort aliases 64 distinct year-long demand patterns (all-reserved
+// plans, A_{3T/4} at a = 0.8) across all users, so the input costs 64
+// traces of memory while the engine still replays every user through
+// every hour. Besides the gated ns/op it reports users/sec, simulated
+// instance-hours/sec, and time, bytes and allocations per user-year.
+// It has no sub-benchmarks, so the gated row name stays fixed; -cpu 1
+// gives the single-core figure:
 //
-//	go test ./internal/experiments -run '^$' -bench EngineKernels -benchtime 1x
-func BenchmarkEngineKernels(b *testing.B) {
+//	go test ./internal/experiments -run '^$' -bench MillionUsers -benchtime 1x -cpu 1
+func BenchmarkMillionUsers(b *testing.B) {
 	it := pricing.D2XLarge() // 1-year card: 8760-hour period
 	const users = 100_000
 	const patterns = 64
@@ -173,6 +174,8 @@ func BenchmarkEngineKernels(b *testing.B) {
 	for p := range demands {
 		d := make([]int, it.PeriodHours)
 		for t := range d {
+			// Varied phase and amplitude per pattern, with idle tails
+			// so the selling policy actually fires for some users.
 			d[t] = (t*(p+1) + p) % 9
 			if t > it.PeriodHours/2+p*50 {
 				d[t] = 0
@@ -184,10 +187,6 @@ func BenchmarkEngineKernels(b *testing.B) {
 		}
 		demands[p], plans[p] = d, plan
 	}
-	cohort := make([]simulate.BatchUser, users)
-	for i := range cohort {
-		cohort[i] = simulate.BatchUser{Demand: demands[i%patterns], NewRes: plans[i%patterns]}
-	}
 	a3, err := core.NewA3T4(it, 0.8)
 	if err != nil {
 		b.Fatal(err)
@@ -196,44 +195,40 @@ func BenchmarkEngineKernels(b *testing.B) {
 	cfg := simulate.Config{Instance: it, SellingDiscount: 0.8}
 	ctx := context.Background()
 
-	kernels := []struct {
-		name string
-		run  func(par int) error
-	}{
-		{"scratch", func(par int) error {
-			out := make([]simulate.BatchTotal, users)
-			scratch := make([]simulate.Scratch, workerCount(par, users))
-			_, _, err := runShardedDone(ctx, par, users, func(w, i int) error {
-				tot, err := scratch[w].Totals(cohort[i].Demand, cohort[i].NewRes, cfg, policy)
-				out[i] = tot
-				return err
-			})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		workers := workerCount(0, users)
+		scratch := make([]simulate.Scratch, workers)
+		sold := make([]int, workers)
+		_, _, err := runShardedDone(ctx, 0, users, func(w, u int) error {
+			tot, err := scratch[w].Totals(demands[u%patterns], plans[u%patterns], cfg, policy)
+			sold[w] += tot.Sold
 			return err
-		}},
-		{"batch", func(par int) error {
-			_, err := simulate.RunBatchTotals(ctx, cohort, cfg, policy, simulate.BatchOptions{Parallelism: par})
-			return err
-		}},
-	}
-	for _, k := range kernels {
-		for _, par := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("kernel=%s/par=%d", k.name, par), func(b *testing.B) {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := k.run(par); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				userYears := float64(b.N) * users
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/userYears, "ns/user-year")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/userYears, "B/user-year")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/userYears, "allocs/user-year")
-			})
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		total := 0
+		for _, n := range sold {
+			total += n
+		}
+		if total == 0 {
+			b.Fatal("the cohort sold nothing; the policy never fired")
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	secs := b.Elapsed().Seconds()
+	userYears := float64(b.N) * users
+	if secs > 0 {
+		b.ReportMetric(userYears/secs, "users/sec")
+		b.ReportMetric(userYears*float64(it.PeriodHours)/secs, "hours/sec")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/userYears, "ns/user-year")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/userYears, "B/user-year")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/userYears, "allocs/user-year")
 }

@@ -246,7 +246,7 @@ func TestRunGridCancellation(t *testing.T) {
 				defer cancel()
 				var calls atomic.Int64
 				orig := simulateTotals
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
@@ -336,7 +336,7 @@ func TestGridPanicContained(t *testing.T) {
 	}
 	orig := simulateTotals
 	var calls atomic.Int64
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		if calls.Add(1) == 3 {
 			panic("engine bug")
 		}

@@ -59,15 +59,6 @@ type Config struct {
 	// parallelism: every user's work is seeded independently and results
 	// are returned in cohort order.
 	Parallelism int
-	// Batch switches the drivers from one simulate.Run per (cell, user)
-	// pair to the streaming batch engine (simulate.RunBatchTotals),
-	// which advances a whole cohort one hour per outer step over
-	// struct-of-arrays state. Results are bit-identical either way —
-	// pinned by the differential suite in batch_test.go — so Batch is
-	// execution plumbing like Parallelism: it changes no result and is
-	// excluded from the grid's config hash, letting spill stores
-	// interchange between modes.
-	Batch bool
 	// SpillDir, when non-empty, streams each fully-completed grid cell
 	// to a resumable on-disk store under SpillDir/<grid-label>
 	// (internal/gridstore), so an interrupted sweep can continue

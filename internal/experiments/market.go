@@ -21,10 +21,9 @@ type MarketPoint struct {
 }
 
 // sellEvents collects every sell event the plan's runs produce under
-// the given selling policy — fanned out over the plan's worker pool
-// (or the batch engine when cfg.Batch), with per-user event slices
-// concatenated in cohort order so the stream is deterministic at any
-// parallelism and identical whichever engine produced it.
+// the given selling policy — fanned out over the plan's worker pool,
+// with per-user event slices concatenated in cohort order so the
+// stream is deterministic at any parallelism.
 func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPolicy) ([]trade.SellEvent, error) {
 	perUser, err := p.sellEventsPerUser(ctx, policy)
 	if err != nil {
@@ -45,47 +44,26 @@ func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policy simulate.Sell
 	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
 
 	perUser := make([][]trade.SellEvent, p.Len())
-	if cfg.Batch {
-		// The batch engine records sales in reservation order — the same
-		// order the per-user path walks run.Instances in — so the event
-		// stream is identical whichever engine produced it.
-		totals, _, err := obsBatch(ctx, m, p.batchUsers(), engCfg, policy,
-			simulate.BatchOptions{Parallelism: cfg.Parallelism, RecordSales: true})
+	err := p.ForEachUser(ctx, func(i int, u PlannedUser) error {
+		run, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, policy)
 		if err != nil {
-			return nil, p.mapBatchErr(err, "")
+			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 		}
-		for i, tot := range totals {
-			for _, s := range tot.Sales {
-				perUser[i] = append(perUser[i], trade.SellEvent{
-					Hour:           s.SoldAt,
-					Seller:         p.users[i].Trace.User,
-					Instance:       cfg.Instance,
-					RemainingHours: s.Start + cfg.Instance.PeriodHours - s.SoldAt,
-				})
+		for _, inst := range run.Instances {
+			if inst.SoldAt < 0 {
+				continue
 			}
+			perUser[i] = append(perUser[i], trade.SellEvent{
+				Hour:           inst.SoldAt,
+				Seller:         u.Trace.User,
+				Instance:       cfg.Instance,
+				RemainingHours: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
+			})
 		}
-	} else {
-		err := p.ForEachUser(ctx, func(i int, u PlannedUser) error {
-			run, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, policy)
-			if err != nil {
-				return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
-			}
-			for _, inst := range run.Instances {
-				if inst.SoldAt < 0 {
-					continue
-				}
-				perUser[i] = append(perUser[i], trade.SellEvent{
-					Hour:           inst.SoldAt,
-					Seller:         u.Trace.User,
-					Instance:       cfg.Instance,
-					RemainingHours: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return perUser, nil
 }

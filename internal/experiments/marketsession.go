@@ -171,7 +171,7 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 // through the book before falling back to fresh purchases. The session
 // loop is sequential, and its inputs are concatenated in cohort order
 // by deterministic fan-outs, so the result is byte-identical at any
-// Parallelism and in batch or per-user mode alike.
+// Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the

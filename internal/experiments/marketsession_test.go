@@ -32,17 +32,16 @@ func marketCards(t *testing.T) []pricing.InstanceType {
 
 // marketScenario is the suite's shared scenario at the given execution
 // settings; results must not depend on any of them.
-func marketScenario(t *testing.T, parallelism int, batch bool) MarketScenario {
+func marketScenario(t *testing.T, parallelism int) MarketScenario {
 	cfg := TestScaleConfig()
 	cfg.PerGroup = 8
 	cfg.MarketFee = 0.12
 	cfg.Parallelism = parallelism
-	cfg.Batch = batch
 	return MarketScenario{Base: cfg, Cards: marketCards(t)}
 }
 
 func TestMarketScenarioValidate(t *testing.T) {
-	sc := marketScenario(t, 0, false)
+	sc := marketScenario(t, 0)
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestMarketScenarioValidate(t *testing.T) {
 // time-to-sale table from matched trades, with every derived quantity
 // consistent with the raw counts and money conserved bit-exactly.
 func TestMarketScenarioEmergentStats(t *testing.T) {
-	sc := marketScenario(t, 0, false)
+	sc := marketScenario(t, 0)
 	res, err := RunMarketScenario(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 // TestMarketScenarioObsCounters checks the session feeds the obs
 // market section, and that the counters agree with the outcomes.
 func TestMarketScenarioObsCounters(t *testing.T) {
-	sc := marketScenario(t, 0, false)
+	sc := marketScenario(t, 0)
 	m := obs.New(obs.FakeClock(time.Unix(0, 0).UTC(), time.Microsecond))
 	res, err := RunMarketScenario(obs.WithMetrics(context.Background(), m), sc)
 	if err != nil {
@@ -161,31 +160,29 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 }
 
 // TestMarketScenarioDifferential is the determinism gate: the rendered
-// session must be byte-identical at every parallelism, in batch and
-// per-user mode, and with or without metrics attached.
+// session must be byte-identical at every parallelism, with or without
+// metrics attached.
 func TestMarketScenarioDifferential(t *testing.T) {
 	want := ""
-	for _, batch := range []bool{false, true} {
-		for _, par := range []int{1, 4, runtime.NumCPU()} {
-			for _, observed := range []bool{false, true} {
-				ctx := context.Background()
-				if observed {
-					m := obs.New(obs.FakeClock(time.Unix(0, 0).UTC(), time.Microsecond))
-					ctx = obs.WithMetrics(ctx, m)
-				}
-				res, err := RunMarketScenario(ctx, marketScenario(t, par, batch))
-				if err != nil {
-					t.Fatalf("batch=%v parallelism=%d observed=%v: %v", batch, par, observed, err)
-				}
-				got := RenderMarketOutcomes(res)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("batch=%v parallelism=%d observed=%v diverged:\n--- got ---\n%s--- want ---\n%s",
-						batch, par, observed, got, want)
-				}
+	for _, par := range []int{1, 4, runtime.NumCPU()} {
+		for _, observed := range []bool{false, true} {
+			ctx := context.Background()
+			if observed {
+				m := obs.New(obs.FakeClock(time.Unix(0, 0).UTC(), time.Microsecond))
+				ctx = obs.WithMetrics(ctx, m)
+			}
+			res, err := RunMarketScenario(ctx, marketScenario(t, par))
+			if err != nil {
+				t.Fatalf("parallelism=%d observed=%v: %v", par, observed, err)
+			}
+			got := RenderMarketOutcomes(res)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("parallelism=%d observed=%v diverged:\n--- got ---\n%s--- want ---\n%s",
+					par, observed, got, want)
 			}
 		}
 	}
@@ -196,7 +193,7 @@ func TestMarketScenarioDifferential(t *testing.T) {
 // store must restore the grid cells and the session must render
 // identically whether or not a grid spill ran beside it.
 func TestMarketScenarioSpillInterop(t *testing.T) {
-	sc := marketScenario(t, 2, false)
+	sc := marketScenario(t, 2)
 	plain, err := RunMarketScenario(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)

@@ -52,26 +52,6 @@ type CohortPlan struct {
 	// so its cost is independent of the selling discount and market fee;
 	// only the instance card matters (pinned by tests in runner_test.go).
 	keeps map[pricing.InstanceType][]KeepStat
-
-	// batchOnce/batch lazily build the batch engine's input view of the
-	// cohort. Each BatchUser aliases the planned user's Demand/NewRes
-	// slices — the batch engine reads but never writes them — so the
-	// view costs one slice header pair per user, not a copy of the
-	// traces.
-	batchOnce sync.Once
-	batch     []simulate.BatchUser
-}
-
-// batchUsers returns the cohort as batch-engine inputs, in cohort
-// order, built once and shared by every batch-mode driver.
-func (p *CohortPlan) batchUsers() []simulate.BatchUser {
-	p.batchOnce.Do(func() {
-		p.batch = make([]simulate.BatchUser, len(p.users))
-		for i := range p.users {
-			p.batch[i] = simulate.BatchUser{Demand: p.users[i].Trace.Demand, NewRes: p.users[i].NewRes}
-		}
-	})
-	return p.batch
 }
 
 // NewCohortPlan synthesizes the config's cohort and plans every user's
@@ -185,38 +165,19 @@ func (p *CohortPlan) KeepStats(ctx context.Context, engCfg simulate.Config) ([]K
 	sp := obs.StartSpan(ctx, "baseline")
 	defer sp.End()
 	out := make([]KeepStat, len(p.users))
-	if p.cfg.Batch {
-		// Job accounting mirrors the per-user fan-out: one job per user,
-		// admitted up front, completed all-or-nothing with the batch call.
-		if m != nil {
-			m.JobsTotal.Add(int64(len(p.users)))
-		}
-		totals, _, err := obsBatch(ctx, m, p.batchUsers(), engCfg, core.KeepReserved{},
-			simulate.BatchOptions{Parallelism: p.cfg.Parallelism})
+	// One Scratch per pool worker, as in RunGridNamed.
+	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, len(p.users)))
+	_, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(p.users), func(w, i int) error {
+		u := &p.users[i]
+		tot, _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
 		if err != nil {
-			return nil, p.mapBatchErr(err, "")
+			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 		}
-		if m != nil {
-			m.JobsDone.Add(int64(len(p.users)))
-		}
-		for i, tot := range totals {
-			out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
-		}
-	} else {
-		// One Scratch per pool worker, as in RunGridNamed.
-		scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, len(p.users)))
-		_, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(p.users), func(w, i int) error {
-			u := &p.users[i]
-			tot, _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
-			if err != nil {
-				return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
-			}
-			out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.mu.Lock()
 	p.keeps[engCfg.Instance] = out

@@ -77,7 +77,7 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				defer cancel()
 				var calls atomic.Int64
 				orig := simulateTotals
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
@@ -110,7 +110,7 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				}
 				warmBaseline(t, resumePlan)
 				var recomputed atomic.Int64
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 					recomputed.Add(1)
 					return orig(s, demand, newRes, ec, pol)
 				}
@@ -161,7 +161,7 @@ func TestGridResumeAfterCompletion(t *testing.T) {
 	warmBaseline(t, resumePlan)
 	var recomputed atomic.Int64
 	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		recomputed.Add(1)
 		return orig(s, demand, newRes, ec, pol)
 	}
@@ -215,7 +215,7 @@ func TestGridResumeTornTail(t *testing.T) {
 	warmBaseline(t, resumePlan)
 	var recomputed atomic.Int64
 	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		recomputed.Add(1)
 		return orig(s, demand, newRes, ec, pol)
 	}
@@ -227,5 +227,33 @@ func TestGridResumeTornTail(t *testing.T) {
 	assertGridsEqual(t, got, ref)
 	if want := int64(resumePlan.Len()); recomputed.Load() != want {
 		t.Errorf("torn tail re-ran the engine %d times, want %d (one cell)", recomputed.Load(), want)
+	}
+}
+
+// TestGridSpecConfigHashPinned fixes the spill store's config hash for
+// one Config and cell list to the value earlier releases wrote, so a
+// store spilled by an older binary still resumes after Config changes
+// that touch no hashed field. Execution plumbing (Parallelism,
+// SpillDir, Resume) is set to non-zero values to show it stays out of
+// the hash.
+func TestGridSpecConfigHashPinned(t *testing.T) {
+	cfg := TestScaleConfig()
+	cfg.MarketFee = 0.12
+	cfg.Parallelism = 4
+	cfg.SpillDir = "spill"
+	cfg.Resume = true
+	eng := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, MarketFee: cfg.MarketFee}
+	cells := []Cell{
+		{Name: "k=0.25", Engine: eng},
+		{Name: "k=0.5", Engine: eng},
+		{Name: "k=0.75", Engine: eng},
+	}
+	spec, err := gridSpec(cfg, "sweep-k", cells, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "056b36f42bfabad322cf4b97a141bb6aac8ad80584427f4824b9601efdf886c4"
+	if spec.ConfigHash != want {
+		t.Fatalf("ConfigHash = %s, want %s: spill stores written by earlier releases would no longer resume", spec.ConfigHash, want)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -51,38 +50,8 @@ var simulateTotals = (*simulate.Scratch).Totals
 // obsTotals is simulateTotals under timeEngine. The engine's own
 // RecordRun still fires through cfg.Metrics, so a totals replay counts
 // as one engine run.
-func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.BatchTotal, int64, error) {
-	return timeEngine(m, func() (simulate.BatchTotal, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
-}
-
-// simulateRunBatchTotals indirects the batch engine the same way
-// simulateRun indirects the per-user one, so tests can count or fail
-// batch invocations.
-var simulateRunBatchTotals = simulate.RunBatchTotals
-
-// obsBatch is RunBatchTotals under timeEngine: the batch engine
-// replaces many Run calls with one, so the whole batch gets one
-// latency observation.
-func obsBatch(ctx context.Context, m *obs.Metrics, users []simulate.BatchUser, cfg simulate.Config, policy simulate.SellingPolicy, opts simulate.BatchOptions) ([]simulate.BatchTotal, int64, error) {
-	return timeEngine(m, func() ([]simulate.BatchTotal, error) { return simulateRunBatchTotals(ctx, users, cfg, policy, opts) })
-}
-
-// mapBatchErr rewrites the batch engine's first-invalid-user error into
-// the exact per-user error text the per-user fan-out produces for the
-// same inputs (cell prefix included when cellName is non-empty), so
-// callers see identical failures whichever engine ran. Any other error
-// — notably a verbatim ctx.Err() from a cancelled batch — passes
-// through untouched, preserving the cancellation contract.
-func (p *CohortPlan) mapBatchErr(err error, cellName string) error {
-	var be *simulate.BatchUserError
-	if !errors.As(err, &be) || be.Index < 0 || be.Index >= len(p.users) {
-		return err
-	}
-	user := p.users[be.Index].Trace.User
-	if cellName != "" {
-		return fmt.Errorf("experiments: cell %s: user %s: %w", cellName, user, be.Err)
-	}
-	return fmt.Errorf("experiments: user %s: %w", user, be.Err)
+func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, int64, error) {
+	return timeEngine(m, func() (simulate.Totals, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
 }
 
 // workerCount resolves the Config.Parallelism contract: non-positive
@@ -302,9 +271,6 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 			pending = append(pending, ci)
 		}
 	}
-	if p.cfg.Batch {
-		return p.runGridBatch(ctx, cells, keeps, engs, out, pending, spill, m, tracker)
-	}
 	// remaining counts each pending cell's outstanding jobs; the worker
 	// whose decrement hits zero owns the cell's spill append. The
 	// atomic decrement orders every user's result write before that
@@ -371,78 +337,6 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 		// The run already failed; the close error, if any, is secondary.
 		_ = spill.close()
 		return nil, err
-	}
-	if err := spill.close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runGridBatch is RunGridNamed's batch-engine fan-out: one streaming
-// RunBatchTotals call per pending cell — each internally sharded over
-// Config.Parallelism workers — instead of one pool job per (cell,
-// user) pair. Results, error text, spill behavior and cancellation
-// semantics match the per-user fan-out exactly, pinned by the
-// grid-level differential suite in batch_test.go. Cells run in cell
-// order; within a cell the batch engine guarantees bit-identical
-// outputs at any parallelism.
-func (p *CohortPlan) runGridBatch(ctx context.Context, cells []Cell, keeps [][]KeepStat, engs []simulate.Config, out []CellResult, pending []int, spill *gridSpill, m *obs.Metrics, tracker *obs.GridTracker) ([]CellResult, error) {
-	users := len(p.users)
-	// Job accounting mirrors the pool's: every pending (cell, user)
-	// pair is admitted up front, completions land a cell at a time.
-	if m != nil {
-		m.JobsTotal.Add(int64(len(pending) * users))
-	}
-	bu := p.batchUsers()
-	opts := simulate.BatchOptions{Parallelism: p.cfg.Parallelism}
-	whole := make([]bool, len(cells))
-	for ci := range cells {
-		whole[ci] = spill != nil && spill.resumed[ci]
-	}
-	for _, ci := range pending {
-		totals, ns, err := obsBatch(ctx, m, bu, engs[ci], cells[ci].Policy, opts)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
-				// A cancelled batch discards its cell wholesale, so every
-				// cell filled before this one is complete; close the spill
-				// before reporting them, like the per-user path.
-				if cerr := spill.close(); cerr != nil {
-					return nil, cerr
-				}
-				completed := make([]CellResult, 0, len(cells))
-				names := make([]string, 0, len(cells))
-				for ci := range cells {
-					if whole[ci] {
-						completed = append(completed, out[ci])
-						names = append(names, cells[ci].Name)
-					}
-				}
-				return completed, &CancelError{Completed: names, Total: len(cells), Err: ctxErr}
-			}
-			_ = spill.close()
-			return nil, p.mapBatchErr(err, cells[ci].Name)
-		}
-		cell := &out[ci]
-		for ui := range totals {
-			cell.Cost[ui] = totals[ui].Cost.Total()
-			cell.Sold[ui] = totals[ui].Sold
-			if keep := keeps[ci][ui].Total; keep != 0 {
-				cell.Norm[ui] = totals[ui].Cost.Total() / keep
-			} else {
-				cell.Norm[ui] = 1
-			}
-		}
-		tracker.JobsDone(ci, users, ns)
-		if m != nil {
-			m.JobsDone.Add(int64(users))
-		}
-		whole[ci] = true
-		if spill != nil {
-			if err := spill.appendCell(0, ci, cell); err != nil {
-				_ = spill.close()
-				return nil, err
-			}
-		}
 	}
 	if err := spill.close(); err != nil {
 		return nil, err

@@ -148,9 +148,9 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 		&plan.users[7].Trace.Demand[0]: plan.users[7].Trace.User,
 	}
 	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		if _, bad := fail[&demand[0]]; bad {
-			return simulate.BatchTotal{}, errors.New("injected engine failure")
+			return simulate.Totals{}, errors.New("injected engine failure")
 		}
 		return orig(s, demand, newRes, cfg, pol)
 	}
@@ -187,7 +187,7 @@ func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 func TestSweepKeepBaselineHoisted(t *testing.T) {
 	var calls atomic.Int64
 	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		calls.Add(1)
 		return orig(s, demand, newRes, cfg, pol)
 	}
@@ -212,7 +212,7 @@ func TestSweepKeepBaselineHoisted(t *testing.T) {
 func TestSensitivityRunsOneBaselinePerCard(t *testing.T) {
 	var calls atomic.Int64
 	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		calls.Add(1)
 		return orig(s, demand, newRes, cfg, pol)
 	}

@@ -181,7 +181,7 @@ func TestGridSkewDeterminism(t *testing.T) {
 	// delegating, so worker 0's shard is the hot spot thieves drain.
 	orig := simulateTotals
 	var sink atomic.Uint64 // workers run the hook concurrently
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.BatchTotal, error) {
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		sink.Add(uint64(spinWork(0, 50_000)))
 		return orig(s, demand, newRes, ec, pol)
 	}

@@ -72,23 +72,6 @@ func (t *GridTracker) JobDone(cell int, engineNs int64) {
 	}
 }
 
-// JobsDone books n completed (cell, user) jobs in one call — the batch
-// engine advances a whole cell's cohort in a single invocation and
-// reports it here rather than once per user. engineNs is the summed
-// engine wall time of those jobs.
-func (t *GridTracker) JobsDone(cell, n int, engineNs int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	c := &t.cells[cell]
-	c.jobs.Add(int64(n))
-	c.engineNs.Add(engineNs)
-	if c.remaining.Add(-int64(n)) == 0 {
-		c.wallNs.Store(t.m.Now().UnixNano() - t.start)
-		t.m.CellsDone.Add(1)
-	}
-}
-
 // Finish flushes the grid's per-cell stats into the metrics, including
 // cells that never completed (a cancelled grid records the partial job
 // counts it did finish, with WallNs zero). Idempotent, so it can be

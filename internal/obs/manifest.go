@@ -15,8 +15,10 @@ import (
 // shed, timeouts, panics, reloads, request latency) written by the rid
 // recommendation daemon. Schema 5 added the market section (listings,
 // trades, expiries, buyer demand, time-to-sale) written by the
-// two-sided marketplace session.
-const ManifestSchema = 5
+// two-sided marketplace session. Schema 6 dropped the
+// engine_batch_runs and engine_batch_users counters with the batch
+// engine they counted.
+const ManifestSchema = 6
 
 // Manifest records the provenance of one binary invocation: what ran,
 // with which flags and seed, against which traces, on which build, for

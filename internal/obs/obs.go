@@ -197,8 +197,6 @@ type Snapshot struct {
 	EngineHours     int64             `json:"engine_hours"`
 	EngineInstances int64             `json:"engine_instances"`
 	EngineSold      int64             `json:"engine_sold"`
-	BatchRuns       int64             `json:"engine_batch_runs"`
-	BatchUsers      int64             `json:"engine_batch_users"`
 	JobsTotal       int64             `json:"jobs_total"`
 	JobsDone        int64             `json:"jobs_done"`
 	BaselineHits    int64             `json:"baseline_hits"`
@@ -256,8 +254,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 		EngineHours:     m.Engine.Hours.Value(),
 		EngineInstances: m.Engine.Instances.Value(),
 		EngineSold:      m.Engine.Sold.Value(),
-		BatchRuns:       m.Engine.BatchRuns.Value(),
-		BatchUsers:      m.Engine.BatchUsers.Value(),
 		JobsTotal:       m.JobsTotal.Value(),
 		JobsDone:        m.JobsDone.Value(),
 		BaselineHits:    m.BaselineHits.Value(),
@@ -312,15 +308,6 @@ type EngineMetrics struct {
 	Hours     Counter
 	Instances Counter
 	Sold      Counter
-	// BatchRuns counts completed batch-engine calls (simulate.RunBatch
-	// and RunBatchTotals) and BatchUsers the users they advanced. The
-	// batch engine still books one RecordRun per user, so Runs, Hours,
-	// Instances and Sold mean the same thing whichever engine ran —
-	// users/sec and hours/sec derive from Runs and Hours against wall
-	// time; these two only separate "how many batch sweeps" from "how
-	// many users per sweep".
-	BatchRuns  Counter
-	BatchUsers Counter
 }
 
 // RecordRun books one completed engine run.
@@ -332,13 +319,4 @@ func (e *EngineMetrics) RecordRun(hours, instances, sold int) {
 	e.Hours.Add(int64(hours))
 	e.Instances.Add(int64(instances))
 	e.Sold.Add(int64(sold))
-}
-
-// RecordBatch books one completed batch-engine call over users users.
-func (e *EngineMetrics) RecordBatch(users int) {
-	if e == nil {
-		return
-	}
-	e.BatchRuns.Add(1)
-	e.BatchUsers.Add(int64(users))
 }

@@ -153,17 +153,32 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 	return res, nil
 }
 
+// Totals is one replay's lean outcome: the exact cost breakdown a full
+// Result would carry, plus the aggregates the experiment drivers
+// consume, without per-hour or per-instance records.
+type Totals struct {
+	// Cost is the run's cost decomposition, bit-identical to the Cost
+	// of the corresponding Run.
+	Cost CostBreakdown
+	// Sold is the number of instances sold.
+	Sold int
+	// IdleHours sums, over all hours, the active reserved instances
+	// that served no demand — the idle-hour statistic the Keep-Reserved
+	// baseline exposes via experiments.KeepStat.
+	IdleHours int
+}
+
 // Totals replays one user exactly as Run does — same decisions, same
 // float accumulation order, so Cost is bit-identical to Run's — but
-// returns only the lean BatchTotal (Cost, Sold, IdleHours; Sales stays
-// nil) and materializes neither Hours nor Instances.
+// returns only the lean Totals (Cost, Sold, IdleHours) and
+// materializes neither Hours nor Instances.
 // Config.RecordSchedules is ignored, since no schedule is returned.
 // On a warm Scratch whose buffers already fit the input, a replay
 // under a single-checkpoint, per-instance or never-selling policy
 // allocates nothing.
-func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy) (BatchTotal, error) {
+func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy) (Totals, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
-		return BatchTotal{}, err
+		return Totals{}, err
 	}
 	cfg.RecordSchedules = false // no schedule to return, so none to record
 	return s.replay(demand, newRes, cfg, policy, nil), nil
@@ -175,7 +190,7 @@ func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy)
 // is recorded into a freshly allocated slab, since the caller's
 // InstanceRecords keep it. On return s.slab holds the replay's
 // instances in reservation order.
-func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) BatchTotal {
+func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) Totals {
 	it := cfg.Instance
 	period := it.PeriodHours
 	alphaHourly := it.ReservedHourly
@@ -358,7 +373,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		idle += end - in.rec.Start - in.rec.Worked
 	}
 	cfg.Metrics.RecordRun(horizon, total, sold)
-	return BatchTotal{
+	return Totals{
 		Cost: CostBreakdown{
 			OnDemand:       onDemandCost,
 			Upfront:        upfrontCost,

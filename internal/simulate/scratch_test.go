@@ -15,9 +15,9 @@ import (
 // hours, even when one Scratch is reused across cases of every size
 // and policy shape. CI runs it under -race.
 
-// totalsFromRun derives the BatchTotal a full Result implies.
-func totalsFromRun(res Result) BatchTotal {
-	tot := BatchTotal{Cost: res.Cost, Sold: res.SoldCount()}
+// totalsFromRun derives the Totals a full Result implies.
+func totalsFromRun(res Result) Totals {
+	tot := Totals{Cost: res.Cost, Sold: res.SoldCount()}
 	for _, h := range res.Hours {
 		served := h.Demand - h.OnDemand
 		tot.IdleHours += h.ActiveRes - served
@@ -27,7 +27,7 @@ func totalsFromRun(res Result) BatchTotal {
 
 // assertTotalsIdentical compares totals bit for bit, so a change in
 // float accumulation order fails even where == would round alike.
-func assertTotalsIdentical(t *testing.T, got, want BatchTotal) {
+func assertTotalsIdentical(t *testing.T, got, want Totals) {
 	t.Helper()
 	bits := func(c CostBreakdown) [4]uint64 {
 		return [4]uint64{
@@ -38,9 +38,9 @@ func assertTotalsIdentical(t *testing.T, got, want BatchTotal) {
 	if bits(got.Cost) != bits(want.Cost) {
 		t.Fatalf("Cost differs:\n got %+v\nwant %+v", got.Cost, want.Cost)
 	}
-	if got.Sold != want.Sold || got.IdleHours != want.IdleHours || got.Sales != nil {
-		t.Fatalf("totals differ: got sold=%d idle=%d sales=%v, want sold=%d idle=%d",
-			got.Sold, got.IdleHours, got.Sales, want.Sold, want.IdleHours)
+	if got.Sold != want.Sold || got.IdleHours != want.IdleHours {
+		t.Fatalf("totals differ: got sold=%d idle=%d, want sold=%d idle=%d",
+			got.Sold, got.IdleHours, want.Sold, want.IdleHours)
 	}
 }
 

@@ -9,17 +9,18 @@
 # BenchmarkRidServe (the rid daemon's serving hot path: sequential
 # cost, p99 tail latency published as that mode's ns/op, and parallel
 # throughput), and BenchmarkMillionUsers (a 100k-user aliased cohort
-# through one 1-year cell of the streaming batch engine) with
-# -benchmem, takes the minimum over repeats, and writes the baseline
-# JSON that CI's benchgate step enforces — 20% regression tolerance on
-# time, and exactly-equal allocs/op for the ObsOverhead pair, pinning
-# the hook's zero-alloc contract. The GridSkewed rows hold the
-# scheduler's wall time on skewed grids, so a work-stealing regression
-# shows up as a benchgate failure, not a slow sweep; the MillionUsers
-# row holds the batch engine's cohort throughput, so losing the
-# struct-of-arrays layout (or accidentally falling back to one Run per
-# user) costs integer factors and trips the gate; the RidServe rows
-# hold the serving envelope's cost, so a lock or allocation slipped
+# through one 1-year cell on the grid's worker pool, one reused
+# Scratch per worker) with -benchmem, takes the minimum over repeats,
+# and writes the baseline JSON that CI's benchgate step enforces — 20%
+# regression tolerance on time, and exactly-equal allocs/op for the
+# ObsOverhead pair, pinning the hook's zero-alloc contract. The
+# GridSkewed rows hold the scheduler's wall time on skewed grids, so a
+# work-stealing regression shows up as a benchgate failure, not a slow
+# sweep; the MillionUsers row holds the engine's cohort throughput at
+# GOMAXPROCS (its allocs/op grow with the worker count: one Scratch
+# and one completion log per worker), so a slower replay kernel or a
+# pool that stops scaling trips the gate; the RidServe rows hold the
+# serving envelope's cost, so a lock or allocation slipped
 # into the lock-free evaluation path fails the gate rather than
 # surfacing as production tail latency. One MillionUsers op is tens of
 # engine-seconds of simulated time, so it repeats MU_COUNT times
@@ -53,7 +54,7 @@ MARKET_OUT="${MARKET_OUT:-BENCH_10.json}"
 {
 	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed)$' -benchmem -count "$COUNT" . ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -count "$COUNT" ./internal/ridserver
-	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -count "$MU_COUNT" -timeout 30m .
+	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -count "$MU_COUNT" -timeout 30m ./internal/experiments
 } |
 	tee /dev/stderr |
 	go run ./scripts/benchgate -update -baseline "$OUT"

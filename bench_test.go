@@ -283,31 +283,6 @@ func BenchmarkCohortSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkMarketplaceClearing isolates the marketplace: list and
-// clear 100 reservations.
-func BenchmarkMarketplaceClearing(b *testing.B) {
-	it := pricing.D2XLarge()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := rimarket.NewMarket()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 100; j++ {
-			if _, err := m.ListAtDiscount("s", it, it.PeriodHours/2, 0.5+float64(j%50)/100); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sales, err := m.Buy("b", it.Name, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sales) != 100 {
-			b.Fatal("bad clearing")
-		}
-	}
-}
-
 // BenchmarkExtensions measures the future-work comparison (randomized
 // and multi-checkpoint policies) at bench scale.
 func BenchmarkExtensions(b *testing.B) {

@@ -1,9 +1,10 @@
 package main
 
-// Golden tests pin riexp's sweep and sensitivity output at the default
-// test scale (TestScaleConfig: 90 users, 60-day horizon, seed 2018).
-// Every quantity in these tables is deterministic — the cohort, the
-// purchasing behaviors and the selling policies are all seeded — so
+// Golden tests pin riexp's sweep, sensitivity and market output at the
+// default test scale (TestScaleConfig: 90 users, 60-day horizon, seed
+// 2018). Every quantity in these tables is deterministic — the cohort,
+// the purchasing behaviors, the selling policies and the market's
+// buyer arrivals are all seeded — so
 // the files assert byte-exact output. Regenerate after an intentional
 // change with:
 //
@@ -34,6 +35,7 @@ func TestGolden(t *testing.T) {
 		{name: "sweep-k", args: []string{"-exp", "sweep-k"}},
 		{name: "sweep-a", args: []string{"-exp", "sweep-a"}},
 		{name: "sensitivity", args: []string{"-exp", "sensitivity"}},
+		{name: "market", args: []string{"-exp", "market"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,7 +135,7 @@ func session(w io.Writer, sellers, buyers int, instance string, fee float64, see
 	if err != nil {
 		return err
 	}
-	m, err := marketplace.New(marketplace.WithFee(fee))
+	m, err := marketplace.NewOrderBook(fee)
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func session(w io.Writer, sellers, buyers int, instance string, fee float64, see
 		seller := fmt.Sprintf("seller-%02d", i)
 		remaining := it.PeriodHours / 4 * (1 + rng.Intn(3)) // T/4, T/2 or 3T/4 left
 		discount := 0.5 + rng.Float64()*0.5
-		id, err := m.ListAtDiscount(seller, it, remaining, discount)
+		id, err := m.ListDeclining(seller, it, remaining, discount)
 		if err != nil {
 			return err
 		}
@@ -160,18 +160,19 @@ func session(w io.Writer, sellers, buyers int, instance string, fee float64, see
 	for i := 0; i < buyers; i++ {
 		buyer := fmt.Sprintf("buyer-%02d", i)
 		want := 1 + rng.Intn(3)
-		sales, err := m.Buy(buyer, it.Name, want)
+		trades, err := m.Buy(buyer, it.Name, want)
 		if err != nil {
 			fmt.Fprintf(w, "  %s wanted %d: %v\n", buyer, want, err)
 			continue
 		}
-		for _, s := range sales {
+		for _, tr := range trades {
 			fmt.Fprintf(w, "  %s bought #%d from %s for $%.2f (seller nets $%.2f, fee $%.2f)\n",
-				buyer, s.Listing.ID, s.Listing.Seller, s.PricePaid, s.SellerProceeds, s.Fee)
+				buyer, tr.ListingID, tr.Seller, tr.PricePaid, tr.SellerProceeds, tr.Fee)
 		}
 	}
 
+	_, _, fees := m.Totals()
 	fmt.Fprintf(w, "\nclearing summary: %d sales, marketplace fees $%.2f, %d listings still open\n",
-		len(m.Sales()), m.FeesCollected(), len(m.OpenListings(it.Name)))
+		len(m.Trades()), fees, m.Depth(it.Name).Open)
 	return nil
 }

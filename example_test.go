@@ -109,12 +109,12 @@ func ExampleMarket() {
 	if err != nil {
 		panic(err)
 	}
-	m, err := rimarket.NewMarket() // Amazon's 12% fee
+	m, err := rimarket.NewMarket(rimarket.AmazonFee)
 	if err != nil {
 		panic(err)
 	}
 	// Sell the remaining half of the cycle at 20% off the $9 cap.
-	if _, err := m.ListAtDiscount("seller", t2nano, t2nano.PeriodHours/2, 0.8); err != nil {
+	if _, err := m.ListDeclining("seller", t2nano, t2nano.PeriodHours/2, 0.8); err != nil {
 		panic(err)
 	}
 	sales, err := m.Buy("buyer", "t2.nano", 1)

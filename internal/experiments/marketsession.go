@@ -11,7 +11,6 @@ import (
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 	"rimarket/internal/simulate"
-	"rimarket/internal/trade"
 )
 
 // MarketScenario parameterizes a two-sided market session: one shared
@@ -123,7 +122,7 @@ type marketTally struct {
 // schedules drive the buyer side.
 type cardStream struct {
 	card   pricing.InstanceType
-	events []trade.SellEvent
+	events []sellEvent
 	next   int
 	users  []PlannedUser
 }
@@ -133,7 +132,7 @@ type cardStream struct {
 // one market and listings arrive throughout the horizon. Events are
 // merged in cohort order, then stable-sorted by hour, so listing order
 // — and hence equal-ask fill priority — is deterministic.
-func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]trade.SellEvent, error) {
+func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]sellEvent, error) {
 	a3, err := core.NewA3T4(card, discount)
 	if err != nil {
 		return nil, err
@@ -146,7 +145,7 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 	if err != nil {
 		return nil, err
 	}
-	perUser := make([][]trade.SellEvent, plan.Len())
+	perUser := make([][]sellEvent, plan.Len())
 	for pi, policy := range []simulate.SellingPolicy{a3, a2, a4} {
 		got, err := plan.sellEventsPerUser(ctx, policy)
 		if err != nil {
@@ -156,11 +155,11 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 			perUser[i] = got[i]
 		}
 	}
-	var events []trade.SellEvent
+	var events []sellEvent
 	for _, evs := range perUser {
 		events = append(events, evs...)
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Hour < events[j].Hour })
+	sort.SliceStable(events, func(i, j int) bool { return events[i].hour < events[j].hour })
 	return events, nil
 }
 
@@ -225,11 +224,11 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 		// declining schedule.
 		for ci, st := range streams {
 			t := &tallies[ci]
-			for st.next < len(st.events) && st.events[st.next].Hour == hour {
+			for st.next < len(st.events) && st.events[st.next].hour == hour {
 				ev := st.events[st.next]
 				st.next++
-				if _, err := book.ListDeclining(ev.Seller, st.card, ev.RemainingHours, sc.Base.SellingDiscount); err != nil {
-					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.Seller, hour, err)
+				if _, err := book.ListDeclining(ev.seller, st.card, ev.remaining, sc.Base.SellingDiscount); err != nil {
+					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.seller, hour, err)
 				}
 				t.listed++
 				if m != nil {

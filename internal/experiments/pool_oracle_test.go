@@ -22,7 +22,6 @@ import (
 	"rimarket/internal/core"
 	"rimarket/internal/obs"
 	"rimarket/internal/simulate"
-	"rimarket/internal/trade"
 	"rimarket/internal/workload"
 )
 
@@ -172,7 +171,8 @@ func TestBatchGridEquivalence(t *testing.T) {
 
 // TestBatchMarketSessionEquivalence: the sale events feeding market
 // replay come out of the pool in cohort order with the same hours as a
-// serial Run loop, so the session statistics match exactly.
+// serial Run loop, so the session statistics match the serial events
+// fed through the same replay exactly.
 func TestBatchMarketSessionEquivalence(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	rates := []float64{0.05, 0.5}
@@ -190,27 +190,21 @@ func TestBatchMarketSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
-	var events []trade.SellEvent
+	var events []sellEvent
 	for _, u := range plan.Users() {
 		for _, inst := range oracleRun(t, u, ec, policy).Instances {
 			if inst.SoldAt >= 0 {
-				events = append(events, trade.SellEvent{
-					Hour:           inst.SoldAt,
-					Seller:         u.Trace.User,
-					Instance:       cfg.Instance,
-					RemainingHours: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
+				events = append(events, sellEvent{
+					hour:      inst.SoldAt,
+					seller:    u.Trace.User,
+					remaining: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
 				})
 			}
 		}
 	}
 	want := make([]MarketPoint, 0, len(rates))
 	for _, rate := range rates {
-		stats, err := trade.Run(events, trade.Config{
-			ListingDiscount: cfg.SellingDiscount,
-			MarketFee:       0.12,
-			BuyerRate:       rate,
-			Seed:            cfg.Seed,
-		})
+		stats, err := replayMarket(events, cfg.Instance, cfg.SellingDiscount, rate, cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

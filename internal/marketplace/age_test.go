@@ -5,142 +5,156 @@ import (
 	"testing/quick"
 )
 
-func TestAdvanceValidation(t *testing.T) {
-	m := mustMarket(t)
-	if _, err := m.Advance(-1); err == nil {
-		t.Error("negative hours accepted")
+// stepN advances the book n hours and returns how many listings
+// expired on the way.
+func stepN(b *OrderBook, n int) (expired int) {
+	for i := 0; i < n; i++ {
+		expired += len(b.Step().Expired)
 	}
-	if n, err := m.Advance(0); err != nil || n != 0 {
-		t.Errorf("Advance(0) = (%d, %v)", n, err)
-	}
+	return expired
 }
 
 func TestAdvanceShrinksAndRecaps(t *testing.T) {
 	it := t2nano() // R=18, T=8760
-	m := mustMarket(t)
+	b := mustBook(t, AmazonFee)
 	half := it.PeriodHours / 2
-	// Ask exactly at the cap: after aging, the ask must follow the new
-	// lower cap.
-	if _, err := m.List("s", it, half, ProratedCap(it, half)); err != nil {
+	// Ask exactly at the cap: after aging, the fill price must follow
+	// the new lower cap.
+	if _, err := b.ListDeclining("s", it, half, 1); err != nil {
 		t.Fatal(err)
 	}
-	expired, err := m.Advance(it.PeriodHours / 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expired != 0 {
+	if expired := stepN(b, it.PeriodHours/4); expired != 0 {
 		t.Fatalf("expired = %d, want 0", expired)
 	}
-	open := m.OpenListings(it.Name)
+	open := b.OpenBook(it.Name)
 	if len(open) != 1 {
 		t.Fatalf("open = %d", len(open))
 	}
-	l := open[0]
 	wantRem := half - it.PeriodHours/4
-	if l.RemainingHours != wantRem {
-		t.Errorf("remaining = %d, want %d", l.RemainingHours, wantRem)
+	if got := open[0].RemainingAt(b.Now()); got != wantRem {
+		t.Errorf("remaining = %d, want %d", got, wantRem)
 	}
-	wantCap := ProratedCap(it, wantRem)
-	if !almostEqual(l.AskUpfront, wantCap, 1e-9) {
-		t.Errorf("ask = %v, want re-capped %v", l.AskUpfront, wantCap)
+	trades, err := b.Buy("b", it.Name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantCap := ProratedCap(it, wantRem); !almostEqual(trades[0].PricePaid, wantCap, 1e-9) {
+		t.Errorf("price paid = %v, want re-capped %v", trades[0].PricePaid, wantCap)
 	}
 }
 
 func TestAdvanceKeepsDiscountedAsk(t *testing.T) {
-	// An ask already below the new cap is untouched.
+	// An ask already below the shrinking cap is untouched.
 	it := t2nano()
-	m := mustMarket(t)
-	if _, err := m.List("s", it, it.PeriodHours/2, 1.0); err != nil {
+	b := mustBook(t, AmazonFee)
+	half := it.PeriodHours / 2
+	if _, err := b.List("s", it, half, flat(half, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Advance(100); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.OpenListings(it.Name)[0].AskUpfront; got != 1.0 {
+	stepN(b, 100)
+	if got := b.OpenBook(it.Name)[0].EffectiveAsk; got != 1.0 {
 		t.Errorf("ask = %v, want unchanged 1.0", got)
+	}
+	trades, err := b.Buy("b", it.Name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trades[0].PricePaid != 1.0 {
+		t.Errorf("price paid = %v, want 1.0", trades[0].PricePaid)
 	}
 }
 
 func TestAdvanceExpires(t *testing.T) {
 	it := t2nano()
-	m := mustMarket(t)
-	if _, err := m.List("short", it, 100, 0.1); err != nil {
+	b := mustBook(t, AmazonFee)
+	if _, err := b.List("short", it, 100, flat(100, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.List("long", it, 5000, 0.1); err != nil {
+	if _, err := b.List("long", it, 5000, flat(5000, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	expired, err := m.Advance(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expired != 1 {
+	if expired := stepN(b, 100); expired != 1 {
 		t.Fatalf("expired = %d, want 1", expired)
 	}
-	open := m.OpenListings(it.Name)
+	open := b.OpenBook(it.Name)
 	if len(open) != 1 || open[0].Seller != "long" {
 		t.Errorf("open = %+v", open)
 	}
-	if m.OpenCount() != 1 {
-		t.Errorf("OpenCount = %d", m.OpenCount())
+	if b.OpenCount() != 1 || b.ExpiredCount() != 1 {
+		t.Errorf("OpenCount = %d, ExpiredCount = %d", b.OpenCount(), b.ExpiredCount())
 	}
 	// The expired listing can no longer be cancelled.
-	if err := m.Cancel(1); err == nil {
+	if err := b.Cancel(1); err == nil {
 		t.Error("cancel of expired listing succeeded")
 	}
 }
 
+// TestAdvancePreservesBookOrder: both listings step down their
+// declining schedules at the same month boundary, and the cheaper one
+// still sells first afterwards.
 func TestAdvancePreservesBookOrder(t *testing.T) {
 	it := t2nano()
-	m := mustMarket(t)
-	if _, err := m.List("cheap", it, 4000, 2); err != nil {
+	b := mustBook(t, AmazonFee)
+	if _, err := b.ListDeclining("cheap", it, 4000, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.List("dear", it, 4000, 8); err != nil {
+	if _, err := b.ListDeclining("dear", it, 4000, 0.95); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Advance(500); err != nil {
-		t.Fatal(err)
+	before := b.OpenBook(it.Name)
+	stepN(b, 500) // 4000 h = month 6 remaining; 3500 h = month 5
+	after := b.OpenBook(it.Name)
+	for i := range after {
+		if after[i].EffectiveAsk >= before[i].EffectiveAsk {
+			t.Errorf("%s: ask %v did not step down from %v", after[i].Seller, after[i].EffectiveAsk, before[i].EffectiveAsk)
+		}
 	}
-	sales, err := m.Buy("b", it.Name, 2)
+	trades, err := b.Buy("b", it.Name, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sales[0].Listing.Seller != "cheap" || sales[1].Listing.Seller != "dear" {
-		t.Errorf("order after aging = %s, %s", sales[0].Listing.Seller, sales[1].Listing.Seller)
+	if trades[0].Seller != "cheap" || trades[1].Seller != "dear" {
+		t.Errorf("order after aging = %s, %s", trades[0].Seller, trades[1].Seller)
 	}
 }
 
-// TestPropertyAdvanceInvariants: after any sequence of advances, every
-// open listing has positive remaining hours and an ask within the
-// prorated cap, and OpenCount matches the books.
+// TestPropertyAdvanceInvariants: after any sequence of steps, every
+// open listing has positive remaining hours, OpenCount matches the
+// book, and a fill never pays above the prorated cap.
 func TestPropertyAdvanceInvariants(t *testing.T) {
 	it := t2nano()
 	f := func(remsRaw []uint16, steps []uint8) bool {
-		m, err := New()
+		b, err := NewOrderBook(AmazonFee)
 		if err != nil {
 			return false
 		}
 		for _, raw := range remsRaw {
 			rem := int(raw)%(it.PeriodHours-1) + 1
-			if _, err := m.List("s", it, rem, ProratedCap(it, rem)*0.9); err != nil {
+			if _, err := b.ListDeclining("s", it, rem, 0.9); err != nil {
 				return false
 			}
 		}
 		for _, s := range steps {
-			if _, err := m.Advance(int(s) * 10); err != nil {
-				return false
-			}
+			stepN(b, int(s)*10)
 		}
-		open := m.OpenListings(it.Name)
-		if len(open) != m.OpenCount() {
+		open := b.OpenBook(it.Name)
+		if len(open) != b.OpenCount() {
 			return false
 		}
 		for _, l := range open {
-			if l.RemainingHours <= 0 {
+			if l.RemainingAt(b.Now()) <= 0 {
 				return false
 			}
-			if l.AskUpfront > ProratedCap(it, l.RemainingHours)+1e-9 {
+		}
+		if len(open) == 0 {
+			return true
+		}
+		trades, err := b.Buy("b", it.Name, len(open))
+		if err != nil {
+			return false
+		}
+		for _, tr := range trades {
+			if tr.RemainingHours <= 0 || tr.PricePaid > ProratedCap(it, tr.RemainingHours) {
 				return false
 			}
 		}

@@ -245,67 +245,57 @@ func TestOrderBookDepthAndDrain(t *testing.T) {
 	}
 }
 
-// TestMarketBookMapShrinks is the regression test for the legacy
-// Market's map growth: Buy, Cancel and Advance must delete drained
-// per-type book entries, so a long-lived market over many instance
-// types does not retain one empty slice per type forever.
+// TestMarketBookMapShrinks is the regression test for per-type map
+// growth: Buy, Cancel and Step-driven expiry must delete drained
+// per-type heaps, so a long-lived book over many instance types does
+// not retain one empty heap per type forever.
 func TestMarketBookMapShrinks(t *testing.T) {
-	m, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustBook(t, AmazonFee)
 	card := func(i int) pricing.InstanceType {
 		it := yearCard()
 		it.Name = it.Name + string(rune('a'+i))
 		return it
 	}
+	sched := PriceSchedule{{Term: 1, Price: 1}}
 
 	// Drain via Buy.
 	itBuy := card(0)
-	if _, err := m.List("s", itBuy, 100, 1); err != nil {
+	if _, err := b.List("s", itBuy, 100, sched); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Buy("b", itBuy.Name, 1); err != nil {
+	if _, err := b.Buy("b", itBuy.Name, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Drain via Cancel.
 	itCancel := card(1)
-	id, err := m.List("s", itCancel, 100, 1)
+	id, err := b.List("s", itCancel, 100, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Cancel(id); err != nil {
+	if err := b.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	// Drain via Advance-driven expiry.
+	// Drain via Step-driven expiry.
 	itExpire := card(2)
-	if _, err := m.List("s", itExpire, 100, 1); err != nil {
+	if _, err := b.List("s", itExpire, 100, sched); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Advance(100); err != nil {
-		t.Fatal(err)
+	if expired := stepN(b, 100); expired != 1 {
+		t.Fatalf("expired = %d, want 1", expired)
 	}
 
-	if n := m.bookKeyCount(); n != 0 {
-		t.Errorf("books map retains %d drained keys, want 0", n)
+	if n := b.TypeCount(); n != 0 {
+		t.Errorf("books map retains %d drained types, want 0", n)
 	}
 
 	// A partially drained book keeps its key.
 	itHalf := card(3)
-	m.List("s", itHalf, 100, 1)
-	m.List("s", itHalf, 100, 1)
-	if _, err := m.Buy("b", itHalf.Name, 1); err != nil {
+	b.List("s", itHalf, 100, sched)
+	b.List("s", itHalf, 100, sched)
+	if _, err := b.Buy("b", itHalf.Name, 1); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.bookKeyCount(); n != 1 {
-		t.Errorf("books map has %d keys, want 1", n)
+	if n := b.TypeCount(); n != 1 {
+		t.Errorf("books map has %d types, want 1", n)
 	}
-}
-
-// bookKeyCount reports the size of the per-type book map, drained keys
-// included — the quantity the map-growth regression test pins.
-func (m *Market) bookKeyCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.books)
 }

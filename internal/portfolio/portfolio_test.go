@@ -164,7 +164,7 @@ func TestListOnMarket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := marketplace.New()
+	m, err := marketplace.NewOrderBook(marketplace.AmazonFee)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestListOnMarket(t *testing.T) {
 	if listed != 2 {
 		t.Fatalf("listed = %d, want 2", listed)
 	}
-	open := m.OpenListings("batch.large")
+	open := m.OpenBook("batch.large")
 	if len(open) != 1 {
 		t.Fatalf("open = %d", len(open))
 	}
 	// Ask = a * R * remaining/T = 0.8 * 20 * 10/40 = 4.
-	if !almostEqual(open[0].AskUpfront, 4, 1e-9) {
-		t.Errorf("ask = %v, want 4", open[0].AskUpfront)
+	if !almostEqual(open[0].EffectiveAsk, 4, 1e-9) {
+		t.Errorf("ask = %v, want 4", open[0].EffectiveAsk)
 	}
 	// Seller is the service name.
 	if !strings.HasPrefix(open[0].Seller, "batch") {

@@ -203,8 +203,7 @@ func engineBenchPolicy(b *testing.B, it pricing.InstanceType, shape string) simu
 // dimensions that stress its hot path: 1-year vs 3-year terms (the
 // horizon spans one full period), sparse vs dense checkpoint
 // schedules, and instance schedule recording on/off. These are the
-// benches scripts/bench.sh snapshots into BENCH_5.json and CI's
-// regression gate enforces.
+// benches scripts/bench.sh gates against BENCH.json in CI.
 func BenchmarkEngineRun(b *testing.B) {
 	oneYear := pricing.D2XLarge()
 	threeYear, err := pricing.ThreeYearTerm(oneYear)

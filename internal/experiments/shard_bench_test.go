@@ -3,8 +3,8 @@ package experiments
 // BenchmarkGridSkewed pins the scheduler cost the sharded pool was
 // built to fix: a heavy-tailed grid where contiguous shards leave one
 // worker serializing the expensive cells. The uniform/skewed x
-// steal on/off matrix is snapshotted into BENCH_6.json by
-// scripts/bench.sh, and CI's benchgate holds the skewed wall time so a
+// steal on/off matrix is gated against BENCH.json by
+// scripts/bench.sh, which holds the skewed wall time so a
 // scheduler regression (or an accidental stealing disable) fails the
 // build. On multi-core machines dist=skewed/steal=off is the slow
 // quadrant; the committed baseline is only ever compared against runs

@@ -70,8 +70,8 @@ func benchRequest(body []byte) *http.Request {
 //     ns/op is wall time per request under contention, and req/s is
 //     reported alongside for the experiment log.
 //
-// scripts/bench.sh snapshots all three into BENCH_8.json; CI's
-// benchgate step fails the build if any regresses beyond tolerance.
+// scripts/bench.sh gates all three against BENCH.json and fails CI if
+// any regresses beyond tolerance.
 func BenchmarkRidServe(b *testing.B) {
 	b.Run("mode=serve", func(b *testing.B) {
 		s, bodies := benchServer(b)

@@ -3,7 +3,7 @@ package rimarket_test
 // BenchmarkObsOverhead pins the cost of the observability layer on the
 // engine hot path: the same 1-year sparse-checkpoint run as
 // BenchmarkEngineRun, with the metrics hook disabled (obs=off) and
-// enabled (obs=on). The benchgate's -exact-allocs rule holds both
+// enabled (obs=on). BENCH.json's exact_allocs rule holds both
 // sub-benchmarks to exactly the baseline allocs/op — the hook is a
 // handful of atomic adds and must never allocate — and the paired
 // timings document the <2% time cost the design budgets for.

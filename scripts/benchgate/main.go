@@ -1,17 +1,20 @@
-// Command benchgate parses `go test -bench` output on stdin and either
-// records a benchmark baseline JSON (-update) or enforces one: with an
-// existing baseline it exits non-zero when any benchmark regresses by
-// more than the tolerance in time/op or allocs/op.
+// Command benchgate enforces the committed microbenchmark baseline,
+// BENCH.json, against `go test -bench` output on stdin, or refreshes
+// its rows (-update). scripts/bench.sh runs the gated benchmarks and
+// pipes them here; it is the only list of them:
 //
-// Record/refresh the committed baseline (scripts/bench.sh does this):
+//	scripts/bench.sh           # check this machine against BENCH.json
+//	scripts/bench.sh -update   # rewrite BENCH.json's rows from the run
 //
-//	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead)$' -benchmem -count 5 . |
-//	    go run ./scripts/benchgate -update -baseline BENCH_5.json
-//
-// Enforce it (the CI regression gate):
-//
-//	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead)$' -benchmem -count 3 . |
-//	    go run ./scripts/benchgate -baseline BENCH_5.json -exact-allocs '^BenchmarkObsOverhead'
+// The gate policy lives in the baseline file, not on the command line:
+// "tolerance" bounds allocs/op growth as (c+1)/(b+1), "time_tolerance"
+// bounds time/op growth, and allocs/op of the rows "exact_allocs"
+// matches must equal the baseline exactly. -update rewrites only the
+// rows and keeps that policy. It refuses a run that lacks a row the
+// baseline has, so a benchmark that crashes during a refresh cannot
+// silently leave the gate. A check fails if exact_allocs matches no
+// row, so a rename cannot silently move a zero-alloc contract onto the
+// tolerance band.
 //
 // With -count > 1 the minimum over repeats is used on both sides,
 // which is the standard way to damp scheduler noise.
@@ -19,7 +22,7 @@
 // Exit codes follow the shared internal/cli vocabulary: 0 when the
 // run is within tolerance (or the baseline was written), 1 on a
 // regression or on bad input (unreadable baseline, no benchmark lines
-// on stdin), 2 on command-line misuse.
+// on stdin, a missing row), 2 on command-line misuse.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,11 +51,14 @@ type Entry struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the committed BENCH_*.json document.
+// Baseline is the committed BENCH.json document: the gate policy and
+// one row per gated benchmark.
 type Baseline struct {
-	Note       string  `json:"note"`
-	Tolerance  float64 `json:"tolerance"`
-	Benchmarks []Entry `json:"benchmarks"`
+	Note          string  `json:"note"`
+	Tolerance     float64 `json:"tolerance"`
+	TimeTolerance float64 `json:"time_tolerance"`
+	ExactAllocs   string  `json:"exact_allocs"`
+	Benchmarks    []Entry `json:"benchmarks"`
 }
 
 // errRegression marks a benchmark run beyond tolerance; it maps to
@@ -129,30 +136,40 @@ func main() {
 	os.Exit(cli.ExitCode(err))
 }
 
+// loadBaseline reads the baseline at path and compiles its exact_allocs
+// pattern.
+func loadBaseline(path string) (Baseline, *regexp.Regexp, error) {
+	var base Baseline
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return base, nil, fmt.Errorf("reading baseline: %w", err)
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return base, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if base.Tolerance <= 0 || base.TimeTolerance <= 0 {
+		return base, nil, fmt.Errorf("%s: tolerance and time_tolerance must be positive", path)
+	}
+	exactRe, err := regexp.Compile(base.ExactAllocs)
+	if err != nil {
+		return base, nil, fmt.Errorf("%s: bad exact_allocs regexp: %w", path, err)
+	}
+	return base, exactRe, nil
+}
+
 func run(args []string, stdin io.Reader, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	baselinePath := fs.String("baseline", "BENCH_5.json", "baseline JSON path")
-	update := fs.Bool("update", false, "write the parsed results as the new baseline instead of checking")
-	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional regression in allocs/op (and time/op unless -time-tolerance is set)")
-	timeTolerance := fs.Float64("time-tolerance", -1,
-		"allowed fractional regression in time/op; defaults to -tolerance. Allocs are deterministic, wall time is not: on shared CI runners give time extra headroom — it still catches algorithmic regressions, which cost integer factors, not percents")
-	note := fs.String("note", "Engine benchmark baseline; refresh with scripts/bench.sh (see EXPERIMENTS.md).",
-		"note stored in the baseline on -update")
-	exactAllocs := fs.String("exact-allocs", "",
-		"regexp of benchmark names whose allocs/op must equal the baseline exactly, no tolerance — for allocation-free invariants (the obs hook), where even +1 alloc/op is a broken contract, not noise")
+	baselinePath := fs.String("baseline", "BENCH.json", "baseline JSON path; the file also holds the gate policy")
+	update := fs.Bool("update", false, "rewrite the baseline's rows from this run, keeping its policy, instead of checking")
 	if err := fs.Parse(args); err != nil {
 		return cli.Usage(err)
 	}
-	var exactRe *regexp.Regexp
-	if *exactAllocs != "" {
-		re, err := regexp.Compile(*exactAllocs)
-		if err != nil {
-			return cli.Usagef("bad -exact-allocs regexp %q: %v", *exactAllocs, err)
-		}
-		exactRe = re
-	}
 
+	base, exactRe, err := loadBaseline(*baselinePath)
+	if err != nil {
+		return err
+	}
 	current, err := parseBench(stdin)
 	if err != nil {
 		return err
@@ -160,11 +177,20 @@ func run(args []string, stdin io.Reader, w, stderr io.Writer) error {
 	if len(current) == 0 {
 		return errors.New("no benchmark lines on stdin")
 	}
+	curByName := map[string]Entry{}
+	for _, e := range current {
+		curByName[e.Name] = e
+	}
 
 	if *update {
+		for _, b := range base.Benchmarks {
+			if _, ok := curByName[b.Name]; !ok {
+				return fmt.Errorf("refusing to update %s: %s is in the baseline but not in this run", *baselinePath, b.Name)
+			}
+		}
 		sort.Slice(current, func(i, j int) bool { return current[i].Name < current[j].Name })
-		doc := Baseline{Note: *note, Tolerance: *tolerance, Benchmarks: current}
-		buf, err := json.MarshalIndent(doc, "", "  ")
+		base.Benchmarks = current
+		buf, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
 			return fmt.Errorf("encoding baseline: %w", err)
 		}
@@ -176,36 +202,13 @@ func run(args []string, stdin io.Reader, w, stderr io.Writer) error {
 		return nil
 	}
 
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
+	if !slices.ContainsFunc(base.Benchmarks, func(e Entry) bool { return exactRe.MatchString(e.Name) }) {
+		return fmt.Errorf("%s: exact_allocs %q matches no baseline row", *baselinePath, base.ExactAllocs)
 	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", *baselinePath, err)
-	}
-	tol := *tolerance
-	explicitTol := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "tolerance" {
-			explicitTol = true
-		}
-	})
-	if !explicitTol && base.Tolerance > 0 {
-		tol = base.Tolerance
-	}
-	timeTol := *timeTolerance
-	if timeTol < 0 {
-		timeTol = tol
-	}
-
+	tol, timeTol := base.Tolerance, base.TimeTolerance
 	baseByName := map[string]Entry{}
 	for _, e := range base.Benchmarks {
 		baseByName[e.Name] = e
-	}
-	curByName := map[string]Entry{}
-	for _, e := range current {
-		curByName[e.Name] = e
 	}
 
 	failed := false
@@ -225,7 +228,7 @@ func run(args []string, stdin io.Reader, w, stderr io.Writer) error {
 		fmt.Fprintf(w, "%s %s: time/op %.0f -> %.0f ns (%+.1f%%)\n",
 			status, b.Name, b.NsPerOp, c.NsPerOp, 100*(timeRatio-1))
 		switch {
-		case exactRe != nil && exactRe.MatchString(b.Name):
+		case exactRe.MatchString(b.Name):
 			if c.AllocsPerOp != b.AllocsPerOp {
 				fmt.Fprintf(w, "EXACT    %s: allocs/op %.0f -> %.0f, must equal the baseline exactly\n",
 					b.Name, b.AllocsPerOp, c.AllocsPerOp)
@@ -242,7 +245,7 @@ func run(args []string, stdin io.Reader, w, stderr io.Writer) error {
 	}
 	for _, c := range current {
 		if _, ok := baseByName[c.Name]; !ok {
-			fmt.Fprintf(w, "NEW      %s: not in baseline; refresh with scripts/bench.sh\n", c.Name)
+			fmt.Fprintf(w, "NEW      %s: not in baseline; refresh with scripts/bench.sh -update\n", c.Name)
 		}
 	}
 	if failed {

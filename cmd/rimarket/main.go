@@ -8,8 +8,8 @@
 // sellers come from the paper's online selling algorithms, buyers from
 // the cohort's planned reservations shopping the order book before
 // buying fresh, and the output is the per-instance-type table of
-// emergent sale probability and time-to-sale — the paper's exogenous
-// alpha as a measured quantity.
+// emergent sale probability and time-to-sale — measured, where the
+// paper's Eq. (1) assumes every listing sells in the hour it is listed.
 //
 // Usage:
 //

@@ -98,9 +98,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestSessionManifestCountsEngineRuns pins the -session manifest to the
-// session's real engine work: every seller replay books one engine run
-// (cards × three selling policies × cohort users) at any parallelism,
-// and writing the manifest leaves stdout unchanged.
+// session's real engine work: each seller is replayed once per card,
+// under its round-robin selling policy, and every replay books one
+// engine run (cards × cohort users) at any parallelism. Writing the
+// manifest leaves stdout unchanged.
 func TestSessionManifestCountsEngineRuns(t *testing.T) {
 	const perGroup = 4
 	base := []string{"-session", "-per-group", strconv.Itoa(perGroup), "-instances", "d2.xlarge,m4.large"}
@@ -108,7 +109,7 @@ func TestSessionManifestCountsEngineRuns(t *testing.T) {
 	if err := run(base, &plain); err != nil {
 		t.Fatal(err)
 	}
-	const cards, policies, users = 2, 3, 3 * perGroup
+	const cards, users = 2, 3 * perGroup
 	for _, par := range []string{"1", "4"} {
 		path := filepath.Join(t.TempDir(), "run.json")
 		var out strings.Builder
@@ -129,7 +130,7 @@ func TestSessionManifestCountsEngineRuns(t *testing.T) {
 		if mf.Metrics == nil {
 			t.Fatal("manifest has no metrics snapshot")
 		}
-		if got, want := mf.Metrics.EngineRuns, int64(cards*policies*users); got != want {
+		if got, want := mf.Metrics.EngineRuns, int64(cards*users); got != want {
 			t.Errorf("-parallelism %s: engine_runs = %d, want %d replays", par, got, want)
 		}
 	}

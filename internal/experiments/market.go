@@ -52,7 +52,7 @@ type sellEvent struct {
 // with per-user event slices concatenated in cohort order so the
 // stream is deterministic at any parallelism.
 func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPolicy) ([]sellEvent, error) {
-	perUser, err := p.sellEventsPerUser(ctx, policy)
+	perUser, err := p.sellEventsPerUser(ctx, func(int) simulate.SellingPolicy { return policy })
 	if err != nil {
 		return nil, err
 	}
@@ -63,20 +63,25 @@ func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPoli
 	return events, nil
 }
 
-// sellEventsPerUser is sellEvents before concatenation: element i holds
-// user i's sell events in decision order.
-func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policy simulate.SellingPolicy) ([][]sellEvent, error) {
+// sellEventsPerUser is sellEvents before concatenation, with user i
+// replayed once under policyFor(i): element i holds user i's sell
+// events in decision order. Each worker replays on its own Scratch and
+// keeps only the events, so no per-hour rows or per-user instance
+// slabs are allocated.
+func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policyFor func(i int) simulate.SellingPolicy) ([][]sellEvent, error) {
 	cfg := p.cfg
 	m := obs.FromContext(ctx)
 	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
 
 	perUser := make([][]sellEvent, p.Len())
-	err := p.ForEachUser(ctx, func(i int, u PlannedUser) error {
-		run, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, policy)
+	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
+	_, _, err := runShardedDone(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
+		u := &p.users[i]
+		_, recs, err := obsReplay(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policyFor(i))
 		if err != nil {
 			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 		}
-		for _, inst := range run.Instances {
+		for _, inst := range recs {
 			if inst.SoldAt < 0 {
 				continue
 			}

@@ -11,6 +11,7 @@ import (
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 	"rimarket/internal/simulate"
+	"rimarket/internal/workload"
 )
 
 // MarketScenario parameterizes a two-sided market session: one shared
@@ -56,8 +57,10 @@ func (s MarketScenario) Validate() error {
 // MarketOutcome is one instance type's measured market behavior over a
 // session: how the seller side fared (sale probability, time to sale)
 // and how the buyer side sourced its reservations (used fills versus
-// fresh purchases). SaleProbability is the paper's alpha as a measured
-// quantity — Sold/Listed from matched trades, with nothing assumed.
+// fresh purchases). SaleProbability measures what the paper's Eq. (1)
+// assumes, a sale in the hour of listing at discount a, as
+// Sold/Listed from matched trades, with nothing assumed. It is not the
+// paper's alpha, which is the reservation's hourly price ratio.
 //
 //rilint:frozen
 type MarketOutcome struct {
@@ -118,21 +121,74 @@ type marketTally struct {
 }
 
 // cardStream is one card's precomputed session input: the seller
-// events in fill order and the planned users whose reservation
-// schedules drive the buyer side.
+// events in fill order, and the buy orders the planned users'
+// reservation schedules place, indexed by hour.
 type cardStream struct {
 	card   pricing.InstanceType
 	events []sellEvent
 	next   int
-	users  []PlannedUser
+	// buyOff[h]..buyOff[h+1] indexes buyers for hour h's buy orders.
+	buyOff []int
+	// buyers holds one cohort index per wanted reservation unit, hour
+	// by hour, in cohort order within each hour.
+	buyers []int
+}
+
+// newCardStream plans the cohort's traces against cfg's card and
+// precomputes the card's seller stream and buy-order index. The plan
+// itself is dropped, so only one card's plan is live at a time.
+func newCardStream(ctx context.Context, cfg Config, traces []workload.Trace) (*cardStream, error) {
+	plan, err := newPlan(ctx, cfg, traces)
+	if err != nil {
+		return nil, err
+	}
+	events, err := mixedSellEvents(ctx, plan, cfg.Instance, cfg.SellingDiscount)
+	if err != nil {
+		return nil, err
+	}
+	st := &cardStream{card: cfg.Instance, events: events}
+	st.buyOff, st.buyers = indexBuyOrders(plan.Users(), cfg.Hours)
+	return st, nil
+}
+
+// indexBuyOrders lays the users' planned reservations out by hour in
+// compressed-row form: off[h]..off[h+1] index buyers for hour h, which
+// repeats each user's index once per unit it reserves at h, users in
+// cohort order. A count pass sizes the rows and a fill pass walks each
+// user's schedule sequentially.
+func indexBuyOrders(users []PlannedUser, horizon int) (off, buyers []int) {
+	off = make([]int, horizon+1)
+	for _, u := range users {
+		for h, n := range u.NewRes[:min(len(u.NewRes), horizon)] {
+			off[h+1] += n
+		}
+	}
+	for h := 1; h <= horizon; h++ {
+		off[h] += off[h-1]
+	}
+	buyers = make([]int, off[horizon])
+	next := append([]int(nil), off[:horizon]...)
+	for ui, u := range users {
+		for h, n := range u.NewRes[:min(len(u.NewRes), horizon)] {
+			for ; n > 0; n-- {
+				buyers[next[h]] = ui
+				next[h]++
+			}
+		}
+	}
+	return off, buyers
 }
 
 // mixedSellEvents builds one card's seller stream: user i sells under
 // SellingPolicies[i mod 3], so the three online algorithms coexist in
-// one market and listings arrive throughout the horizon. Events are
-// merged in cohort order, then stable-sorted by hour, so listing order
-// — and hence equal-ask fill priority — is deterministic.
+// one market and listings arrive throughout the horizon. Each user is
+// replayed once, under its own policy. Events are merged in cohort
+// order, then stable-sorted by hour, so listing order — and hence
+// equal-ask fill priority — is deterministic. The work is timed as the
+// sell_events span.
 func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]sellEvent, error) {
+	sp := obs.StartSpan(ctx, "sell_events")
+	defer sp.End()
 	a3, err := core.NewA3T4(card, discount)
 	if err != nil {
 		return nil, err
@@ -145,15 +201,10 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 	if err != nil {
 		return nil, err
 	}
-	perUser := make([][]sellEvent, plan.Len())
-	for pi, policy := range []simulate.SellingPolicy{a3, a2, a4} {
-		got, err := plan.sellEventsPerUser(ctx, policy)
-		if err != nil {
-			return nil, err
-		}
-		for i := pi; i < len(got); i += 3 {
-			perUser[i] = got[i]
-		}
+	policies := []simulate.SellingPolicy{a3, a2, a4}
+	perUser, err := plan.sellEventsPerUser(ctx, func(i int) simulate.SellingPolicy { return policies[i%len(policies)] })
+	if err != nil {
+		return nil, err
 	}
 	var events []sellEvent
 	for _, evs := range perUser {
@@ -163,14 +214,14 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 	return events, nil
 }
 
-// RunMarketScenario plans the scenario's cohort once per card, then
-// replays all cards through a single hour-stepped order book:
-// each hour ages the book (expiring and repricing listings), lists the
-// hour's sell decisions, and routes the hour's planned reservations
-// through the book before falling back to fresh purchases. The session
-// loop is sequential, and its inputs are concatenated in cohort order
-// by deterministic fan-outs, so the result is byte-identical at any
-// Parallelism.
+// RunMarketScenario synthesizes the scenario's cohort once and plans
+// it against each card, then replays all cards through a single
+// hour-stepped order book: each hour ages the book (expiring and
+// repricing listings), lists the hour's sell decisions, and routes the
+// hour's planned reservations through the book before falling back to
+// fresh purchases. The session loop is sequential, and its inputs are
+// concatenated in cohort order by deterministic fan-outs, so the
+// result is byte-identical at any Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the
@@ -181,118 +232,36 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	}
 	sp := obs.StartSpan(ctx, "market-session")
 	defer sp.End()
-	m := obs.FromContext(ctx)
 
+	// The cohort depends only on PerGroup, Hours and Seed, which every
+	// card shares; only the plans differ per card.
+	traces, err := workload.NewCohort(workload.CohortConfig{
+		PerGroup: sc.Base.PerGroup,
+		Hours:    sc.Base.Hours,
+		Seed:     sc.Base.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
 	streams := make([]*cardStream, len(sc.Cards))
 	for ci, card := range sc.Cards {
 		cfg := sc.Base
 		cfg.Instance = card
-		plan, err := NewCohortPlan(ctx, cfg)
-		if err != nil {
+		if streams[ci], err = newCardStream(ctx, cfg, traces); err != nil {
 			return nil, err
 		}
-		events, err := mixedSellEvents(ctx, plan, card, cfg.SellingDiscount)
-		if err != nil {
-			return nil, err
-		}
-		streams[ci] = &cardStream{card: card, events: events, users: plan.Users()}
 	}
 
 	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
 	if err != nil {
 		return nil, err
 	}
-	tallies := make([]marketTally, len(sc.Cards))
-	byName := make(map[string]*marketTally, len(sc.Cards))
-	for ci := range tallies {
-		byName[sc.Cards[ci].Name] = &tallies[ci]
+	tallies, err := sessionLoop(ctx, sc, book, traces, streams)
+	if err != nil {
+		return nil, err
 	}
 
 	horizon := sc.Base.Hours
-	for hour := 0; hour < horizon; hour++ {
-		if hour > 0 {
-			res := book.Step()
-			for _, lst := range res.Expired {
-				byName[lst.Instance.Name].expired++
-				if m != nil {
-					m.MarketExpiries.Add(1)
-				}
-			}
-		}
-
-		// Sellers list this hour's sell decisions under the scenario's
-		// declining schedule.
-		for ci, st := range streams {
-			t := &tallies[ci]
-			for st.next < len(st.events) && st.events[st.next].hour == hour {
-				ev := st.events[st.next]
-				st.next++
-				if _, err := book.ListDeclining(ev.seller, st.card, ev.remaining, sc.Base.SellingDiscount); err != nil {
-					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.seller, hour, err)
-				}
-				t.listed++
-				if m != nil {
-					m.MarketListings.Add(1)
-				}
-			}
-		}
-
-		// Buyers: each planned reservation shops the book first. A used
-		// listing is taken when its per-remaining-hour price beats a
-		// fresh reservation's per-hour upfront; otherwise (or when the
-		// book is empty) the unit is bought fresh.
-		for ci, st := range streams {
-			t := &tallies[ci]
-			freshPerHour := st.card.Upfront / float64(st.card.PeriodHours)
-			for _, u := range st.users {
-				want := 0
-				if hour < len(u.NewRes) {
-					want = u.NewRes[hour]
-				}
-				for k := 0; k < want; k++ {
-					t.demand++
-					if m != nil {
-						m.MarketBuyOrders.Add(1)
-					}
-					d := book.Depth(st.card.Name)
-					if d.Open == 0 || d.BestAsk > freshPerHour*float64(d.BestRemaining) {
-						t.fresh++
-						if m != nil {
-							m.MarketFreshBuys.Add(1)
-						}
-						continue
-					}
-					trades, err := book.Buy(u.Trace.User, st.card.Name, 1)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: buying %s at hour %d: %w", st.card.Name, hour, err)
-					}
-					tr := trades[0]
-					wait := tr.Hour - tr.ListedAt
-					t.used++
-					t.sold++
-					t.hoursToSale += wait
-					t.paid += tr.PricePaid
-					t.split += tr.Fee + tr.SellerProceeds
-					t.proceeds += tr.SellerProceeds
-					t.fees += tr.Fee
-					if m != nil {
-						m.MarketTrades.Add(1)
-						m.MarketHoursToSale.Add(int64(wait))
-					}
-				}
-			}
-		}
-
-		for ci, st := range streams {
-			d := book.Depth(st.card.Name)
-			t := &tallies[ci]
-			t.depthSum += int64(d.Open)
-			if d.Open > t.peakDepth {
-				t.peakDepth = d.Open
-			}
-		}
-	}
-
 	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
 	for ci, st := range streams {
 		t := &tallies[ci]
@@ -354,9 +323,102 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	return res, nil
 }
 
+// sessionLoop is the session's hour loop over the prepared streams,
+// timed as the session_loop span; buyers are named by their cohort
+// traces. It returns one tally per card, in card order.
+func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.OrderBook, traces []workload.Trace, streams []*cardStream) ([]marketTally, error) {
+	sp := obs.StartSpan(ctx, "session_loop")
+	defer sp.End()
+	m := obs.FromContext(ctx)
+
+	tallies := make([]marketTally, len(streams))
+	byName := make(map[string]*marketTally, len(streams))
+	for ci, st := range streams {
+		byName[st.card.Name] = &tallies[ci]
+	}
+	for hour := 0; hour < sc.Base.Hours; hour++ {
+		if hour > 0 {
+			res := book.Step()
+			for _, lst := range res.Expired {
+				byName[lst.Instance.Name].expired++
+				if m != nil {
+					m.MarketExpiries.Add(1)
+				}
+			}
+		}
+
+		// Sellers list this hour's sell decisions under the scenario's
+		// declining schedule.
+		for ci, st := range streams {
+			t := &tallies[ci]
+			for st.next < len(st.events) && st.events[st.next].hour == hour {
+				ev := st.events[st.next]
+				st.next++
+				if _, err := book.ListDeclining(ev.seller, st.card, ev.remaining, sc.Base.SellingDiscount); err != nil {
+					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.seller, hour, err)
+				}
+				t.listed++
+				if m != nil {
+					m.MarketListings.Add(1)
+				}
+			}
+		}
+
+		// Buyers: each planned reservation unit shops the book first, in
+		// cohort order. A used listing is taken when its per-remaining-
+		// hour price beats a fresh reservation's per-hour upfront;
+		// otherwise (or when the book is empty) the unit is bought fresh.
+		for ci, st := range streams {
+			t := &tallies[ci]
+			freshPerHour := st.card.Upfront / float64(st.card.PeriodHours)
+			for _, ui := range st.buyers[st.buyOff[hour]:st.buyOff[hour+1]] {
+				t.demand++
+				if m != nil {
+					m.MarketBuyOrders.Add(1)
+				}
+				d := book.Depth(st.card.Name)
+				if d.Open == 0 || d.BestAsk > freshPerHour*float64(d.BestRemaining) {
+					t.fresh++
+					if m != nil {
+						m.MarketFreshBuys.Add(1)
+					}
+					continue
+				}
+				trades, err := book.Buy(traces[ui].User, st.card.Name, 1)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: buying %s at hour %d: %w", st.card.Name, hour, err)
+				}
+				tr := trades[0]
+				wait := tr.Hour - tr.ListedAt
+				t.used++
+				t.sold++
+				t.hoursToSale += wait
+				t.paid += tr.PricePaid
+				t.split += tr.Fee + tr.SellerProceeds
+				t.proceeds += tr.SellerProceeds
+				t.fees += tr.Fee
+				if m != nil {
+					m.MarketTrades.Add(1)
+					m.MarketHoursToSale.Add(int64(wait))
+				}
+			}
+		}
+
+		for ci, st := range streams {
+			d := book.Depth(st.card.Name)
+			t := &tallies[ci]
+			t.depthSum += int64(d.Open)
+			if d.Open > t.peakDepth {
+				t.peakDepth = d.Open
+			}
+		}
+	}
+	return tallies, nil
+}
+
 // RenderMarketOutcomes renders the session's per-instance-type table:
-// the paper's exogenous sale probability alpha and waiting time as
-// measured quantities.
+// the sale probability and waiting time that the paper's Eq. (1) takes
+// as certain and zero, as measured quantities.
 func RenderMarketOutcomes(res *MarketResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Two-sided market session — emergent sale probability over %d hours\n", res.Horizon)

@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
+	"rimarket/internal/simulate"
+	"rimarket/internal/workload"
 )
 
 // marketCards returns the session's traded cards at the test scale:
@@ -127,7 +132,8 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 }
 
 // TestMarketScenarioObsCounters checks the session feeds the obs
-// market section, and that the counters agree with the outcomes.
+// market section, that the counters agree with the outcomes, and that
+// the spans and engine-run count match the session's one pass.
 func TestMarketScenarioObsCounters(t *testing.T) {
 	sc := marketScenario(t, 0)
 	m := obs.New(obs.FakeClock(time.Unix(0, 0).UTC(), time.Microsecond))
@@ -156,6 +162,49 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 	}
 	if sold > 0 && mk.HoursToSale < 0 {
 		t.Errorf("hours-to-sale total %d negative", mk.HoursToSale)
+	}
+	// Spans split the pass: one plan and one sell-event replay per card
+	// inside the session, then one hour loop.
+	spans := map[string]int64{}
+	for _, sp := range snap.Spans {
+		spans[sp.Name] = sp.Count
+	}
+	cards := int64(len(sc.Cards))
+	for name, want := range map[string]int64{"market-session": 1, "plan": cards, "sell_events": cards, "session_loop": 1} {
+		if spans[name] != want {
+			t.Errorf("span %q recorded %d times, want %d (spans %+v)", name, spans[name], want, snap.Spans)
+		}
+	}
+	if snap.EngineRuns != cards*int64(3*sc.Base.PerGroup) {
+		t.Errorf("engine runs %d, want one replay per seller per card (%d)", snap.EngineRuns, cards*int64(3*sc.Base.PerGroup))
+	}
+}
+
+// TestMarketScenarioReplayError: a seller replay that fails aborts the
+// session with the lowest failing user's error, wrapped with its name,
+// at any parallelism.
+func TestMarketScenarioReplayError(t *testing.T) {
+	sc := marketScenario(t, 1)
+	traces, err := workload.NewCohort(workload.CohortConfig{PerGroup: sc.Base.PerGroup, Hours: sc.Base.Hours, Seed: sc.Base.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected engine failure")
+	orig := simulateReplay
+	simulateReplay = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
+		if slices.Equal(demand, traces[5].Demand) || slices.Equal(demand, traces[9].Demand) {
+			return simulate.Totals{}, nil, injected
+		}
+		return orig(s, demand, newRes, ec, pol)
+	}
+	defer func() { simulateReplay = orig }()
+
+	want := fmt.Sprintf("experiments: user %s: %v", traces[5].User, injected)
+	for _, par := range []int{1, 4, runtime.NumCPU()} {
+		_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
+		if !errors.Is(err, injected) || err.Error() != want {
+			t.Errorf("parallelism=%d: err = %v, want %q", par, err, want)
+		}
 	}
 }
 

@@ -3,7 +3,8 @@ package experiments
 // Grid-level differential suite for the worker pool: every driver that
 // replays users on per-worker Scratches must return exactly what a
 // plain serial loop of full simulate.Run results implies — costs,
-// norms, sold counts, Keep-Reserved baselines, market events — with
+// norms, sold counts, Keep-Reserved baselines, market events, market
+// session outcomes — with
 // matching error text, a deterministic cancelled prefix, spill stores
 // that resume at any worker count, and the same engine counters. The
 // Batch test names date from when this suite pinned the since-deleted
@@ -16,11 +17,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"rimarket/internal/core"
+	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
+	"rimarket/internal/pricing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
@@ -212,6 +216,146 @@ func TestBatchMarketSessionEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pooled market session differs from the serial Run loop's events")
+	}
+}
+
+// oracleMarketScenario is the session a naive serial build implies:
+// per card, the cohort synthesized and planned afresh, user i replayed
+// through simulate.Run under SellingPolicies[i mod 3], the sales
+// stable-sorted by hour, and every hour a scan over every user's
+// reservation schedule for buy orders, all through a fresh OrderBook.
+func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
+	t.Helper()
+	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]*CohortPlan, len(sc.Cards))
+	events := make([][]sellEvent, len(sc.Cards))
+	for ci, card := range sc.Cards {
+		cfg := withParallelism(sc.Base, 1)
+		cfg.Instance = card
+		if plans[ci], err = NewCohortPlan(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		var policies []simulate.SellingPolicy
+		for _, mk := range []func(pricing.InstanceType, float64) (core.Threshold, error){core.NewA3T4, core.NewAT2, core.NewAT4} {
+			p, err := mk(card, cfg.SellingDiscount)
+			if err != nil {
+				t.Fatal(err)
+			}
+			policies = append(policies, p)
+		}
+		ec := simulate.Config{Instance: card, SellingDiscount: cfg.SellingDiscount}
+		for i, u := range plans[ci].Users() {
+			for _, inst := range oracleRun(t, u, ec, policies[i%3]).Instances {
+				if inst.SoldAt >= 0 {
+					events[ci] = append(events[ci], sellEvent{
+						hour:      inst.SoldAt,
+						seller:    u.Trace.User,
+						remaining: inst.Start + card.PeriodHours - inst.SoldAt,
+					})
+				}
+			}
+		}
+		sort.SliceStable(events[ci], func(i, j int) bool { return events[ci][i].hour < events[ci][j].hour })
+	}
+
+	out := make([]MarketOutcome, len(sc.Cards))
+	index := make(map[string]int, len(sc.Cards))
+	for ci, card := range sc.Cards {
+		index[card.Name] = ci
+		out[ci].Type = card.Name
+	}
+	waits := make([]int, len(sc.Cards))
+	depths := make([]int, len(sc.Cards))
+	for hour := 0; hour < sc.Base.Hours; hour++ {
+		if hour > 0 {
+			for _, lst := range book.Step().Expired {
+				out[index[lst.Instance.Name]].Expired++
+			}
+		}
+		for ci, card := range sc.Cards {
+			for _, ev := range events[ci] {
+				if ev.hour != hour {
+					continue
+				}
+				if _, err := book.ListDeclining(ev.seller, card, ev.remaining, sc.Base.SellingDiscount); err != nil {
+					t.Fatal(err)
+				}
+				out[ci].Listed++
+			}
+		}
+		for ci, card := range sc.Cards {
+			o := &out[ci]
+			for _, u := range plans[ci].Users() {
+				for k := 0; k < u.NewRes[hour]; k++ {
+					o.BuyerDemand++
+					d := book.Depth(card.Name)
+					if d.Open == 0 || d.BestAsk > card.Upfront/float64(card.PeriodHours)*float64(d.BestRemaining) {
+						o.FreshBuys++
+						continue
+					}
+					trades, err := book.Buy(u.Trace.User, card.Name, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr := trades[0]
+					o.UsedFills++
+					o.Sold++
+					waits[ci] += tr.Hour - tr.ListedAt
+					o.BuyerPaid += tr.PricePaid
+					o.SellerProceeds += tr.SellerProceeds
+					o.Fees += tr.Fee
+				}
+			}
+		}
+		for ci, card := range sc.Cards {
+			open := book.Depth(card.Name).Open
+			depths[ci] += open
+			out[ci].PeakDepth = max(out[ci].PeakDepth, open)
+		}
+	}
+	for ci, card := range sc.Cards {
+		o := &out[ci]
+		o.OpenAtEnd = book.Depth(card.Name).Open
+		if o.Listed > 0 {
+			o.SaleProbability = float64(o.Sold) / float64(o.Listed)
+		}
+		if o.Sold > 0 {
+			o.MeanHoursToSale = float64(waits[ci]) / float64(o.Sold)
+		}
+		if o.BuyerDemand > 0 {
+			o.FillRate = float64(o.UsedFills) / float64(o.BuyerDemand)
+		}
+		o.MeanDepth = float64(depths[ci]) / float64(sc.Base.Hours)
+	}
+	return out
+}
+
+// TestMarketScenarioPoolOracle: the session built in one pass — one
+// cohort, one replay per seller on per-worker scratch, buy orders
+// indexed by hour — equals the naive serial build outcome for outcome,
+// at parallelism 1, 4 and NumCPU.
+func TestMarketScenarioPoolOracle(t *testing.T) {
+	want := oracleMarketScenario(t, marketScenario(t, 1))
+	var traded bool
+	for _, o := range want {
+		traded = traded || o.Sold > 0
+	}
+	if !traded {
+		t.Fatal("oracle session traded nothing; the comparison is vacuous")
+	}
+	for _, par := range []int{1, 4, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			got, err := RunMarketScenario(context.Background(), marketScenario(t, par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Outcomes, want) {
+				t.Fatalf("session differs from the serial oracle:\n got %+v\nwant %+v", got.Outcomes, want)
+			}
+		})
 	}
 }
 

@@ -113,9 +113,10 @@ type policyDecisions struct {
 // allocation-free, safe for any number of concurrent readers.
 //
 // Answers are bit-identical to the offline pipeline by construction:
-// the tables come from the same simulate.Run replays the experiment
-// drivers use, and simulate.DecisionAges shares the engine's
-// checkpoint-age resolution.
+// the tables come from the same engine replay the experiment drivers
+// use (Scratch.Replay, whose records equal simulate.Run's instances),
+// and simulate.DecisionAges shares the engine's checkpoint-age
+// resolution.
 //
 //rilint:frozen
 type DecisionSet struct {
@@ -200,35 +201,32 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 		replayed = append(replayed, np)
 	}
 
-	// Fan the (policy, user) replays out over the worker pool; each job
-	// writes a distinct table slot, so results are identical at any
-	// parallelism.
-	if m != nil {
-		m.JobsTotal.Add(int64(len(replayed) * len(p.users)))
-	}
-	err = runIndexed(ctx, p.cfg.Parallelism, len(replayed)*len(p.users), func(k int) error {
+	// Fan the (policy, user) replays out over the worker pool, each
+	// worker on its own Scratch; each job copies what it keeps out of
+	// the scratch's records and writes a distinct table slot, so
+	// results are identical at any parallelism.
+	jobs := len(replayed) * len(p.users)
+	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
+	_, _, err = runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
 		np := replayed[k/len(p.users)]
 		ui := k % len(p.users)
 		u := &p.users[ui]
-		res, _, err := obsRun(m, u.Trace.Demand, u.NewRes, engCfg, np.policy)
+		tot, recs, err := obsReplay(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, np.policy)
 		if err != nil {
 			return fmt.Errorf("experiments: policy %s: user %s: %w", np.name, u.Trace.User, err)
 		}
-		ud := userDecisions{soldAt: make([]int, len(res.Instances)), cost: res.Cost.Total()}
+		ud := userDecisions{soldAt: make([]int, len(recs)), cost: tot.Cost.Total()}
 		pd := s.byPolicy[np.name]
 		if pd.ages == nil {
-			ud.ages = make([][]int, len(res.Instances))
+			ud.ages = make([][]int, len(recs))
 		}
-		for j, in := range res.Instances {
+		for j, in := range recs {
 			ud.soldAt[j] = in.SoldAt
 			if ud.ages != nil {
 				ud.ages[j] = simulate.DecisionAges(np.policy, in.Start, in.BatchIndex, period)
 			}
 		}
 		pd.users[ui] = ud
-		if m != nil {
-			m.JobsDone.Add(1)
-		}
 		return nil
 	})
 	if err != nil {

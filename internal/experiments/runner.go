@@ -54,6 +54,29 @@ func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg si
 	return timeEngine(m, func() (simulate.Totals, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
 }
 
+// simulateReplay indirects the scratch-reusing engine call that also
+// returns per-instance records — the market session's seller replays
+// and the decision tables — so tests can count or fail those
+// invocations; production code always calls the real Scratch.Replay.
+var simulateReplay = (*simulate.Scratch).Replay
+
+// replayOut is one Scratch.Replay's outputs, carried through
+// timeEngine as a single value.
+type replayOut struct {
+	tot  simulate.Totals
+	recs []simulate.InstanceRecord
+}
+
+// obsReplay is simulateReplay under timeEngine. The records live in
+// s's buffer until the worker's next replay on it.
+func obsReplay(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
+	out, _, err := timeEngine(m, func() (replayOut, error) {
+		tot, recs, err := simulateReplay(s, demand, newRes, cfg, policy)
+		return replayOut{tot, recs}, err
+	})
+	return out.tot, out.recs, err
+}
+
 // workerCount resolves the Config.Parallelism contract: non-positive
 // means GOMAXPROCS, and there is never more than one worker per job.
 func workerCount(parallelism, jobs int) int {
@@ -342,15 +365,4 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEachUser runs fn once per planned user over the plan's worker
-// pool. fn is called concurrently and must write only state owned by
-// its index; errors follow runIndexed's lowest-index-wins rule, panics
-// are captured as *JobPanicError, and cancelling ctx drains in-flight
-// users and returns the context's error.
-func (p *CohortPlan) ForEachUser(ctx context.Context, fn func(i int, u PlannedUser) error) error {
-	return runIndexed(ctx, p.cfg.Parallelism, len(p.users), func(i int) error {
-		return fn(i, p.users[i])
-	})
 }

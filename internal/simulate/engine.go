@@ -49,9 +49,9 @@ func appendCheckpointAges(dst []int, policy SellingPolicy, period int) []int {
 	return out
 }
 
-// validateRun is the shared input validation of Run, Scratch.Totals and
-// the test-only reference engine; all must reject identical inputs
-// identically.
+// validateRun is the shared input validation of Run, Scratch.Totals,
+// Scratch.Replay and the test-only reference engine; all must reject
+// identical inputs identically.
 func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -76,10 +76,11 @@ func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 
 // Scratch is the replay engine's reusable working memory: the batch
 // offsets, the checkpoint event schedule, the active list, the
-// instance slab and the per-instance age backing that Run would
-// otherwise allocate afresh for every replay. Each replay grows the
-// buffers on demand and overwrites or clears every element it reads,
-// so nothing leaks from one replay into the next.
+// instance slab, the per-instance age backing and the instance records
+// Replay returns, which Run would otherwise allocate afresh for every
+// replay. Each replay grows the buffers on demand and overwrites or
+// clears every element it reads, so nothing leaks from one replay into
+// the next.
 //
 // The zero value is ready to use. A Scratch is not safe for concurrent
 // use: a worker pool gives each goroutine its own.
@@ -91,6 +92,7 @@ type Scratch struct {
 	slab       []instState
 	soloAges   []int
 	sharedAges []int
+	recs       []InstanceRecord
 }
 
 // grow returns buf resliced to n elements, reallocating only when its
@@ -136,8 +138,8 @@ func grow[T any](buf []T, n int) []T {
 // schedule up front instead of scanning the active list every hour.
 // The whole replay makes O(1) heap allocations: instance state, hour
 // records, checkpoint events and (optionally) schedules live in
-// pre-sized slabs. Run uses a fresh Scratch; Scratch.Totals is the same
-// replay on a caller-owned one.
+// pre-sized slabs. Run uses a fresh Scratch; Scratch.Totals and
+// Scratch.Replay are the same replay on a caller-owned one.
 func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Result{}, err
@@ -184,12 +186,36 @@ func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy)
 	return s.replay(demand, newRes, cfg, policy, nil), nil
 }
 
-// replay is the engine kernel behind Run and Totals. Inputs must have
-// passed validateRun. When res is non-nil its len(demand) Hours are
-// written; with cfg.RecordSchedules set each instance's busy schedule
-// is recorded into a freshly allocated slab, since the caller's
-// InstanceRecords keep it. On return s.slab holds the replay's
-// instances in reservation order.
+// Replay replays one user exactly as Run does and returns the lean
+// Totals together with the per-instance records in reservation order:
+// Run's Cost and Instances without the per-hour rows. The records live
+// in a buffer the Scratch owns, valid until the next replay on s; a
+// caller that keeps them must copy. Config.RecordSchedules is ignored
+// and every record's Schedule is nil, since schedules in a buffer the
+// next replay overwrites could not be kept either.
+func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy) (Totals, []InstanceRecord, error) {
+	if err := validateRun(demand, newRes, cfg, policy); err != nil {
+		return Totals{}, nil, err
+	}
+	cfg.RecordSchedules = false
+	tot := s.replay(demand, newRes, cfg, policy, nil)
+	// Non-nil even when empty, as Run's Instances are.
+	if s.recs == nil || cap(s.recs) < len(s.slab) {
+		s.recs = make([]InstanceRecord, len(s.slab))
+	}
+	recs := s.recs[:len(s.slab)]
+	for j := range s.slab {
+		recs[j] = s.slab[j].rec
+	}
+	return tot, recs, nil
+}
+
+// replay is the engine kernel behind Run, Totals and Replay. Inputs
+// must have passed validateRun. When res is non-nil its len(demand)
+// Hours are written; with cfg.RecordSchedules set each instance's busy
+// schedule is recorded into a freshly allocated slab, since the
+// caller's InstanceRecords keep it. On return s.slab holds the
+// replay's instances in reservation order.
 func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) Totals {
 	it := cfg.Instance
 	period := it.PeriodHours

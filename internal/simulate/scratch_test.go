@@ -3,17 +3,19 @@ package simulate
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"rimarket/internal/pricing"
 )
 
-// This file pins Scratch.Totals to Run. Both are the same replay kernel
-// with different outputs, so over the seeded differential corpus the
-// totals output must carry Run's exact cost bits, sale count and idle
-// hours, even when one Scratch is reused across cases of every size
-// and policy shape. CI runs it under -race.
+// This file pins Scratch.Totals and Scratch.Replay to Run. All three
+// are the same replay kernel with different outputs, so over the
+// seeded differential corpus the totals output must carry Run's exact
+// cost bits, sale count and idle hours, and Replay's records must equal
+// Run's instances, even when one Scratch is reused across cases of
+// every size and policy shape. CI runs it under -race.
 
 // totalsFromRun derives the Totals a full Result implies.
 func totalsFromRun(res Result) Totals {
@@ -53,14 +55,14 @@ func instancesOf(c diffCase) int {
 	return n
 }
 
-// TestScratchTotalsMatchRun runs the 250-case differential corpus
-// through one reused Scratch. The scratch is dirtied first by a large
-// multi-checkpoint replay that sells everything, then the cases run
-// large → small → large (descending over half the corpus, ascending
-// over the other half), so every buffer is both outgrown and reused
-// with stale contents beyond the live prefix, across per-instance,
-// multi-checkpoint and shared-age policies.
-func TestScratchTotalsMatchRun(t *testing.T) {
+// scratchCorpus is the 250-case differential corpus in the order the
+// reuse tests replay it: large → small → large (descending over half
+// the corpus, ascending over the other half), so every buffer of a
+// reused Scratch is both outgrown and reused with stale contents
+// beyond the live prefix, across per-instance, multi-checkpoint and
+// shared-age policies.
+func scratchCorpus(t *testing.T) []diffCase {
+	t.Helper()
 	const cases = 250
 	rng := rand.New(rand.NewSource(20180702)) // the differential corpus
 	corpus := make([]diffCase, cases)
@@ -80,7 +82,13 @@ func TestScratchTotalsMatchRun(t *testing.T) {
 	if len(order) != cases {
 		t.Fatalf("ordering lost cases: %d of %d", len(order), cases)
 	}
+	return order
+}
 
+// dirtyScratch returns a Scratch dirtied by a large multi-checkpoint
+// replay that sells everything.
+func dirtyScratch(t *testing.T) *Scratch {
+	t.Helper()
 	var s Scratch
 	dirty := diffCase{demand: make([]int, 400), newRes: make([]int, 400), cfg: testConfig(),
 		policy: diffMulti{ages: []int{3, 9, 17, 25}, threshold: 1 << 20}}
@@ -88,11 +96,17 @@ func TestScratchTotalsMatchRun(t *testing.T) {
 		dirty.demand[h] = h % 11
 		dirty.newRes[h] = h % 4
 	}
-	if _, err := s.Totals(dirty.demand, dirty.newRes, dirty.cfg, dirty.policy); err != nil {
+	if _, _, err := s.Replay(dirty.demand, dirty.newRes, dirty.cfg, dirty.policy); err != nil {
 		t.Fatal(err)
 	}
+	return &s
+}
 
-	for _, c := range order {
+// TestScratchTotalsMatchRun runs the corpus through one dirty, reused
+// Scratch and holds every Totals to the one Run implies.
+func TestScratchTotalsMatchRun(t *testing.T) {
+	s := dirtyScratch(t)
+	for _, c := range scratchCorpus(t) {
 		want, wantErr := Run(c.demand, c.newRes, c.cfg, c.policy)
 		got, gotErr := s.Totals(c.demand, c.newRes, c.cfg, c.policy)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -105,8 +119,34 @@ func TestScratchTotalsMatchRun(t *testing.T) {
 	}
 }
 
-// TestScratchTotalsErrors pins Totals to reject invalid input with
-// Run's exact error text.
+// TestScratchReplayMatchesRun runs the corpus through one dirty,
+// reused Scratch and holds every Replay to Run: the same totals, and
+// records DeepEqual to Run's instances once Run's schedules are off
+// (Replay ignores RecordSchedules, which half the corpus sets).
+func TestScratchReplayMatchesRun(t *testing.T) {
+	s := dirtyScratch(t)
+	for _, c := range scratchCorpus(t) {
+		cfg := c.cfg
+		cfg.RecordSchedules = false
+		want, wantErr := Run(c.demand, c.newRes, cfg, c.policy)
+		got, recs, gotErr := s.Replay(c.demand, c.newRes, c.cfg, c.policy)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%s: error mismatch: replay %v, Run %v", c.name, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			assertTotalsIdentical(t, got, totalsFromRun(want))
+			if !reflect.DeepEqual(recs, want.Instances) {
+				t.Fatalf("records differ from Run's instances:\n got %+v\nwant %+v", recs, want.Instances)
+			}
+		})
+	}
+}
+
+// TestScratchTotalsErrors pins Totals and Replay to reject invalid
+// input with Run's exact error text.
 func TestScratchTotalsErrors(t *testing.T) {
 	cfg := testConfig()
 	var s Scratch
@@ -127,12 +167,17 @@ func TestScratchTotalsErrors(t *testing.T) {
 		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Errorf("%s: totals error %v, Run error %v", c.name, gotErr, wantErr)
 		}
+		_, recs, replayErr := s.Replay(c.demand, c.newRes, c.cfg, c.policy)
+		if replayErr == nil || replayErr.Error() != wantErr.Error() || recs != nil {
+			t.Errorf("%s: replay error %v with %d records, Run error %v", c.name, replayErr, len(recs), wantErr)
+		}
 	}
 }
 
 // TestScratchTotalsZeroAllocs pins the point of the scratch: once warm,
-// a one-year totals replay allocates nothing, for a shared-age policy
-// that sells, a per-instance policy and the never-selling baseline.
+// a one-year totals or records replay allocates nothing, for a
+// shared-age policy that sells, a per-instance policy and the
+// never-selling baseline.
 func TestScratchTotalsZeroAllocs(t *testing.T) {
 	it := pricing.InstanceType{
 		Name:           "alloc.card",
@@ -159,7 +204,7 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 		{"keep-reserved", KeepReserved{}},
 	} {
 		var s Scratch
-		if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
+		if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
@@ -169,6 +214,14 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm totals replay made %v allocs, want 0", p.name, allocs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm records replay made %v allocs, want 0", p.name, allocs)
 		}
 	}
 }

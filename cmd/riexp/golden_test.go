@@ -1,8 +1,8 @@
 package main
 
-// Golden tests pin riexp's sweep, sensitivity and market output at the
-// default test scale (TestScaleConfig: 90 users, 60-day horizon, seed
-// 2018). Every quantity in these tables is deterministic — the cohort,
+// Golden tests pin riexp's sweep, sensitivity, market and audit output
+// at the default test scale (TestScaleConfig: 90 users, 60-day horizon,
+// seed 2018). Every quantity in these tables is deterministic — the cohort,
 // the purchasing behaviors, the selling policies and the market's
 // buyer arrivals are all seeded — so
 // the files assert byte-exact output. Regenerate after an intentional
@@ -36,6 +36,7 @@ func TestGolden(t *testing.T) {
 		{name: "sweep-a", args: []string{"-exp", "sweep-a"}},
 		{name: "sensitivity", args: []string{"-exp", "sensitivity"}},
 		{name: "market", args: []string{"-exp", "market"}},
+		{name: "audit", args: []string{"-exp", "audit"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

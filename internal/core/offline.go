@@ -94,6 +94,10 @@ type OfflineDecision struct {
 // (those demands must be re-bought on-demand). Keeping costs
 // R + alpha*p*(x+y). In BillWhileActive mode the alpha*p term charges
 // e (respectively T) hours regardless of use.
+//
+// The scan counts the schedule's busy hours once, then walks the sale
+// ages forward with a running x and takes y as the total minus x, so it
+// makes no allocation.
 func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error) {
 	if err := params.Validate(); err != nil {
 		return OfflineDecision{}, err
@@ -109,15 +113,12 @@ func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error)
 	R := it.Upfront
 	a := params.SellingDiscount
 
-	// suffixBusy[e] = busy hours in [e, T).
-	suffixBusy := make([]int, T+1)
-	for h := T - 1; h >= 0; h-- {
-		suffixBusy[h] = suffixBusy[h+1]
-		if schedule[h] {
-			suffixBusy[h]++
+	totalBusy := 0
+	for _, busy := range schedule {
+		if busy {
+			totalBusy++
 		}
 	}
-	totalBusy := suffixBusy[0]
 
 	var keepCost float64
 	switch params.Billing {
@@ -132,9 +133,15 @@ func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error)
 		minAge = 1
 	}
 	best := OfflineDecision{Sell: false, SellAge: -1, Cost: keepCost, KeepCost: keepCost}
-	for e := minAge; e < T; e++ {
-		x := totalBusy - suffixBusy[e] // busy hours before the sale
-		y := suffixBusy[e]             // busy hours re-bought on-demand
+	x := 0 // busy hours before the sale age e
+	for e := 1; e < T; e++ {
+		if schedule[e-1] {
+			x++
+		}
+		if e < minAge {
+			continue
+		}
+		y := totalBusy - x // busy hours re-bought on-demand
 		income := a * R * float64(T-e) / float64(T)
 		var cost float64
 		switch params.Billing {

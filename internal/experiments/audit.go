@@ -40,7 +40,9 @@ type AuditResult struct {
 // Users fan out over Config.Parallelism workers with runIndexed's
 // contract: the result is identical at any worker count, a failure
 // reports the lowest-index failing user's error, and cancelling ctx
-// drains the in-flight users and returns the context's error.
+// drains the in-flight users and returns the context's error. Each
+// worker replays on its own Scratch, so a user's instance records and
+// busy schedules live in that worker's buffers until its next user.
 func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -75,11 +77,13 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 		Metrics:         m.EngineHook(),
 	}
 	// Fan out one job per user: plan, replay with schedules, and verify
-	// every full-period instance, keeping only the ratios. Plans and
-	// schedules die with their job, so the fan-out never holds more than
-	// one user's replay per worker.
+	// every full-period instance, keeping only the ratios. The plan dies
+	// with its job and the schedules are overwritten by the worker's next
+	// replay, so the fan-out never holds more than one user's replay per
+	// worker.
 	ratios := make([][]float64, len(traces))
-	err = runIndexed(ctx, cfg.Parallelism, len(traces), func(i int) error {
+	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, len(traces)))
+	_, _, err = runShardedDone(ctx, cfg.Parallelism, len(traces), func(w, i int) error {
 		tr := traces[i]
 		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
 		if err != nil {
@@ -89,12 +93,12 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 		if err != nil {
 			return err
 		}
-		run, _, err := obsRun(m, tr.Demand, newRes, engCfg, core.KeepReserved{})
+		_, recs, err := obsReplay(m, &scratch[w], tr.Demand, newRes, engCfg, core.KeepReserved{})
 		if err != nil {
 			return err
 		}
 		var rs []float64
-		for _, inst := range run.Instances {
+		for _, inst := range recs {
 			if inst.Start+period > tr.Len() {
 				continue // truncated lifetime: schedule incomplete
 			}

@@ -63,7 +63,9 @@ func TestRenderAuditGenericFraction(t *testing.T) {
 
 // ratioAuditSerial is the audit's serial loop, kept as the reference
 // the fanned-out RatioAudit must reproduce exactly: users in cohort
-// order, one accumulator, the first failing user's error.
+// order, one accumulator, the first failing user's error. It replays
+// each user through simulate.Run rather than a reused Scratch, so it
+// stays independent of the engine path the audit takes.
 func ratioAuditSerial(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -105,7 +107,7 @@ func ratioAuditSerial(ctx context.Context, cfg Config, fraction float64) (AuditR
 		if err != nil {
 			return AuditResult{}, err
 		}
-		run, err := simulateRun(tr.Demand, newRes, engCfg, core.KeepReserved{})
+		run, err := simulate.Run(tr.Demand, newRes, engCfg, core.KeepReserved{})
 		if err != nil {
 			return AuditResult{}, err
 		}
@@ -175,20 +177,22 @@ func hookAuditEngine(t *testing.T, cfg Config, fn func(user int) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := simulateRun
-	simulateRun = func(demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Result, error) {
+	orig := simulateReplay
+	simulateReplay = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
 		user := slices.IndexFunc(traces, func(tr workload.Trace) bool { return slices.Equal(tr.Demand, demand) })
 		if err := fn(user); err != nil {
-			return simulate.Result{}, err
+			return simulate.Totals{}, nil, err
 		}
-		return orig(demand, newRes, ec, pol)
+		return orig(s, demand, newRes, ec, pol)
 	}
-	t.Cleanup(func() { simulateRun = orig })
+	t.Cleanup(func() { simulateReplay = orig })
 }
 
 // TestRatioAuditLowestIndexError injects engine failures for two users
 // and requires the lower-index one's error at every worker count — the
-// error the serial reference returns.
+// error a serial walk over the users meets first. The serial reference
+// replays through simulate.Run, outside the hook, so the expected error
+// is spelled out here.
 func TestRatioAuditLowestIndexError(t *testing.T) {
 	cfg := smallConfig()
 	hookAuditEngine(t, cfg, func(user int) error {
@@ -197,14 +201,11 @@ func TestRatioAuditLowestIndexError(t *testing.T) {
 		}
 		return nil
 	})
-	_, want := ratioAuditSerial(context.Background(), cfg, core.FractionT2)
-	if want == nil || want.Error() != "injected engine failure for user 3" {
-		t.Fatalf("serial reference error = %v, want user 3's injected failure", want)
-	}
+	const want = "injected engine failure for user 3"
 	for _, par := range auditParallelisms() {
 		cfg.Parallelism = par
 		_, err := RatioAudit(context.Background(), cfg, core.FractionT2)
-		if err == nil || err.Error() != want.Error() {
+		if err == nil || err.Error() != want {
 			t.Fatalf("par=%d: error %v, want %v", par, err, want)
 		}
 	}

@@ -13,10 +13,6 @@ import (
 	"rimarket/internal/stats"
 )
 
-// simulateRun indirects the cost engine so tests can count or fail
-// invocations; production code always calls the real simulate.Run.
-var simulateRun = simulate.Run
-
 // timeEngine is the drivers' timed engine call: one clock pair around
 // call feeding the run-latency histogram, so the engine itself never
 // reads a clock (floatdet forbids it there). With observability off
@@ -36,11 +32,6 @@ func timeEngine[T any](m *obs.Metrics, call func() (T, error)) (T, int64, error)
 	return out, ns, err
 }
 
-// obsRun is simulateRun under timeEngine.
-func obsRun(m *obs.Metrics, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Result, int64, error) {
-	return timeEngine(m, func() (simulate.Result, error) { return simulateRun(demand, newRes, cfg, policy) })
-}
-
 // simulateTotals indirects the scratch-reusing engine call the grid and
 // the Keep-Reserved baselines make — one replay on the claiming
 // worker's own Scratch — so tests can count or fail those invocations;
@@ -55,9 +46,10 @@ func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg si
 }
 
 // simulateReplay indirects the scratch-reusing engine call that also
-// returns per-instance records — the market session's seller replays
-// and the decision tables — so tests can count or fail those
-// invocations; production code always calls the real Scratch.Replay.
+// returns per-instance records — the market session's seller replays,
+// the decision tables and the ratio audit — so tests can count or fail
+// those invocations; production code always calls the real
+// Scratch.Replay.
 var simulateReplay = (*simulate.Scratch).Replay
 
 // replayOut is one Scratch.Replay's outputs, carried through

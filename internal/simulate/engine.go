@@ -76,11 +76,11 @@ func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 
 // Scratch is the replay engine's reusable working memory: the batch
 // offsets, the checkpoint event schedule, the active list, the
-// instance slab, the per-instance age backing and the instance records
-// Replay returns, which Run would otherwise allocate afresh for every
-// replay. Each replay grows the buffers on demand and overwrites or
-// clears every element it reads, so nothing leaks from one replay into
-// the next.
+// instance slab, the per-instance age backing, and the instance records
+// and busy schedules Replay returns, which Run would otherwise allocate
+// afresh for every replay. Each replay grows the buffers on demand and
+// overwrites or clears every element it reads, so nothing leaks from
+// one replay into the next.
 //
 // The zero value is ready to use. A Scratch is not safe for concurrent
 // use: a worker pool gives each goroutine its own.
@@ -93,6 +93,7 @@ type Scratch struct {
 	soloAges   []int
 	sharedAges []int
 	recs       []InstanceRecord
+	scheds     []bool
 }
 
 // grow returns buf resliced to n elements, reallocating only when its
@@ -138,8 +139,9 @@ func grow[T any](buf []T, n int) []T {
 // schedule up front instead of scanning the active list every hour.
 // The whole replay makes O(1) heap allocations: instance state, hour
 // records, checkpoint events and (optionally) schedules live in
-// pre-sized slabs. Run uses a fresh Scratch; Scratch.Totals and
-// Scratch.Replay are the same replay on a caller-owned one.
+// pre-sized slabs. Run uses a fresh Scratch, so the Result it returns
+// owns its schedules; Scratch.Totals and Scratch.Replay are the same
+// replay on a caller-owned one.
 func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Result{}, err
@@ -188,16 +190,17 @@ func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy)
 
 // Replay replays one user exactly as Run does and returns the lean
 // Totals together with the per-instance records in reservation order:
-// Run's Cost and Instances without the per-hour rows. The records live
-// in a buffer the Scratch owns, valid until the next replay on s; a
-// caller that keeps them must copy. Config.RecordSchedules is ignored
-// and every record's Schedule is nil, since schedules in a buffer the
-// next replay overwrites could not be kept either.
+// Run's Cost and Instances without the per-hour rows. With
+// Config.RecordSchedules set each record carries its busy schedule, as
+// Run's do; otherwise every Schedule is nil. The records and their
+// schedules live in buffers the Scratch owns, valid until the next
+// replay on s; a caller that keeps them must copy. On a warm Scratch
+// whose buffers already fit the input, a replay allocates nothing,
+// schedules or not.
 func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy) (Totals, []InstanceRecord, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Totals{}, nil, err
 	}
-	cfg.RecordSchedules = false
 	tot := s.replay(demand, newRes, cfg, policy, nil)
 	// Non-nil even when empty, as Run's Instances are.
 	if s.recs == nil || cap(s.recs) < len(s.slab) {
@@ -213,9 +216,9 @@ func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy)
 // replay is the engine kernel behind Run, Totals and Replay. Inputs
 // must have passed validateRun. When res is non-nil its len(demand)
 // Hours are written; with cfg.RecordSchedules set each instance's busy
-// schedule is recorded into a freshly allocated slab, since the
-// caller's InstanceRecords keep it. On return s.slab holds the
-// replay's instances in reservation order.
+// schedule is recorded into s.scheds, one period-long window per
+// instance. On return s.slab holds the replay's instances in
+// reservation order.
 func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) Totals {
 	it := cfg.Instance
 	period := it.PeriodHours
@@ -245,9 +248,15 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		s.soloAges = grow(s.soloAges, total)
 		soloAges = s.soloAges
 	}
-	var schedSlab []bool
 	if cfg.RecordSchedules {
-		schedSlab = make([]bool, total*period)
+		// The kernel only ever sets entries, so reused capacity is
+		// cleared first; a fresh allocation is already zero.
+		if cap(s.scheds) < total*period {
+			s.scheds = make([]bool, total*period)
+		} else {
+			s.scheds = s.scheds[:total*period]
+			clear(s.scheds)
+		}
 	}
 	for t := 0; t < horizon; t++ {
 		for i := 1; i <= newRes[t]; i++ {
@@ -266,7 +275,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 				in.ckAges = sharedAges
 			}
 			if cfg.RecordSchedules {
-				in.rec.Schedule = schedSlab[j*period : (j+1)*period : (j+1)*period]
+				in.rec.Schedule = s.scheds[j*period : (j+1)*period : (j+1)*period]
 			}
 		}
 	}

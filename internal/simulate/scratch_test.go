@@ -86,12 +86,13 @@ func scratchCorpus(t *testing.T) []diffCase {
 }
 
 // dirtyScratch returns a Scratch dirtied by a large multi-checkpoint
-// replay that sells everything.
+// replay that sells everything and records every schedule.
 func dirtyScratch(t *testing.T) *Scratch {
 	t.Helper()
 	var s Scratch
 	dirty := diffCase{demand: make([]int, 400), newRes: make([]int, 400), cfg: testConfig(),
 		policy: diffMulti{ages: []int{3, 9, 17, 25}, threshold: 1 << 20}}
+	dirty.cfg.RecordSchedules = true
 	for h := range dirty.demand {
 		dirty.demand[h] = h % 11
 		dirty.newRes[h] = h % 4
@@ -121,14 +122,12 @@ func TestScratchTotalsMatchRun(t *testing.T) {
 
 // TestScratchReplayMatchesRun runs the corpus through one dirty,
 // reused Scratch and holds every Replay to Run: the same totals, and
-// records DeepEqual to Run's instances once Run's schedules are off
-// (Replay ignores RecordSchedules, which half the corpus sets).
+// records DeepEqual to Run's instances, busy schedules included for the
+// half of the corpus that sets RecordSchedules.
 func TestScratchReplayMatchesRun(t *testing.T) {
 	s := dirtyScratch(t)
 	for _, c := range scratchCorpus(t) {
-		cfg := c.cfg
-		cfg.RecordSchedules = false
-		want, wantErr := Run(c.demand, c.newRes, cfg, c.policy)
+		want, wantErr := Run(c.demand, c.newRes, c.cfg, c.policy)
 		got, recs, gotErr := s.Replay(c.demand, c.newRes, c.cfg, c.policy)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Fatalf("%s: error mismatch: replay %v, Run %v", c.name, gotErr, wantErr)
@@ -174,11 +173,10 @@ func TestScratchTotalsErrors(t *testing.T) {
 	}
 }
 
-// TestScratchTotalsZeroAllocs pins the point of the scratch: once warm,
-// a one-year totals or records replay allocates nothing, for a
-// shared-age policy that sells, a per-instance policy and the
-// never-selling baseline.
-func TestScratchTotalsZeroAllocs(t *testing.T) {
+// allocCase is the one-year user the zero-allocation tests replay,
+// with the policy shapes they cover: a shared-age policy that sells, a
+// per-instance policy and the never-selling baseline.
+func allocCase() (demand, newRes []int, cfg Config, policies []namedPolicy) {
 	it := pricing.InstanceType{
 		Name:           "alloc.card",
 		OnDemandHourly: 0.69,
@@ -186,23 +184,32 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 		ReservedHourly: 0.097,
 		PeriodHours:    pricing.HoursPerYear,
 	}
-	demand := make([]int, pricing.HoursPerYear)
-	newRes := make([]int, pricing.HoursPerYear)
+	demand = make([]int, pricing.HoursPerYear)
+	newRes = make([]int, pricing.HoursPerYear)
 	for h := range demand {
 		demand[h] = 5 + h%7
 		if h%500 == 0 {
 			newRes[h] = 3
 		}
 	}
-	cfg := Config{Instance: it, SellingDiscount: 0.8}
-	for _, p := range []struct {
-		name   string
-		policy SellingPolicy
-	}{
+	return demand, newRes, Config{Instance: it, SellingDiscount: 0.8}, []namedPolicy{
 		{"shared-age", diffFixed{age: 3 * it.PeriodHours / 4, threshold: it.PeriodHours / 2}},
 		{"per-instance", diffPerInstance{seed: 7, threshold: it.PeriodHours / 2}},
 		{"keep-reserved", KeepReserved{}},
-	} {
+	}
+}
+
+type namedPolicy struct {
+	name   string
+	policy SellingPolicy
+}
+
+// TestScratchTotalsZeroAllocs pins the point of the scratch: once warm,
+// a one-year totals or records replay allocates nothing, for every
+// allocCase policy.
+func TestScratchTotalsZeroAllocs(t *testing.T) {
+	demand, newRes, cfg, policies := allocCase()
+	for _, p := range policies {
 		var s Scratch
 		if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
 			t.Fatal(err)
@@ -222,6 +229,28 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm records replay made %v allocs, want 0", p.name, allocs)
+		}
+	}
+}
+
+// TestScratchReplaySchedulesZeroAllocs extends the zero-allocation pin
+// to records that carry busy schedules: once warm, a one-year Replay
+// with RecordSchedules set reuses the Scratch's schedule buffer.
+func TestScratchReplaySchedulesZeroAllocs(t *testing.T) {
+	demand, newRes, cfg, policies := allocCase()
+	cfg.RecordSchedules = true
+	for _, p := range policies {
+		var s Scratch
+		if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm replay with schedules made %v allocs, want 0", p.name, allocs)
 		}
 	}
 }

@@ -34,8 +34,11 @@ type Config struct {
 	// paper; set 0.12 to model the seller's actual proceeds.
 	MarketFee float64
 	// RecordSchedules makes the engine retain each instance's hour-by-
-	// hour busy schedule (needed by the offline OPT analysis). Off by
-	// default because schedules are O(instances x period) memory.
+	// hour busy schedule (needed by the offline OPT analysis) in the
+	// InstanceRecords that Run and Scratch.Replay return. Off by default
+	// because schedules are O(instances x period) memory; Replay keeps
+	// them in a Scratch-owned buffer reused by its next replay, and
+	// Scratch.Totals, which returns no records, ignores the flag.
 	RecordSchedules bool
 	// Metrics, when non-nil, receives one RecordRun per completed run
 	// (hours simulated, instances reserved, instances sold) — atomic

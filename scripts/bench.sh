@@ -31,6 +31,7 @@ esac
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace
+	go test -run '^$' -bench '^BenchmarkMeasuredRatio$' -benchmem -cpu 2 -count 5 ./internal/analysis
 } |
 	tee /dev/stderr |
 	go run ./scripts/benchgate "$@"

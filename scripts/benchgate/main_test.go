@@ -171,7 +171,7 @@ func TestCommittedBaseline(t *testing.T) {
 		}
 	}
 	want := []string{"BenchmarkMarketMatch/open=100000", "BenchmarkMarketMatch/open=1000000",
-		"BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on"}
+		"BenchmarkMeasuredRatio", "BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on"}
 	if !slices.Equal(exact, want) {
 		t.Errorf("exact_allocs matches %q, want %q", exact, want)
 	}

@@ -10,7 +10,6 @@ import (
 	"rimarket/internal/obs"
 	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
-	"rimarket/internal/workload"
 )
 
 // AuditResult summarizes a per-instance competitive-ratio audit: every
@@ -57,11 +56,7 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	}
 
 	period := cfg.Instance.PeriodHours
-	traces, err := workload.NewCohort(workload.CohortConfig{
-		PerGroup: cfg.PerGroup,
-		Hours:    2 * period,
-		Seed:     cfg.Seed,
-	})
+	traces, err := synthesize(ctx, cfg, 2*period)
 	if err != nil {
 		return AuditResult{}, err
 	}

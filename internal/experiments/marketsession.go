@@ -235,11 +235,7 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 
 	// The cohort depends only on PerGroup, Hours and Seed, which every
 	// card shares; only the plans differ per card.
-	traces, err := workload.NewCohort(workload.CohortConfig{
-		PerGroup: sc.Base.PerGroup,
-		Hours:    sc.Base.Hours,
-		Seed:     sc.Base.Seed,
-	})
+	traces, err := synthesize(ctx, sc.Base, sc.Base.Hours)
 	if err != nil {
 		return nil, err
 	}

@@ -163,14 +163,14 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 	if sold > 0 && mk.HoursToSale < 0 {
 		t.Errorf("hours-to-sale total %d negative", mk.HoursToSale)
 	}
-	// Spans split the pass: one plan and one sell-event replay per card
-	// inside the session, then one hour loop.
+	// Spans split the pass: one cohort synthesis, one plan and one
+	// sell-event replay per card inside the session, then one hour loop.
 	spans := map[string]int64{}
 	for _, sp := range snap.Spans {
 		spans[sp.Name] = sp.Count
 	}
 	cards := int64(len(sc.Cards))
-	for name, want := range map[string]int64{"market-session": 1, "plan": cards, "sell_events": cards, "session_loop": 1} {
+	for name, want := range map[string]int64{"market-session": 1, "synth": 1, "plan": cards, "sell_events": cards, "session_loop": 1} {
 		if spans[name] != want {
 			t.Errorf("span %q recorded %d times, want %d (spans %+v)", name, spans[name], want, snap.Spans)
 		}

@@ -188,12 +188,12 @@ func TestObsGridAccounting(t *testing.T) {
 	if s.BaselineHits == 0 {
 		t.Error("cohort grid shares a price card across cells; expected baseline cache hits")
 	}
-	// Spans: plan + baseline + at least one grid.
+	// Spans: synth + plan + baseline + at least one grid.
 	spanNames := map[string]bool{}
 	for _, sp := range s.Spans {
 		spanNames[sp.Name] = true
 	}
-	for _, want := range []string{"plan", "baseline", "grid"} {
+	for _, want := range []string{"synth", "plan", "baseline", "grid"} {
 		if !spanNames[want] {
 			t.Errorf("missing span %q in %+v", want, s.Spans)
 		}

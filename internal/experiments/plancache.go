@@ -63,15 +63,23 @@ func NewCohortPlan(ctx context.Context, cfg Config) (*CohortPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	traces, err := workload.NewCohort(workload.CohortConfig{
-		PerGroup: cfg.PerGroup,
-		Hours:    cfg.Hours,
-		Seed:     cfg.Seed,
-	})
+	traces, err := synthesize(ctx, cfg, cfg.Hours)
 	if err != nil {
 		return nil, err
 	}
 	return newPlan(ctx, cfg, traces)
+}
+
+// synthesize builds the config's cohort at the given horizon inside a
+// "synth" span, so run manifests show synthesis apart from planning.
+func synthesize(ctx context.Context, cfg Config, hours int) ([]workload.Trace, error) {
+	sp := obs.StartSpan(ctx, "synth")
+	defer sp.End()
+	return workload.NewCohort(workload.CohortConfig{
+		PerGroup: cfg.PerGroup,
+		Hours:    hours,
+		Seed:     cfg.Seed,
+	})
 }
 
 // PlanTraces builds a plan from externally supplied traces (e.g. real

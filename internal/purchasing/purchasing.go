@@ -23,12 +23,14 @@ import (
 )
 
 // Policy decides how many instances to newly reserve at each hour.
-// PlanReservations calls Reserve exactly once per hour, in order, so
-// implementations may keep internal running state.
+// PlanReservations calls Reserve exactly once per hour, in order from
+// hour 0, so implementations may keep internal running state.
 type Policy interface {
 	// Reserve returns the number of instances to reserve at hour t given
-	// the hour's demand and the number of reservations currently active.
-	// The returned count must be non-negative.
+	// the hour's demand and active, the number of the policy's own
+	// reservations still running at t: PlanReservations counts those
+	// made at hours s with t-periodHours < s < t, so a policy need not
+	// track its own expiries. The returned count must be non-negative.
 	Reserve(t, demand, active int) int
 }
 
@@ -45,20 +47,19 @@ func PlanReservations(demand []int, periodHours int, p Policy) ([]int, error) {
 	}
 	newRes := make([]int, len(demand))
 	active := 0
-	// expiries[i] counts reservations expiring at hour i.
-	expiries := make([]int, len(demand)+periodHours+1)
 	for t, d := range demand {
 		if d < 0 {
 			return nil, fmt.Errorf("purchasing: negative demand %d at hour %d", d, t)
 		}
-		active -= expiries[t]
+		if t >= periodHours { // reservations made at t-periodHours lapse
+			active -= newRes[t-periodHours]
+		}
 		n := p.Reserve(t, d, active)
 		if n < 0 {
 			return nil, fmt.Errorf("purchasing: policy returned negative count %d at hour %d", n, t)
 		}
 		newRes[t] = n
 		active += n
-		expiries[t+periodHours] += n
 	}
 	return newRes, nil
 }
@@ -102,36 +103,42 @@ func (r *Random) Reserve(_, demand, active int) int {
 
 // WangOnline is the deterministic online purchasing algorithm of Wang
 // et al. (ICAC 2013): demand is decomposed into unit levels (level j is
-// occupied at hour t iff d_t >= j); an uncovered level pays on-demand,
-// and once a level's on-demand hours inside a sliding window of one
-// reservation period reach the break-even point
+// occupied at hour t iff d_t > j); a level above the active
+// reservations pays on-demand, and once a level's on-demand hours
+// inside a sliding window of one reservation period reach the
+// break-even point
 //
 //	beta = R / (p * (1 - alpha))
 //
-// the level is covered with a new reservation. BreakEvenScale shrinks
-// beta for the paper's fourth behavior imitator (WangVariant).
+// the level is covered with a new reservation and its window restarts.
+// BreakEvenScale shrinks beta for the paper's fourth behavior imitator
+// (WangVariant).
+//
+// Each level's window is a counter, not a list of hours: hour t charges
+// exactly the levels [active, d_t), so the planner keeps that span per
+// hour for one period and, when the hour leaves the window, decrements
+// the levels it charged that have not restarted since. The active count
+// is the one PlanReservations passes, so plan with the card's own
+// PeriodHours. A WangOnline plans one demand series, on a card that
+// passes InstanceType.Validate.
 type WangOnline struct {
-	// Instance supplies R, p and alpha.
+	// Instance supplies R, p, alpha and the window length PeriodHours.
 	Instance pricing.InstanceType
 	// BreakEvenScale multiplies the break-even point; 1 is the original
 	// algorithm, values in (0, 1) reserve more eagerly. Zero means 1.
 	BreakEvenScale float64
 
-	levels []levelState
-	resExp []pendingExpiry
-	active int
+	beta   float64
+	spans  []span  // spans[t%PeriodHours]: the levels hour t charged
+	levels []level // indexed by demand level
 }
 
-type levelState struct {
-	// hours holds the timestamps of on-demand hours inside the current
-	// window, oldest first.
-	hours []int
-}
+// span is the half-open range of levels one hour charged on-demand.
+type span struct{ lo, hi int }
 
-type pendingExpiry struct {
-	hour  int
-	count int
-}
+// level is one demand level's window: count on-demand hours in the
+// last period, counted from hour since (one past its last reservation).
+type level struct{ count, since int }
 
 // NewWangOnline returns the ICAC'13 online purchasing policy.
 func NewWangOnline(it pricing.InstanceType) *WangOnline {
@@ -155,52 +162,32 @@ func (w *WangOnline) breakEvenHours() float64 {
 	return scale * it.Upfront / (it.OnDemandHourly * (1 - it.Alpha()))
 }
 
-// Reserve implements Policy. The active argument is ignored: the
-// algorithm tracks its own coverage because its decisions depend on
-// which demand levels its own reservations cover.
-func (w *WangOnline) Reserve(t, demand, _ int) int {
-	period := w.Instance.PeriodHours
-	beta := w.breakEvenHours()
-
-	// Expire our own reservations.
-	kept := w.resExp[:0]
-	for _, e := range w.resExp {
-		if e.hour > t {
-			kept = append(kept, e)
-		} else {
-			w.active -= e.count
+// Reserve implements Policy.
+func (w *WangOnline) Reserve(t, demand, active int) int {
+	if w.spans == nil {
+		w.beta = w.breakEvenHours()
+		w.spans = make([]span, w.Instance.PeriodHours)
+	}
+	// Hour t-period leaves the window; its slot, empty during the first
+	// period, becomes hour t's.
+	sp := &w.spans[t%len(w.spans)]
+	for j := sp.lo; j < sp.hi; j++ {
+		if lv := &w.levels[j]; lv.since <= t-len(w.spans) {
+			lv.count--
 		}
 	}
-	w.resExp = kept
-
-	// Grow level state to cover this hour's demand.
 	for len(w.levels) < demand {
-		w.levels = append(w.levels, levelState{})
+		w.levels = append(w.levels, level{})
 	}
-
+	*sp = span{lo: active, hi: demand}
 	reserve := 0
-	covered := w.active
-	for j := 0; j < demand; j++ {
-		if j < covered {
-			continue // served by an active reservation, no on-demand spend
-		}
+	for j := active; j < demand; j++ {
 		lv := &w.levels[j]
-		lv.hours = append(lv.hours, t)
-		// Prune hours that fell out of the window (t-period, t].
-		cut := 0
-		for cut < len(lv.hours) && lv.hours[cut] <= t-period {
-			cut++
-		}
-		lv.hours = lv.hours[cut:]
-		if float64(len(lv.hours)) >= beta {
+		lv.count++
+		if float64(lv.count) >= w.beta {
 			reserve++
-			covered++
-			lv.hours = lv.hours[:0]
+			*lv = level{since: t + 1}
 		}
-	}
-	if reserve > 0 {
-		w.active += reserve
-		w.resExp = append(w.resExp, pendingExpiry{hour: t + period, count: reserve})
 	}
 	return reserve
 }

@@ -18,7 +18,7 @@ import (
 var ErrEmpty = errors.New("stats: empty data set")
 
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
-func Mean(xs []float64) float64 {
+func Mean[T ~int | ~float64](xs []T) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -27,10 +27,10 @@ func Mean(xs []float64) float64 {
 
 // Sum returns the sum of xs using Kahan compensated summation so that
 // long hourly cost series (tens of thousands of terms) do not drift.
-func Sum(xs []float64) float64 {
+func Sum[T ~int | ~float64](xs []T) float64 {
 	var sum, comp float64
 	for _, x := range xs {
-		y := x - comp
+		y := float64(x) - comp
 		t := sum + y
 		comp = (t - sum) - y
 		sum = t
@@ -39,7 +39,7 @@ func Sum(xs []float64) float64 {
 }
 
 // Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
+func Variance[T ~int | ~float64](xs []T) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
@@ -47,21 +47,22 @@ func Variance(xs []float64) float64 {
 	mu := Mean(xs)
 	var acc float64
 	for _, x := range xs {
-		d := x - mu
+		d := float64(x) - mu
 		acc += d * d
 	}
 	return acc / float64(n)
 }
 
 // StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
+func StdDev[T ~int | ~float64](xs []T) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
 // FluctuationRatio returns sigma/mu, the paper's measure of demand
 // fluctuation (Fig. 2). It returns +Inf when the mean is zero but the
-// deviation is not, and 0 for an all-zero or empty series.
-func FluctuationRatio(xs []float64) float64 {
+// deviation is not, and 0 for an all-zero or empty series. An integer
+// series is read in place, bit-identical to its float64 copy.
+func FluctuationRatio[T ~int | ~float64](xs []T) float64 {
 	mu := Mean(xs)
 	sigma := StdDev(xs)
 	if mu == 0 {

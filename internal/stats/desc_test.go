@@ -93,6 +93,42 @@ func TestFluctuationRatio(t *testing.T) {
 	}
 }
 
+// TestFluctuationRatioIntMatchesFloat pins the integer instantiation
+// to the float64 one bit for bit: both sum and square the same float64
+// values in the same order, so a demand series needs no float copy.
+func TestFluctuationRatioIntMatchesFloat(t *testing.T) {
+	near := math.MaxInt32 // 2^31 - 1: fits int on every platform
+	tests := []struct {
+		name string
+		in   []int
+	}{
+		{name: "empty", in: nil},
+		{name: "one hour", in: []int{7}},
+		{name: "all zero", in: []int{0, 0, 0, 0}},
+		{name: "spiky", in: []int{0, 0, 13, 0, 1, 0, 0, 40, 2}},
+		{name: "near 2^31", in: []int{near - 1, near - 3, near, 0, near - 2, 1}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fl := make([]float64, len(tt.in))
+			for i, d := range tt.in {
+				fl[i] = float64(d)
+			}
+			for _, pair := range [][2]float64{
+				{Sum(tt.in), Sum(fl)},
+				{Mean(tt.in), Mean(fl)},
+				{Variance(tt.in), Variance(fl)},
+				{StdDev(tt.in), StdDev(fl)},
+				{FluctuationRatio(tt.in), FluctuationRatio(fl)},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Errorf("int %v (%b) != float64 %v (%b)", pair[0], math.Float64bits(pair[0]), pair[1], math.Float64bits(pair[1]))
+				}
+			}
+		})
+	}
+}
+
 func TestMinMax(t *testing.T) {
 	if _, _, err := MinMax(nil); err != ErrEmpty {
 		t.Fatalf("MinMax(nil) err = %v, want ErrEmpty", err)

@@ -38,9 +38,12 @@ type StableGenerator struct {
 func (g StableGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
 	demand := make([]int, hours)
 	phase := rng.Float64() * 2 * math.Pi
+	var diurnal [24]float64 // the swing repeats daily: one Sin per hour of day
+	for h := range diurnal {
+		diurnal[h] = g.DiurnalAmp * math.Sin(2*math.Pi*float64(h)/24+phase)
+	}
 	for t := range demand {
-		diurnal := g.DiurnalAmp * math.Sin(2*math.Pi*float64(t%24)/24+phase)
-		demand[t] = clampInt(g.Base + diurnal + rng.NormFloat64()*g.Jitter)
+		demand[t] = clampInt(g.Base + diurnal[t%24] + rng.NormFloat64()*g.Jitter)
 	}
 	return Trace{User: user, Demand: demand}
 }
@@ -67,8 +70,12 @@ func (g DiurnalGenerator) Generate(user string, hours int, rng *rand.Rand) Trace
 	if dip <= 0 {
 		dip = 1
 	}
+	var daily [24]float64 // one Sin per hour of day, as in StableGenerator
+	for h := range daily {
+		daily[h] = mid + amp*math.Sin(2*math.Pi*float64(h)/24)
+	}
 	for t := range demand {
-		level := mid + amp*math.Sin(2*math.Pi*float64(t%24)/24)
+		level := daily[t%24]
 		if (t/24)%7 >= 5 { // Saturday, Sunday
 			level *= dip
 		}

@@ -54,7 +54,7 @@ func (tr Trace) Floats() []float64 {
 // FluctuationRatio returns sigma/mu of the demand series, the paper's
 // grouping statistic (Fig. 2).
 func (tr Trace) FluctuationRatio() float64 {
-	return stats.FluctuationRatio(tr.Floats())
+	return stats.FluctuationRatio(tr.Demand)
 }
 
 // MaxDemand returns the largest hourly demand in the trace.

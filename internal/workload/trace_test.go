@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +101,18 @@ func TestClassify(t *testing.T) {
 				t.Errorf("Classify = %v (ratio %v), want %v", got, tt.tr.FluctuationRatio(), tt.want)
 			}
 		})
+	}
+}
+
+// TestClassifyZeroAllocs pins the cohort builder's rejection test at
+// zero allocations: the ratio reads Demand in place.
+func TestClassifyZeroAllocs(t *testing.T) {
+	tr := SpikeTrainForRatio(2, 9).Generate("u", 8760, rand.New(rand.NewSource(1)))
+	if n := testing.AllocsPerRun(20, func() { _ = tr.FluctuationRatio() }); n != 0 {
+		t.Errorf("FluctuationRatio made %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = Classify(tr) }); n != 0 {
+		t.Errorf("Classify made %v allocations, want 0", n)
 	}
 }
 

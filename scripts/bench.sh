@@ -4,7 +4,7 @@
 #   scripts/bench.sh           # check this machine against BENCH.json
 #   scripts/bench.sh -update   # rewrite BENCH.json's rows from the same run
 #
-# CI runs the check. After an intentional engine, scheduler, market or
+# CI runs the check. After an intentional engine, scheduler, planner, market or
 # serving change, refresh on an idle machine and commit BENCH.json. The
 # gate policy (allocs and time tolerances, exact-alloc rows) lives in
 # BENCH.json's header; scripts/benchgate applies it to the minimum over
@@ -32,6 +32,7 @@ esac
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace
 	go test -run '^$' -bench '^BenchmarkMeasuredRatio$' -benchmem -cpu 2 -count 5 ./internal/analysis
+	go test -run '^$' -bench '^BenchmarkPlanReservations$' -benchmem -cpu 2 -count 5 ./internal/purchasing
 } |
 	tee /dev/stderr |
 	go run ./scripts/benchgate "$@"

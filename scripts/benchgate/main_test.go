@@ -171,7 +171,8 @@ func TestCommittedBaseline(t *testing.T) {
 		}
 	}
 	want := []string{"BenchmarkMarketMatch/open=100000", "BenchmarkMarketMatch/open=1000000",
-		"BenchmarkMeasuredRatio", "BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on"}
+		"BenchmarkMeasuredRatio", "BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on",
+		"BenchmarkPlanReservations/wang-online", "BenchmarkPlanReservations/wang-variant"}
 	if !slices.Equal(exact, want) {
 		t.Errorf("exact_allocs matches %q, want %q", exact, want)
 	}

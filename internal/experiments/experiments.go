@@ -183,21 +183,13 @@ func RunTraces(ctx context.Context, cfg Config, traces []workload.Trace) (*Cohor
 // cell per selling policy, with the Keep-Reserved baseline coming from
 // the plan's cache instead of a per-user rerun.
 func (p *CohortPlan) Cohort(ctx context.Context) (*CohortResult, error) {
-	policies, err := buildPolicies(p.cfg)
+	cells, err := p.cohortCells()
 	if err != nil {
 		return nil, err
 	}
-	engCfg := p.engineConfig()
-	keeps, err := p.KeepStats(ctx, engCfg)
+	keeps, err := p.KeepStats(ctx, p.engineConfig())
 	if err != nil {
 		return nil, err
-	}
-	cells := make([]Cell, 0, len(policies)-1)
-	for _, np := range policies {
-		if np.name == PolicyKeep {
-			continue // baseline comes from KeepStats
-		}
-		cells = append(cells, Cell{Name: np.name, Policy: np.policy, Engine: engCfg})
 	}
 	grid, err := p.RunGridNamed(ctx, "cohort", cells)
 	if err != nil {
@@ -212,9 +204,9 @@ func (p *CohortPlan) Cohort(ctx context.Context) (*CohortResult, error) {
 			Fluctuation: u.Trace.FluctuationRatio(),
 			Behavior:    u.Behavior,
 			Reserved:    u.Reserved,
-			Costs:       make(map[string]float64, len(policies)),
-			Normalized:  make(map[string]float64, len(policies)),
-			Sold:        make(map[string]int, len(policies)),
+			Costs:       make(map[string]float64, len(cells)+1),
+			Normalized:  make(map[string]float64, len(cells)+1),
+			Sold:        make(map[string]int, len(cells)+1),
 		}
 		ur.Costs[PolicyKeep] = keeps[i].Total
 		ur.Sold[PolicyKeep] = 0
@@ -233,6 +225,24 @@ func (p *CohortPlan) Cohort(ctx context.Context) (*CohortResult, error) {
 		res.Users[i] = ur
 	}
 	return res, nil
+}
+
+// cohortCells is the cohort grid: one cell per selling policy of the
+// paper's set, every one but Keep-Reserved, whose costs are the
+// baseline itself.
+func (p *CohortPlan) cohortCells() ([]Cell, error) {
+	policies, err := buildPolicies(p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	engCfg := p.engineConfig()
+	cells := make([]Cell, 0, len(policies)-1)
+	for _, np := range policies {
+		if np.name != PolicyKeep {
+			cells = append(cells, Cell{Name: np.name, Policy: np.policy, Engine: engCfg})
+		}
+	}
+	return cells, nil
 }
 
 // namedPolicy pairs a selling policy with its presentation name.

@@ -25,6 +25,36 @@ type ExtensionRow struct {
 // plan's cohort: one grid cell per candidate policy, all sharing the
 // plan's cached reservation plans and Keep-Reserved baseline.
 func (p *CohortPlan) Extensions(ctx context.Context) ([]ExtensionRow, error) {
+	cells, err := p.extensionCells()
+	if err != nil {
+		return nil, err
+	}
+	grid, err := p.RunGridNamed(ctx, "extensions", cells)
+	if err != nil {
+		return nil, err
+	}
+
+	rows := make([]ExtensionRow, len(cells))
+	for i, c := range cells {
+		row := ExtensionRow{
+			Policy:         c.Name,
+			MeanNormalized: grid[i].MeanNorm(),
+			FracSaved:      grid[i].FracSaved(),
+		}
+		for _, v := range grid[i].Norm {
+			if v-1 > row.WorstIncrease {
+				row.WorstIncrease = v - 1
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
+// extensionCells are the comparison's cells: the paper's A_{3T/4} and
+// A_{T/4}, the multi-checkpoint policy and A_{rand} under three
+// fraction distributions.
+func (p *CohortPlan) extensionCells() ([]Cell, error) {
 	cfg := p.cfg
 	a3, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
 	if err != nil {
@@ -53,38 +83,14 @@ func (p *CohortPlan) Extensions(ctx context.Context) ([]ExtensionRow, error) {
 	}
 
 	engCfg := p.engineConfig()
-	policies := []namedPolicy{
-		{name: PolicyA3T4, policy: a3},
-		{name: PolicyAT4, policy: a4},
-		{name: "Multi{T/4,T/2,3T/4}", policy: multi},
-		{name: "A_rand " + randExp.Dist().String(), policy: randExp},
-		{name: "A_rand " + randUni.Dist().String(), policy: randUni},
-		{name: "A_rand " + randPaper.Dist().String(), policy: randPaper},
-	}
-	cells := make([]Cell, len(policies))
-	for i, np := range policies {
-		cells[i] = Cell{Name: np.name, Policy: np.policy, Engine: engCfg}
-	}
-	grid, err := p.RunGridNamed(ctx, "extensions", cells)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]ExtensionRow, len(policies))
-	for i, np := range policies {
-		row := ExtensionRow{
-			Policy:         np.name,
-			MeanNormalized: grid[i].MeanNorm(),
-			FracSaved:      grid[i].FracSaved(),
-		}
-		for _, v := range grid[i].Norm {
-			if v-1 > row.WorstIncrease {
-				row.WorstIncrease = v - 1
-			}
-		}
-		rows[i] = row
-	}
-	return rows, nil
+	return []Cell{
+		{Name: PolicyA3T4, Policy: a3, Engine: engCfg},
+		{Name: PolicyAT4, Policy: a4, Engine: engCfg},
+		{Name: "Multi{T/4,T/2,3T/4}", Policy: multi, Engine: engCfg},
+		{Name: "A_rand " + randExp.Dist().String(), Policy: randExp, Engine: engCfg},
+		{Name: "A_rand " + randUni.Dist().String(), Policy: randUni, Engine: engCfg},
+		{Name: "A_rand " + randPaper.Dist().String(), Policy: randPaper, Engine: engCfg},
+	}, nil
 }
 
 // Extensions evaluates the paper's future-work directions against its

@@ -48,29 +48,20 @@ func (p *CohortPlan) HourResellComparison(ctx context.Context, gammas []float64)
 			return nil, fmt.Errorf("experiments: gamma %v outside [0, 1]", g)
 		}
 	}
-	cfg := p.cfg
-	a3, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
+	cells, err := p.resellCells()
 	if err != nil {
 		return nil, err
 	}
-	a4, err := core.NewAT4(cfg.Instance, cfg.SellingDiscount)
+	keeps, err := p.KeepStats(ctx, cells[0].Engine)
 	if err != nil {
 		return nil, err
 	}
-	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
-	keeps, err := p.KeepStats(ctx, engCfg)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := p.RunGridNamed(ctx, "resell", []Cell{
-		{Name: PolicyA3T4, Policy: a3, Engine: engCfg},
-		{Name: PolicyAT4, Policy: a4, Engine: engCfg},
-	})
+	grid, err := p.RunGridNamed(ctx, "resell", cells)
 	if err != nil {
 		return nil, err
 	}
 
-	od := cfg.Instance.OnDemandHourly
+	od := p.cfg.Instance.OnDemandHourly
 	rows := make([]HourResellRow, 0, len(gammas))
 	for _, gamma := range gammas {
 		var resell, a3n, a4n []float64
@@ -93,6 +84,25 @@ func (p *CohortPlan) HourResellComparison(ctx context.Context, gammas []float64)
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// resellCells are the comparison's two period-selling cells, A_{3T/4}
+// and A_{T/4}, at the plan's discount and no market fee.
+func (p *CohortPlan) resellCells() ([]Cell, error) {
+	cfg := p.cfg
+	a3, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
+	if err != nil {
+		return nil, err
+	}
+	a4, err := core.NewAT4(cfg.Instance, cfg.SellingDiscount)
+	if err != nil {
+		return nil, err
+	}
+	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
+	return []Cell{
+		{Name: PolicyA3T4, Policy: a3, Engine: engCfg},
+		{Name: PolicyAT4, Policy: a4, Engine: engCfg},
+	}, nil
 }
 
 // HourResellComparison evaluates the idle-hour-reselling baseline

@@ -29,21 +29,9 @@ func (p *CohortPlan) Sensitivity(ctx context.Context, discounts, fractions []flo
 	if len(discounts) == 0 || len(fractions) == 0 {
 		return SensitivityGrid{}, fmt.Errorf("experiments: empty sensitivity axes")
 	}
-	cells := make([]Cell, 0, len(discounts)*len(fractions))
-	for _, a := range discounts {
-		engCfg := p.engineConfig()
-		engCfg.SellingDiscount = a
-		for _, k := range fractions {
-			policy, err := core.NewThreshold(p.cfg.Instance, a, k)
-			if err != nil {
-				return SensitivityGrid{}, fmt.Errorf("experiments: cell (a=%v, k=%v): %w", a, k, err)
-			}
-			cells = append(cells, Cell{
-				Name:   fmt.Sprintf("a=%v,k=%v", a, k),
-				Policy: policy,
-				Engine: engCfg,
-			})
-		}
+	cells, err := p.sensitivityCells(discounts, fractions)
+	if err != nil {
+		return SensitivityGrid{}, err
 	}
 	grid, err := p.RunGridNamed(ctx, "sensitivity", cells)
 	if err != nil {
@@ -61,6 +49,28 @@ func (p *CohortPlan) Sensitivity(ctx context.Context, discounts, fractions []flo
 		}
 	}
 	return out, nil
+}
+
+// sensitivityCells are the grid's cells, row-major: A_{kT} at discount
+// a for every (a, k).
+func (p *CohortPlan) sensitivityCells(discounts, fractions []float64) ([]Cell, error) {
+	cells := make([]Cell, 0, len(discounts)*len(fractions))
+	for _, a := range discounts {
+		engCfg := p.engineConfig()
+		engCfg.SellingDiscount = a
+		for _, k := range fractions {
+			policy, err := core.NewThreshold(p.cfg.Instance, a, k)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: cell (a=%v, k=%v): %w", a, k, err)
+			}
+			cells = append(cells, Cell{
+				Name:   fmt.Sprintf("a=%v,k=%v", a, k),
+				Policy: policy,
+				Engine: engCfg,
+			})
+		}
+	}
+	return cells, nil
 }
 
 // Sensitivity runs the full a-by-k grid on one cohort. Reservation

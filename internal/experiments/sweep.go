@@ -39,11 +39,10 @@ func (p *CohortPlan) sweepCells(ctx context.Context, name string, values []float
 	return out, nil
 }
 
-// sweepOver builds the selling policy with mk once per parameter value
-// and evaluates all values on the shared plan. When valueIsDiscount is
-// set, the swept value also replaces the engine's selling discount
-// (income side).
-func (p *CohortPlan) sweepOver(ctx context.Context, name string, values []float64, valueIsDiscount bool, mk func(Config, float64) (simulate.SellingPolicy, error)) ([]SweepPoint, error) {
+// sweepCellsOver builds the selling policy with mk once per parameter
+// value, one grid cell each. When valueIsDiscount is set, the swept
+// value also replaces the engine's selling discount (income side).
+func (p *CohortPlan) sweepCellsOver(values []float64, valueIsDiscount bool, mk func(Config, float64) (simulate.SellingPolicy, error)) ([]Cell, error) {
 	cells := make([]Cell, 0, len(values))
 	for _, v := range values {
 		policy, err := mk(p.cfg, v)
@@ -56,28 +55,25 @@ func (p *CohortPlan) sweepOver(ctx context.Context, name string, values []float6
 		}
 		cells = append(cells, Cell{Name: fmt.Sprintf("value=%v", v), Policy: policy, Engine: engCfg})
 	}
-	return p.sweepCells(ctx, name, values, cells)
+	return cells, nil
 }
 
-// SweepFraction evaluates the generalized A_{kT} across checkpoint
-// fractions on the plan's cohort.
-func (p *CohortPlan) SweepFraction(ctx context.Context, fractions []float64) ([]SweepPoint, error) {
-	return p.sweepOver(ctx, "sweep-k", fractions, false, func(c Config, k float64) (simulate.SellingPolicy, error) {
+// fractionCells are SweepFraction's cells: A_{kT} per fraction k.
+func (p *CohortPlan) fractionCells(fractions []float64) ([]Cell, error) {
+	return p.sweepCellsOver(fractions, false, func(c Config, k float64) (simulate.SellingPolicy, error) {
 		return core.NewThreshold(c.Instance, c.SellingDiscount, k)
 	})
 }
 
-// SweepDiscount evaluates A_{3T/4} across selling discounts a on the
-// plan's cohort.
-func (p *CohortPlan) SweepDiscount(ctx context.Context, discounts []float64) ([]SweepPoint, error) {
-	return p.sweepOver(ctx, "sweep-a", discounts, true, func(c Config, a float64) (simulate.SellingPolicy, error) {
+// discountCells are SweepDiscount's cells: A_{3T/4} per discount a.
+func (p *CohortPlan) discountCells(discounts []float64) ([]Cell, error) {
+	return p.sweepCellsOver(discounts, true, func(c Config, a float64) (simulate.SellingPolicy, error) {
 		return core.NewA3T4(c.Instance, a)
 	})
 }
 
-// SweepMarketFee evaluates A_{3T/4} across marketplace fees on the
-// plan's cohort.
-func (p *CohortPlan) SweepMarketFee(ctx context.Context, fees []float64) ([]SweepPoint, error) {
+// feeCells are SweepMarketFee's cells: A_{3T/4} per market fee.
+func (p *CohortPlan) feeCells(fees []float64) ([]Cell, error) {
 	cells := make([]Cell, 0, len(fees))
 	for _, fee := range fees {
 		policy, err := core.NewA3T4(p.cfg.Instance, p.cfg.SellingDiscount)
@@ -87,6 +83,36 @@ func (p *CohortPlan) SweepMarketFee(ctx context.Context, fees []float64) ([]Swee
 		engCfg := p.engineConfig()
 		engCfg.MarketFee = fee
 		cells = append(cells, Cell{Name: fmt.Sprintf("fee=%v", fee), Policy: policy, Engine: engCfg})
+	}
+	return cells, nil
+}
+
+// SweepFraction evaluates the generalized A_{kT} across checkpoint
+// fractions on the plan's cohort.
+func (p *CohortPlan) SweepFraction(ctx context.Context, fractions []float64) ([]SweepPoint, error) {
+	cells, err := p.fractionCells(fractions)
+	if err != nil {
+		return nil, err
+	}
+	return p.sweepCells(ctx, "sweep-k", fractions, cells)
+}
+
+// SweepDiscount evaluates A_{3T/4} across selling discounts a on the
+// plan's cohort.
+func (p *CohortPlan) SweepDiscount(ctx context.Context, discounts []float64) ([]SweepPoint, error) {
+	cells, err := p.discountCells(discounts)
+	if err != nil {
+		return nil, err
+	}
+	return p.sweepCells(ctx, "sweep-a", discounts, cells)
+}
+
+// SweepMarketFee evaluates A_{3T/4} across marketplace fees on the
+// plan's cohort.
+func (p *CohortPlan) SweepMarketFee(ctx context.Context, fees []float64) ([]SweepPoint, error) {
+	cells, err := p.feeCells(fees)
+	if err != nil {
+		return nil, err
 	}
 	return p.sweepCells(ctx, "sweep-fee", fees, cells)
 }

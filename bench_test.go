@@ -173,7 +173,7 @@ func BenchmarkSweepFraction(b *testing.B) {
 // engineBenchPolicy builds the checkpoint shape for the engine bench
 // matrix: sparse is the paper's single-checkpoint A_{3T/4}; dense is a
 // 16-checkpoint multi-threshold portfolio, stressing the engine's
-// checkpoint event schedule.
+// checkpoint event list.
 func engineBenchPolicy(b *testing.B, it pricing.InstanceType, shape string) simulate.SellingPolicy {
 	b.Helper()
 	switch shape {

@@ -48,8 +48,9 @@ func BenchmarkSensitivityGrid(b *testing.B) {
 }
 
 // BenchmarkSensitivityGridCachedPlan measures only the per-grid cost
-// on a shared plan: planning and baselines are cached, so each
-// iteration pays for the 25 cells alone.
+// on a shared plan: planning is cached, so each iteration pays for the
+// grid alone — one Keep-Reserved trunk per user and the 25 cells
+// resumed from it. scripts/bench.sh gates its time at -cpu 2.
 func BenchmarkSensitivityGridCachedPlan(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		cfg := TestScaleConfig()
@@ -111,8 +112,8 @@ func BenchmarkSweepFractionCachedPlan(b *testing.B) {
 
 // BenchmarkKeepStatsCachedPlan isolates the engine inside the grid
 // substrate: on a cached CohortPlan, KeepStats is a pure fan-out of
-// Scratch.Totals over the cohort, so its time and allocation profile is
-// the engine's — the cost every additional grid cell pays. The cache
+// Keep-Reserved trunks over the cohort, so its time and allocation
+// profile is the engine's — the cost every grid's trunks pay per card. The cache
 // is cleared each iteration by using a fresh engine config edge: we
 // rebuild the plan outside the timer and benchmark one full cohort of
 // engine runs per iteration.
@@ -154,8 +155,9 @@ func BenchmarkCohortPlan(b *testing.B) {
 }
 
 // BenchmarkMillionUsers pushes a 100k-user cohort through one 1-year
-// sweep cell the way the grid does: one Scratch.Totals per user over
-// the worker pool at GOMAXPROCS, one reused Scratch per worker. The
+// sweep cell as full replays, without a grid's shared trunks: one
+// Scratch.Totals per user over the worker pool at GOMAXPROCS, one
+// reused Scratch per worker. The
 // cohort aliases 64 distinct year-long demand patterns (all-reserved
 // plans, A_{3T/4} at a = 0.8) across all users, so the input costs 64
 // traces of memory while the engine still replays every user through

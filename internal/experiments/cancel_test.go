@@ -245,14 +245,14 @@ func TestRunGridCancellation(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var calls atomic.Int64
-				orig := simulateTotals
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+				orig := simulateResume
+				simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
-					return orig(s, demand, newRes, ec, pol)
+					return orig(s, u, pt, ec, pol)
 				}
-				defer func() { simulateTotals = orig }()
+				defer func() { simulateResume = orig }()
 
 				plan.cfg.Parallelism = par
 				got, err := plan.RunGrid(ctx, mkCells())
@@ -326,34 +326,47 @@ func TestKeepStatsNotCachedOnCancel(t *testing.T) {
 	}
 }
 
-// TestGridPanicContained: a panic inside an engine run surfaces as a
-// *JobPanicError from RunGrid — the process survives one poisoned
-// (cell, user) pair.
+// TestGridPanicContained: a panic inside an engine run — a trunk or a
+// resumed cell run — surfaces as a *JobPanicError from RunGrid: the
+// process survives one poisoned (cell, user) pair.
 func TestGridPanicContained(t *testing.T) {
 	plan, err := NewCohortPlan(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := simulateTotals
-	var calls atomic.Int64
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		if calls.Add(1) == 3 {
-			panic("engine bug")
-		}
-		return orig(s, demand, newRes, ec, pol)
-	}
-	defer func() { simulateTotals = orig }()
-
 	policy, err := core.NewA3T4(plan.cfg.Instance, plan.cfg.SellingDiscount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = plan.RunGrid(context.Background(), []Cell{{Name: "probe", Policy: policy, Engine: plan.engineConfig()}})
-	var pe *JobPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *JobPanicError", err)
-	}
-	if pe.Value != "engine bug" {
-		t.Errorf("panic value = %v", pe.Value)
+	origTrunk, origResume := simulateTrunk, simulateResume
+	defer func() { simulateTrunk, simulateResume = origTrunk, origResume }()
+	for _, seam := range []string{"trunk", "resume"} {
+		t.Run(seam, func(t *testing.T) {
+			var calls atomic.Int64
+			simulateTrunk, simulateResume = origTrunk, origResume
+			if seam == "trunk" {
+				simulateTrunk = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, hours []int, pts []simulate.ResumePoint) (simulate.Totals, error) {
+					if calls.Add(1) == 3 {
+						panic("engine bug")
+					}
+					return origTrunk(s, demand, newRes, ec, hours, pts)
+				}
+			} else {
+				simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+					if calls.Add(1) == 3 {
+						panic("engine bug")
+					}
+					return origResume(s, u, pt, ec, pol)
+				}
+			}
+			_, err := plan.RunGrid(context.Background(), []Cell{{Name: "probe", Policy: policy, Engine: plan.engineConfig()}})
+			var pe *JobPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *JobPanicError", err)
+			}
+			if pe.Value != "engine bug" {
+				t.Errorf("panic value = %v", pe.Value)
+			}
+		})
 	}
 }

@@ -155,7 +155,8 @@ type CohortResult struct {
 }
 
 // RunCohort executes the full pipeline: cohort synthesis, reservation
-// planning, and one engine run per (user, selling policy). Cancelling
+// planning, one Keep-Reserved trunk per user and one resumed engine
+// run per (user, selling policy). Cancelling
 // ctx drains in-flight engine runs and surfaces an error satisfying
 // errors.Is(err, context.Canceled).
 func RunCohort(ctx context.Context, cfg Config) (*CohortResult, error) {
@@ -181,17 +182,19 @@ func RunTraces(ctx context.Context, cfg Config, traces []workload.Trace) (*Cohor
 
 // Cohort evaluates the paper's full policy set on the plan: one grid
 // cell per selling policy, with the Keep-Reserved baseline coming from
-// the plan's cache instead of a per-user rerun.
+// the grid's own trunks instead of a per-user rerun.
 func (p *CohortPlan) Cohort(ctx context.Context) (*CohortResult, error) {
 	cells, err := p.cohortCells()
 	if err != nil {
 		return nil, err
 	}
-	keeps, err := p.KeepStats(ctx, p.engineConfig())
+	grid, err := p.RunGridNamed(ctx, "cohort", cells)
 	if err != nil {
 		return nil, err
 	}
-	grid, err := p.RunGridNamed(ctx, "cohort", cells)
+	// The grid's trunks filled the baseline cache; a grid resumed whole
+	// from spill ran none, so this replays Keep-Reserved once.
+	keeps, err := p.KeepStats(ctx, p.engineConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ type ExtensionRow struct {
 
 // Extensions evaluates the paper's future-work directions on the
 // plan's cohort: one grid cell per candidate policy, all sharing the
-// plan's cached reservation plans and Keep-Reserved baseline.
+// plan's cached reservation plans and the grid's Keep-Reserved trunks.
 func (p *CohortPlan) Extensions(ctx context.Context) ([]ExtensionRow, error) {
 	cells, err := p.extensionCells()
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"rimarket/internal/core"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 	"rimarket/internal/purchasing"
@@ -23,6 +22,9 @@ type PlannedUser struct {
 	NewRes []int
 	// Reserved is the total number of instances reserved.
 	Reserved int
+	// firstRes is the hour of the first reservation, -1 if none: the
+	// t0 of simulate.ForkHour.
+	firstRes int
 }
 
 // KeepStat is one user's Keep-Reserved baseline: the quantities every
@@ -128,11 +130,14 @@ func newPlan(ctx context.Context, cfg Config, traces []workload.Trace) (*CohortP
 		if err != nil {
 			return fmt.Errorf("experiments: user %s: %w", tr.User, err)
 		}
-		reserved := 0
-		for _, n := range newRes {
+		reserved, firstRes := 0, -1
+		for t, n := range newRes {
+			if n > 0 && firstRes < 0 {
+				firstRes = t
+			}
 			reserved += n
 		}
-		p.users[i] = PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved}
+		p.users[i] = PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved, firstRes: firstRes}
 		return nil
 	})
 	if err != nil {
@@ -153,8 +158,10 @@ func (p *CohortPlan) Users() []PlannedUser { return p.users }
 
 // KeepStats returns each user's Keep-Reserved baseline under the given
 // engine configuration, computing it at most once per price card (see
-// the cache invariant on CohortPlan.keeps). A cancelled or failed
-// computation is never cached.
+// the cache invariant on CohortPlan.keeps). A grid's trunks fill the
+// cache for every card they replay, so after a grid this is a cache
+// hit; otherwise it runs the trunks without resume points. A cancelled
+// or failed computation is never cached.
 func (p *CohortPlan) KeepStats(ctx context.Context, engCfg simulate.Config) ([]KeepStat, error) {
 	m := obs.FromContext(ctx)
 	p.mu.Lock()
@@ -167,30 +174,14 @@ func (p *CohortPlan) KeepStats(ctx context.Context, engCfg simulate.Config) ([]K
 		return cached, nil
 	}
 	if m != nil {
-		m.BaselineMisses.Add(1)
 		engCfg.Metrics = m.EngineHook()
 	}
-	sp := obs.StartSpan(ctx, "baseline")
-	defer sp.End()
-	out := make([]KeepStat, len(p.users))
-	// One Scratch per pool worker, as in RunGridNamed.
 	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, len(p.users)))
-	_, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(p.users), func(w, i int) error {
-		u := &p.users[i]
-		tot, _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, core.KeepReserved{})
-		if err != nil {
-			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
-		}
-		out[i] = KeepStat{Total: tot.Cost.Total(), IdleHours: tot.IdleHours}
-		return nil
-	})
+	keeps, _, err := p.runTrunks(ctx, []simulate.Config{engCfg}, [][]int{nil}, scratch)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.keeps[engCfg.Instance] = out
-	p.mu.Unlock()
-	return out, nil
+	return keeps[0], nil
 }
 
 // engineConfig is the engine configuration the plan's own experiment

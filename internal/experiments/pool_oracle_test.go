@@ -414,14 +414,14 @@ func TestBatchGridCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var calls atomic.Int64
-			orig := simulateTotals
-			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+			orig := simulateResume
+			simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 				if calls.Add(1) > cancelAfter*users {
 					cancel()
 				}
-				return orig(s, demand, newRes, ec, pol)
+				return orig(s, u, pt, ec, pol)
 			}
-			defer func() { simulateTotals = orig }()
+			defer func() { simulateResume = orig }()
 
 			got, err := plan.RunGrid(ctx, cells)
 			if !errors.Is(err, context.Canceled) {
@@ -485,23 +485,14 @@ func TestBatchSpillInterop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Baselines are per-plan caches, never spilled; warm them so
-			// the instrumented window sees only cell work.
-			warmBaseline(t, rPlan)
-			// Any engine invocation would mean a cell failed to resume.
-			orig := simulateTotals
-			var engineCalls atomic.Int64
-			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-				engineCalls.Add(1)
-				return orig(s, demand, newRes, ec, pol)
-			}
-			defer func() { simulateTotals = orig }()
-
+			// Any engine invocation, trunk or cell run, would mean a cell
+			// failed to resume: a grid resumed whole runs no trunk.
+			trunks, resumes := countEngineRuns(t)
 			got, err := rPlan.RunGrid(context.Background(), resumeCells(t, cfg, rPlan))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := engineCalls.Load(); n != 0 {
+			if n := trunks.Load() + resumes.Load(); n != 0 {
 				t.Fatalf("resume at another worker count recomputed: %d engine calls, want 0", n)
 			}
 			if !reflect.DeepEqual(got, ref) {
@@ -512,10 +503,10 @@ func TestBatchSpillInterop(t *testing.T) {
 }
 
 // TestBatchObsParity pins the counter contract: a planned grid books
-// one pool job per user for planning, one per user for the baseline
-// and one per (cell, user) pair, marks every cell done, and books
-// engine counters equal to what the same runs book through
-// simulate.Run.
+// one pool job per user for planning, one per user for the trunk (the
+// baseline) and one per (cell, user) pair, marks every cell done, and
+// books engine counters equal to what the same runs book through
+// simulate.Run, less the hours each resumed run skips.
 func TestBatchObsParity(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	m := obs.New(obs.SystemClock)
@@ -530,7 +521,10 @@ func TestBatchObsParity(t *testing.T) {
 	}
 	got := m.Snapshot()
 
+	// A resumed run replays only the hours from its fork on, so the
+	// pool books the Run loop's hours less every pair's fork hour.
 	var want obs.EngineMetrics
+	var skipped int64
 	for _, u := range plan.Users() {
 		ec := plan.engineConfig()
 		ec.Metrics = &want
@@ -539,6 +533,8 @@ func TestBatchObsParity(t *testing.T) {
 			ec := c.Engine
 			ec.Metrics = &want
 			oracleRun(t, u, ec, c.Policy)
+			age := simulate.ForkAge(c.Policy, c.Engine.Instance.PeriodHours)
+			skipped += int64(simulate.ForkHour(age, u.firstRes, len(u.Trace.Demand)))
 		}
 	}
 	jobs := int64(plan.Len() * (2 + len(cells)))
@@ -548,11 +544,11 @@ func TestBatchObsParity(t *testing.T) {
 	if got.CellsTotal != int64(len(cells)) || got.CellsDone != int64(len(cells)) {
 		t.Errorf("cells total/done = %d/%d, want %d/%d", got.CellsTotal, got.CellsDone, len(cells), len(cells))
 	}
-	if got.EngineRuns != want.Runs.Value() || got.EngineHours != want.Hours.Value() ||
+	if got.EngineRuns != want.Runs.Value() || got.EngineHours != want.Hours.Value()-skipped ||
 		got.EngineInstances != want.Instances.Value() || got.EngineSold != want.Sold.Value() {
-		t.Errorf("engine counters diverge: pool %d runs/%d hours/%d instances/%d sold, Run loop %d/%d/%d/%d",
+		t.Errorf("engine counters diverge: pool %d runs/%d hours/%d instances/%d sold, Run loop %d/%d-%d/%d/%d",
 			got.EngineRuns, got.EngineHours, got.EngineInstances, got.EngineSold,
-			want.Runs.Value(), want.Hours.Value(), want.Instances.Value(), want.Sold.Value())
+			want.Runs.Value(), want.Hours.Value(), skipped, want.Instances.Value(), want.Sold.Value())
 	}
 }
 

@@ -35,10 +35,10 @@ type HourResellRow struct {
 }
 
 // HourResellComparison evaluates the idle-hour-reselling baseline on
-// the plan's cohort. The baseline's cost is derived from the cached
-// Keep-Reserved baseline: it keeps every reservation and recoups
-// gamma * p per idle reserved hour, so only the two period-selling
-// policies need engine runs.
+// the plan's cohort. The baseline's cost is derived from the
+// Keep-Reserved baseline the grid's trunks cache: it keeps every
+// reservation and recoups gamma * p per idle reserved hour, so only the
+// two period-selling policies need engine runs.
 func (p *CohortPlan) HourResellComparison(ctx context.Context, gammas []float64) ([]HourResellRow, error) {
 	if len(gammas) == 0 {
 		return nil, fmt.Errorf("experiments: no gamma values")
@@ -52,11 +52,11 @@ func (p *CohortPlan) HourResellComparison(ctx context.Context, gammas []float64)
 	if err != nil {
 		return nil, err
 	}
-	keeps, err := p.KeepStats(ctx, cells[0].Engine)
+	grid, err := p.RunGridNamed(ctx, "resell", cells)
 	if err != nil {
 		return nil, err
 	}
-	grid, err := p.RunGridNamed(ctx, "resell", cells)
+	keeps, err := p.KeepStats(ctx, cells[0].Engine) // filled by the grid's trunks
 	if err != nil {
 		return nil, err
 	}

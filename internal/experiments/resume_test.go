@@ -37,8 +37,7 @@ func resumeCells(t *testing.T, cfg Config, plan *CohortPlan) []Cell {
 }
 
 // warmBaseline computes the plan's Keep-Reserved baseline outside the
-// instrumented window, so the simulateTotals hooks below observe (and
-// count) only the grid's own engine runs.
+// instrumented window, so a grid's trunks find the card cached.
 func warmBaseline(t *testing.T, plan *CohortPlan) {
 	t.Helper()
 	if _, err := plan.KeepStats(context.Background(), plan.engineConfig()); err != nil {
@@ -76,15 +75,15 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var calls atomic.Int64
-				orig := simulateTotals
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+				orig := simulateResume
+				simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 					if calls.Add(1) > cancelAfter {
 						cancel()
 					}
-					return orig(s, demand, newRes, ec, pol)
+					return orig(s, u, pt, ec, pol)
 				}
 				_, err = crashPlan.RunGrid(ctx, resumeCells(t, cfg, crashPlan))
-				simulateTotals = orig
+				simulateResume = orig
 				if err == nil {
 					t.Skip("cancellation raced completion; nothing to resume")
 				}
@@ -108,13 +107,7 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				warmBaseline(t, resumePlan)
-				var recomputed atomic.Int64
-				simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-					recomputed.Add(1)
-					return orig(s, demand, newRes, ec, pol)
-				}
-				defer func() { simulateTotals = orig }()
+				trunks, recomputed := countEngineRuns(t)
 				got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 				if err != nil {
 					t.Fatalf("resume failed: %v", err)
@@ -123,10 +116,18 @@ func TestGridCrashResumeDifferential(t *testing.T) {
 
 				// Exactly the cells the crash did not finish are recomputed:
 				// every name in CancelError.Completed was spilled whole.
+				// They need the trunks, one per user, unless none is left.
 				want := int64(len(ref)-len(ce.Completed)) * int64(users)
 				if recomputed.Load() != want {
 					t.Errorf("resume ran the engine %d times, want %d (%d of %d cells resumed)",
 						recomputed.Load(), want, len(ce.Completed), len(ref))
+				}
+				wantTrunks := int64(users)
+				if want == 0 {
+					wantTrunks = 0
+				}
+				if trunks.Load() != wantTrunks {
+					t.Errorf("resume ran %d trunks, want %d", trunks.Load(), wantTrunks)
 				}
 			})
 		}
@@ -158,21 +159,15 @@ func TestGridResumeAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmBaseline(t, resumePlan)
-	var recomputed atomic.Int64
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		recomputed.Add(1)
-		return orig(s, demand, newRes, ec, pol)
-	}
-	defer func() { simulateTotals = orig }()
+	// The baseline stays cold: a grid resumed whole needs no trunk.
+	trunks, recomputed := countEngineRuns(t)
 	got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertGridsEqual(t, got, ref)
-	if recomputed.Load() != 0 {
-		t.Errorf("complete store still triggered %d engine runs", recomputed.Load())
+	if recomputed.Load() != 0 || trunks.Load() != 0 {
+		t.Errorf("complete store still triggered %d resumed runs and %d trunks", recomputed.Load(), trunks.Load())
 	}
 }
 
@@ -213,20 +208,18 @@ func TestGridResumeTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmBaseline(t, resumePlan)
-	var recomputed atomic.Int64
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		recomputed.Add(1)
-		return orig(s, demand, newRes, ec, pol)
-	}
-	defer func() { simulateTotals = orig }()
+	trunks, recomputed := countEngineRuns(t)
 	got, err := resumePlan.RunGrid(context.Background(), resumeCells(t, cfg, resumePlan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertGridsEqual(t, got, ref)
-	if want := int64(resumePlan.Len()); recomputed.Load() != want {
-		t.Errorf("torn tail re-ran the engine %d times, want %d (one cell)", recomputed.Load(), want)
+	users := int64(resumePlan.Len())
+	if recomputed.Load() != users {
+		t.Errorf("torn tail re-ran the engine %d times, want %d (one cell)", recomputed.Load(), users)
+	}
+	if trunks.Load() != users {
+		t.Errorf("torn tail ran %d trunks, want %d (one per user for the lost cell)", trunks.Load(), users)
 	}
 }
 

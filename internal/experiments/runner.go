@@ -32,17 +32,31 @@ func timeEngine[T any](m *obs.Metrics, call func() (T, error)) (T, int64, error)
 	return out, ns, err
 }
 
-// simulateTotals indirects the scratch-reusing engine call the grid and
-// the Keep-Reserved baselines make — one replay on the claiming
-// worker's own Scratch — so tests can count or fail those invocations;
-// production code always calls the real Scratch.Totals.
-var simulateTotals = (*simulate.Scratch).Totals
+// simulateTrunk indirects the Keep-Reserved trunk replays behind the
+// grids and the baselines — one replay per user per price card on the
+// claiming worker's own Scratch — so tests can count, fail or cancel
+// them; production code always calls the real Scratch.Trunk.
+var simulateTrunk = (*simulate.Scratch).Trunk
 
-// obsTotals is simulateTotals under timeEngine. The engine's own
-// RecordRun still fires through cfg.Metrics, so a totals replay counts
-// as one engine run.
-func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, int64, error) {
-	return timeEngine(m, func() (simulate.Totals, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
+// simulateResume indirects a grid cell's engine call: user u's replay
+// resumed from its trunk's point pt. Tests swap it to count, fail or
+// cancel cell runs by user; production code always calls the real
+// Scratch.Resume.
+var simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, error) {
+	return s.Resume(pt, cfg, policy)
+}
+
+// obsTrunk is simulateTrunk under timeEngine. The engine's own
+// RecordRun still fires through cfg.Metrics, so a trunk counts as one
+// engine run.
+func obsTrunk(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, hours []int, pts []simulate.ResumePoint) (simulate.Totals, int64, error) {
+	return timeEngine(m, func() (simulate.Totals, error) { return simulateTrunk(s, demand, newRes, cfg, hours, pts) })
+}
+
+// obsResume is simulateResume under timeEngine; a resume counts as one
+// engine run over the hours it replays.
+func obsResume(m *obs.Metrics, s *simulate.Scratch, u int, pt *simulate.ResumePoint, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, int64, error) {
+	return timeEngine(m, func() (simulate.Totals, error) { return simulateResume(s, u, pt, cfg, policy) })
 }
 
 // simulateReplay indirects the scratch-reusing engine call that also
@@ -200,10 +214,15 @@ func (c CellResult) MeanNorm() float64 { return stats.Mean(c.Norm) }
 func (c CellResult) FracSaved() float64 { return stats.FractionBelow(c.Norm, 1) }
 
 // RunGrid evaluates every (cell, user) pair over the plan's worker
-// pool and returns one CellResult per cell, in cell order. Reservation
-// plans and Keep-Reserved baselines come from the plan's caches, so a
-// grid costs exactly one engine run per pair (plus one baseline run
-// per user for each price card not seen before).
+// pool and returns one CellResult per cell, in cell order. Until a
+// policy's first checkpoint hour its replay is the Keep-Reserved
+// replay, so the grid first runs one Keep-Reserved trunk per user per
+// price card of the pending cells, capturing a resume point at every
+// distinct fork hour (simulate.ForkHour), and then resumes each pair
+// from its user's point: a grid costs one trunk per user per card plus
+// one resumed run per pair. The trunk's totals are the card's
+// Keep-Reserved baseline, which fills the plan's KeepStats cache when
+// the card is not cached yet.
 //
 // When ctx is cancelled mid-grid the in-flight runs are drained and
 // RunGrid returns the fully-completed cells (in cell order) together
@@ -225,20 +244,11 @@ func (p *CohortPlan) RunGrid(ctx context.Context, cells []Cell) ([]CellResult, e
 // recomputed (the store is validated against the grid's config hash,
 // seed, and cell list first — a mismatch is an error, never a merge).
 // Resumed cells count toward CancelError.Completed: they are fully
-// completed, just not by this process.
+// completed, just not by this process, and a grid resumed whole runs
+// no trunk.
 func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell) ([]CellResult, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("experiments: no grid cells")
-	}
-	// Resolve baselines before the fan-out: cells sharing a price card
-	// share one cached baseline computation.
-	keeps := make([][]KeepStat, len(cells))
-	for i, c := range cells {
-		ks, err := p.KeepStats(ctx, c.Engine)
-		if err != nil {
-			return nil, err
-		}
-		keeps[i] = ks
 	}
 	users := len(p.users)
 	out := make([]CellResult, len(cells))
@@ -286,6 +296,49 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 			pending = append(pending, ci)
 		}
 	}
+	// failed ends a grid whose trunk or cell fan-out returned err, with
+	// done the cell fan-out's completion bitmap (nil before it ran). On
+	// a drained cancellation what is spilled so far is complete, so the
+	// store is closed before reporting the whole cells: resumed ones,
+	// and pending ones whose every user is done.
+	failed := func(err error, done []bool) ([]CellResult, error) {
+		ctxErr := ctx.Err()
+		if ctxErr == nil || err != ctxErr {
+			_ = spill.close() // the run already failed; a close error is secondary
+			return nil, err
+		}
+		if cerr := spill.close(); cerr != nil {
+			return nil, cerr
+		}
+		completed := make([]CellResult, 0, len(cells))
+		names := make([]string, 0, len(cells))
+		whole := make([]bool, len(cells))
+		for ci := range cells {
+			whole[ci] = spill != nil && spill.resumed[ci]
+		}
+		for pi, ci := range pending {
+			whole[ci] = done != nil
+			for ui := 0; whole[ci] && ui < users; ui++ {
+				whole[ci] = done[pi*users+ui]
+			}
+		}
+		for ci := range cells {
+			if whole[ci] {
+				completed = append(completed, out[ci])
+				names = append(names, cells[ci].Name)
+			}
+		}
+		return completed, &CancelError{Completed: names, Total: len(cells), Err: ctxErr}
+	}
+	// Each worker replays on its own Scratch, indexed by the worker id
+	// the pool passes, so no scratch is ever shared between goroutines;
+	// the trunk and cell fan-outs share the warm scratches.
+	jobs := len(pending) * users
+	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
+	trunks, err := p.runGridTrunks(ctx, cells, engs, pending, scratch)
+	if err != nil {
+		return failed(err, nil)
+	}
 	// remaining counts each pending cell's outstanding jobs; the worker
 	// whose decrement hits zero owns the cell's spill append. The
 	// atomic decrement orders every user's result write before that
@@ -294,14 +347,11 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 	for _, ci := range pending {
 		remaining[ci].Store(int64(users))
 	}
-	// Each worker replays on its own Scratch, indexed by the worker id
-	// the pool passes, so no scratch is ever shared between goroutines.
-	jobs := len(pending) * users
-	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
 	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, j int) error {
 		ci, ui := pending[j/users], j%users
 		u := &p.users[ui]
-		tot, ns, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engs[ci], cells[ci].Policy)
+		pt, keep := trunks.point(ci, ui)
+		tot, ns, err := obsResume(m, &scratch[w], ui, pt, engs[ci], cells[ci].Policy)
 		if err != nil {
 			return fmt.Errorf("experiments: cell %s: user %s: %w", cells[ci].Name, u.Trace.User, err)
 		}
@@ -309,7 +359,7 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 		cell := &out[ci]
 		cell.Cost[ui] = tot.Cost.Total()
 		cell.Sold[ui] = tot.Sold
-		if keep := keeps[ci][ui].Total; keep != 0 {
+		if keep != 0 {
 			cell.Norm[ui] = tot.Cost.Total() / keep
 		} else {
 			cell.Norm[ui] = 1
@@ -320,38 +370,7 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 		return nil
 	})
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
-			// Drained cleanly after cancellation: what is spilled so
-			// far is complete, so close before reporting.
-			if cerr := spill.close(); cerr != nil {
-				return nil, cerr
-			}
-			completed := make([]CellResult, 0, len(cells))
-			names := make([]string, 0, len(cells))
-			whole := make([]bool, len(cells))
-			for ci := range cells {
-				whole[ci] = spill != nil && spill.resumed[ci]
-			}
-			for pi, ci := range pending {
-				whole[ci] = true
-				for ui := 0; ui < users; ui++ {
-					if !done[pi*users+ui] {
-						whole[ci] = false
-						break
-					}
-				}
-			}
-			for ci := range cells {
-				if whole[ci] {
-					completed = append(completed, out[ci])
-					names = append(names, cells[ci].Name)
-				}
-			}
-			return completed, &CancelError{Completed: names, Total: len(cells), Err: ctxErr}
-		}
-		// The run already failed; the close error, if any, is secondary.
-		_ = spill.close()
-		return nil, err
+		return failed(err, done)
 	}
 	if err := spill.close(); err != nil {
 		return nil, err

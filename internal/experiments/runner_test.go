@@ -136,98 +136,149 @@ func TestRunIndexedAllJobsRunOnSuccess(t *testing.T) {
 }
 
 // TestGridFirstErrorDeterministicAcrossWorkers injects engine failures
-// for two users and asserts the same (lowest-index) user surfaces in
-// the error at every worker count.
+// for two users, once into their trunks and once into their resumed
+// cell runs, and asserts the same (lowest-index) user surfaces in the
+// error at every worker count.
 func TestGridFirstErrorDeterministicAcrossWorkers(t *testing.T) {
 	plan, err := NewCohortPlan(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail := map[*int]string{
-		&plan.users[3].Trace.Demand[0]: plan.users[3].Trace.User,
-		&plan.users[7].Trace.Demand[0]: plan.users[7].Trace.User,
+	failUsers := []int{3, 7}
+	failDemand := map[*int]bool{}
+	for _, u := range failUsers {
+		failDemand[&plan.users[u].Trace.Demand[0]] = true
 	}
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		if _, bad := fail[&demand[0]]; bad {
-			return simulate.Totals{}, errors.New("injected engine failure")
-		}
-		return orig(s, demand, newRes, cfg, pol)
-	}
-	defer func() { simulateTotals = orig }()
-
 	policy, err := core.NewA3T4(plan.cfg.Instance, plan.cfg.SellingDiscount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want string
-	for _, par := range parallelisms() {
-		plan.cfg.Parallelism = par
-		plan.keeps = map[pricing.InstanceType][]KeepStat{} // reset cache so baselines re-run under the hook
-		_, err := plan.RunGrid(context.Background(), []Cell{{Name: "probe", Policy: policy, Engine: plan.engineConfig()}})
-		if err == nil {
-			t.Fatalf("parallelism %d: injected failure not surfaced", par)
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("parallelism %d: error %q differs from serial %q", par, err, want)
-		}
+	origTrunk, origResume := simulateTrunk, simulateResume
+	defer func() { simulateTrunk, simulateResume = origTrunk, origResume }()
+	for _, seam := range []string{"trunk", "resume"} {
+		t.Run(seam, func(t *testing.T) {
+			simulateTrunk, simulateResume = origTrunk, origResume
+			if seam == "trunk" {
+				simulateTrunk = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, hours []int, pts []simulate.ResumePoint) (simulate.Totals, error) {
+					if failDemand[&demand[0]] {
+						return simulate.Totals{}, errors.New("injected engine failure")
+					}
+					return origTrunk(s, demand, newRes, cfg, hours, pts)
+				}
+			} else {
+				simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+					if u == failUsers[0] || u == failUsers[1] {
+						return simulate.Totals{}, errors.New("injected engine failure")
+					}
+					return origResume(s, u, pt, cfg, pol)
+				}
+			}
+			var want string
+			for _, par := range parallelisms() {
+				plan.cfg.Parallelism = par
+				plan.keeps = map[pricing.InstanceType][]KeepStat{} // reset cache so baselines re-run under the hook
+				_, err := plan.RunGrid(context.Background(), []Cell{{Name: "probe", Policy: policy, Engine: plan.engineConfig()}})
+				if err == nil {
+					t.Fatalf("parallelism %d: injected failure not surfaced", par)
+				}
+				if want == "" {
+					want = err.Error()
+				} else if err.Error() != want {
+					t.Fatalf("parallelism %d: error %q differs from serial %q", par, err, want)
+				}
+			}
+			if wantUser := plan.users[failUsers[0]].Trace.User; want == "" || !strings.Contains(want, wantUser) {
+				t.Fatalf("error %q does not name lowest failing user %s", want, wantUser)
+			}
+		})
 	}
-	if wantUser := plan.users[3].Trace.User; want == "" || !strings.Contains(want, wantUser) {
-		t.Fatalf("error %q does not name lowest failing user %s", want, wantUser)
+}
+
+// countEngineRuns swaps both engine seams for counting wrappers until
+// the test ends and returns the trunk and resume counters.
+func countEngineRuns(t *testing.T) (trunks, resumes *atomic.Int64) {
+	t.Helper()
+	trunks, resumes = new(atomic.Int64), new(atomic.Int64)
+	origTrunk, origResume := simulateTrunk, simulateResume
+	simulateTrunk = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, hours []int, pts []simulate.ResumePoint) (simulate.Totals, error) {
+		trunks.Add(1)
+		return origTrunk(s, demand, newRes, cfg, hours, pts)
 	}
+	simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+		resumes.Add(1)
+		return origResume(s, u, pt, cfg, pol)
+	}
+	t.Cleanup(func() { simulateTrunk, simulateResume = origTrunk, origResume })
+	return trunks, resumes
 }
 
 // TestSweepKeepBaselineHoisted is the regression test for the latent
 // per-cell waste in the old sweepOver: the Keep-Reserved baseline does
 // not depend on the swept value, so a sweep over V values must cost
-// exactly users*(V+1) engine runs — V cells plus one hoisted baseline —
-// not users*2V.
+// exactly users*(V+1) engine runs — V resumed cells plus one trunk per
+// user, which is also the baseline — not users*2V.
 func TestSweepKeepBaselineHoisted(t *testing.T) {
-	var calls atomic.Int64
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		calls.Add(1)
-		return orig(s, demand, newRes, cfg, pol)
-	}
-	defer func() { simulateTotals = orig }()
-
+	trunks, resumes := countEngineRuns(t)
 	cfg := smallConfig()
 	values := []float64{0.25, 0.5, 0.75}
 	if _, err := SweepFraction(context.Background(), cfg, values); err != nil {
 		t.Fatal(err)
 	}
-	users := 3 * cfg.PerGroup
-	want := int64(users * (len(values) + 1))
-	if got := calls.Load(); got != want {
-		t.Errorf("sweep over %d values cost %d engine runs, want %d (baseline hoisted out of the cell loop)",
-			len(values), got, want)
+	users := int64(3 * cfg.PerGroup)
+	if got := trunks.Load(); got != users {
+		t.Errorf("sweep ran %d trunks, want one per user (%d)", got, users)
+	}
+	if got, want := resumes.Load(), users*int64(len(values)); got != want {
+		t.Errorf("sweep over %d values resumed %d runs, want %d", len(values), got, want)
 	}
 }
 
 // TestSensitivityRunsOneBaselinePerCard extends the hoist guarantee to
-// the 2D grid: a full a-by-k grid shares one baseline because the
+// the 2D grid: a full a-by-k grid shares one trunk per user because the
 // Keep-Reserved cost only depends on the price card.
 func TestSensitivityRunsOneBaselinePerCard(t *testing.T) {
-	var calls atomic.Int64
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		calls.Add(1)
-		return orig(s, demand, newRes, cfg, pol)
-	}
-	defer func() { simulateTotals = orig }()
-
+	trunks, resumes := countEngineRuns(t)
 	cfg := smallConfig()
 	discounts := []float64{0.2, 0.5, 0.8}
 	fractions := []float64{0.25, 0.75}
 	if _, err := Sensitivity(context.Background(), cfg, discounts, fractions); err != nil {
 		t.Fatal(err)
 	}
-	users := 3 * cfg.PerGroup
-	want := int64(users * (len(discounts)*len(fractions) + 1))
-	if got := calls.Load(); got != want {
-		t.Errorf("grid cost %d engine runs, want %d", got, want)
+	users := int64(3 * cfg.PerGroup)
+	if got := trunks.Load(); got != users {
+		t.Errorf("grid ran %d trunks, want one per user (%d)", got, users)
+	}
+	if got, want := resumes.Load(), users*int64(len(discounts)*len(fractions)); got != want {
+		t.Errorf("grid resumed %d runs, want %d", got, want)
+	}
+}
+
+// TestGridOneTrunkPerUserPerCard pins the trunk count on a two-card
+// grid and the cache it fills: one Keep-Reserved replay per user per
+// card, none again for the cohort's own baseline afterwards.
+func TestGridOneTrunkPerUserPerCard(t *testing.T) {
+	plan, err := NewCohortPlan(context.Background(), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, cards := twoCardCells(t, plan)
+	trunks, resumes := countEngineRuns(t)
+	if _, err := plan.RunGrid(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+	for _, card := range cards {
+		eng := plan.engineConfig()
+		eng.Instance = card
+		if _, err := plan.KeepStats(context.Background(), eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	users := int64(plan.Len())
+	if got, want := trunks.Load(), users*int64(len(cards)); got != want {
+		t.Errorf("two-card grid ran %d trunks, want %d (one per user per card)", got, want)
+	}
+	if got, want := resumes.Load(), users*int64(len(cells)); got != want {
+		t.Errorf("two-card grid resumed %d runs, want %d", got, want)
 	}
 }
 

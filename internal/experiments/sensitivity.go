@@ -21,10 +21,11 @@ type SensitivityGrid struct {
 	Mean [][]float64
 }
 
-// Sensitivity runs the a-by-k grid on the plan's cohort: one engine
-// run per (cell, user), fanned out over the plan's worker pool. The
-// reservation plans and the Keep-Reserved baseline are the plan's
-// cached copies, so repeated grids on one plan cost only the cells.
+// Sensitivity runs the a-by-k grid on the plan's cohort: one
+// Keep-Reserved trunk per user, then one resumed engine run per
+// (cell, user), fanned out over the plan's worker pool. The
+// reservation plans are the plan's cached copies, so repeated grids on
+// one plan cost only the trunks and the cells.
 func (p *CohortPlan) Sensitivity(ctx context.Context, discounts, fractions []float64) (SensitivityGrid, error) {
 	if len(discounts) == 0 || len(fractions) == 0 {
 		return SensitivityGrid{}, fmt.Errorf("experiments: empty sensitivity axes")

@@ -179,13 +179,13 @@ func TestGridSkewDeterminism(t *testing.T) {
 
 	// Make cell 0 heavy: every one of its engine runs spins before
 	// delegating, so worker 0's shard is the hot spot thieves drain.
-	orig := simulateTotals
+	orig := simulateResume
 	var sink atomic.Uint64 // workers run the hook concurrently
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+	simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		sink.Add(uint64(spinWork(0, 50_000)))
-		return orig(s, demand, newRes, ec, pol)
+		return orig(s, u, pt, ec, pol)
 	}
-	defer func() { simulateTotals = orig }()
+	defer func() { simulateResume = orig }()
 
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {

@@ -1,9 +1,12 @@
 package simulate
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+
+	"rimarket/internal/pricing"
 )
 
 // instState is the engine's mutable per-reservation state, stored in
@@ -50,8 +53,8 @@ func appendCheckpointAges(dst []int, policy SellingPolicy, period int) []int {
 }
 
 // validateRun is the shared input validation of Run, Scratch.Totals,
-// Scratch.Replay and the test-only reference engine; all must reject
-// identical inputs identically.
+// Scratch.Replay, Scratch.Trunk and the test-only reference engine;
+// all must reject identical inputs identically.
 func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -74,20 +77,31 @@ func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 	return nil
 }
 
+// batch is one hour's reservations: slab indices [lo, hi), reserved at
+// hour, batch index j-lo+1 for slab index j.
+type batch struct{ hour, lo, hi int }
+
+// event is one checkpoint consultation: slab instance j at hour.
+type event struct{ hour, j int }
+
+// byHour orders checkpoint events by hour alone; a stable sort keeps
+// each hour's events in generation order.
+func byHour(a, b event) int { return cmp.Compare(a.hour, b.hour) }
+
 // Scratch is the replay engine's reusable working memory: the batch
-// offsets, the checkpoint event schedule, the active list, the
-// instance slab, the per-instance age backing, and the instance records
-// and busy schedules Replay returns, which Run would otherwise allocate
-// afresh for every replay. Each replay grows the buffers on demand and
+// list, the checkpoint event list, the active list, the instance slab,
+// the per-instance age backing, and the instance records and busy
+// schedules Replay returns, which Run would otherwise allocate afresh
+// for every replay. Every buffer is sized by the instances replayed,
+// not by the horizon. Each replay grows the buffers on demand and
 // overwrites or clears every element it reads, so nothing leaks from
 // one replay into the next.
 //
 // The zero value is ready to use. A Scratch is not safe for concurrent
 // use: a worker pool gives each goroutine its own.
 type Scratch struct {
-	batchOff   []int
-	evOff      []int
-	events     []int
+	batches    []batch
+	events     []event
 	active     []int
 	slab       []instState
 	soloAges   []int
@@ -135,20 +149,25 @@ func grow[T any](buf []T, n int) []T {
 // instances are always a prefix (head-trim) and each hour's new batch
 // always belongs at the tail (appended in descending batch index), so
 // no per-hour sort is needed. Second, every checkpoint hour is known at
-// activation time, so consultations are bucketed into a per-hour event
-// schedule up front instead of scanning the active list every hour.
-// The whole replay makes O(1) heap allocations: instance state, hour
-// records, checkpoint events and (optionally) schedules live in
+// activation time, so consultations are listed up front, sorted by
+// hour, instead of scanning the active list every hour. The hour loop
+// walks the batch list and the event list with one cursor each, so the
+// set-up is proportional to the instances, not the horizon. The whole
+// replay makes O(1) heap allocations: instance state, hour records,
+// batches, checkpoint events and (optionally) schedules live in
 // pre-sized slabs. Run uses a fresh Scratch, so the Result it returns
-// owns its schedules; Scratch.Totals and Scratch.Replay are the same
-// replay on a caller-owned one.
+// owns its schedules; Scratch.Totals, Scratch.Replay, Scratch.Trunk and
+// Scratch.Resume are the same replay on a caller-owned one.
 func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Result{}, err
 	}
 	var s Scratch
 	res := Result{Hours: make([]HourRecord, len(demand))}
-	tot := s.replay(demand, newRes, cfg, policy, &res)
+	tot, err := s.replay(demand, newRes, cfg, policy, &res, nil, nil)
+	if err != nil {
+		return Result{}, err
+	}
 	res.Cost = tot.Cost
 	res.Instances = make([]InstanceRecord, len(s.slab))
 	for j := range s.slab {
@@ -175,7 +194,8 @@ type Totals struct {
 // Totals replays one user exactly as Run does — same decisions, same
 // float accumulation order, so Cost is bit-identical to Run's — but
 // returns only the lean Totals (Cost, Sold, IdleHours) and
-// materializes neither Hours nor Instances.
+// materializes neither Hours nor Instances. It is the replay loop
+// started at hour 0 with no resume point and no captures.
 // Config.RecordSchedules is ignored, since no schedule is returned.
 // On a warm Scratch whose buffers already fit the input, a replay
 // under a single-checkpoint, per-instance or never-selling policy
@@ -185,7 +205,7 @@ func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy)
 		return Totals{}, err
 	}
 	cfg.RecordSchedules = false // no schedule to return, so none to record
-	return s.replay(demand, newRes, cfg, policy, nil), nil
+	return s.replay(demand, newRes, cfg, policy, nil, nil, nil)
 }
 
 // Replay replays one user exactly as Run does and returns the lean
@@ -201,7 +221,10 @@ func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy)
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Totals{}, nil, err
 	}
-	tot := s.replay(demand, newRes, cfg, policy, nil)
+	tot, err := s.replay(demand, newRes, cfg, policy, nil, nil, nil)
+	if err != nil {
+		return Totals{}, nil, err
+	}
 	// Non-nil even when empty, as Run's Instances are.
 	if s.recs == nil || cap(s.recs) < len(s.slab) {
 		s.recs = make([]InstanceRecord, len(s.slab))
@@ -213,34 +236,183 @@ func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy)
 	return tot, recs, nil
 }
 
-// replay is the engine kernel behind Run, Totals and Replay. Inputs
-// must have passed validateRun. When res is non-nil its len(demand)
-// Hours are written; with cfg.RecordSchedules set each instance's busy
-// schedule is recorded into s.scheds, one period-long window per
-// instance. On return s.slab holds the replay's instances in
-// reservation order.
-func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result) Totals {
+// ResumePoint is a Keep-Reserved replay's state just before one hour:
+// the three cost accumulators, the active list's head and the working
+// time of every instance reserved so far, with the replay's batch list,
+// so resuming neither rescans nor revalidates the series. Until a policy's first
+// checkpoint hour (see ForkHour) its replay is the Keep-Reserved
+// replay hour for hour, so Scratch.Resume can continue it from a point
+// Scratch.Trunk captured instead of replaying those hours again.
+//
+// A point is bound to the demand and reservation series and the price
+// card its trunk validated; it keeps references to the series, which
+// must not change while the point is in use. The zero value is an
+// empty point that Trunk can capture into.
+type ResumePoint struct {
+	hour                        int
+	demand, newRes              []int
+	card                        pricing.InstanceType
+	onDemand, upfront, reserved float64
+	head                        int
+	batches                     []batch // every batch of the trunk's inputs
+	activated                   int     // how many were reserved before hour
+	worked                      []int   // Worked of the instances they hold
+}
+
+// NewResumePoints returns len(caps) empty resume points carved from
+// shared slabs, point i with room for caps[i] instances — a user's
+// reservation count bounds every point of its trunk — so a grid's
+// points cost O(1) allocations and a Trunk capturing into them none.
+func NewResumePoints(caps []int) []ResumePoint {
+	n := 0
+	for _, c := range caps {
+		n += c
+	}
+	worked := make([]int, n)
+	batches := make([]batch, n)
+	pts := make([]ResumePoint, len(caps))
+	off := 0
+	for i, c := range caps {
+		pts[i].worked = worked[off : off : off+c]
+		pts[i].batches = batches[off : off : off+c]
+		off += c
+	}
+	return pts
+}
+
+// Trunk replays the Keep-Reserved policy over the inputs, exactly as
+// Totals does, and captures pts[i] just before hour hours[i]; an hour
+// equal to len(demand) captures the finished replay. hours must be
+// non-decreasing and within [0, len(demand)]. The returned Totals are
+// the Keep-Reserved baseline itself. A point reuses its buffers, so a
+// warm trunk capturing into reused points allocates nothing.
+func (s *Scratch) Trunk(demand, newRes []int, cfg Config, hours []int, pts []ResumePoint) (Totals, error) {
+	if err := validateRun(demand, newRes, cfg, KeepReserved{}); err != nil {
+		return Totals{}, err
+	}
+	if len(hours) != len(pts) {
+		return Totals{}, fmt.Errorf("simulate: %d capture hours for %d resume points", len(hours), len(pts))
+	}
+	for i, h := range hours {
+		if h < 0 || h > len(demand) || (i > 0 && h < hours[i-1]) {
+			return Totals{}, fmt.Errorf("simulate: capture hours %v not non-decreasing within [0, %d]", hours, len(demand))
+		}
+	}
+	for i, h := range hours {
+		pts[i].hour = h
+	}
+	cfg.RecordSchedules = false
+	return s.replay(demand, newRes, cfg, KeepReserved{}, nil, nil, pts)
+}
+
+// Resume continues the trunk replay pt was captured from under policy
+// and returns the Totals that Totals would return for the trunk's
+// inputs under policy, bit for bit. It is valid while the policy
+// consults no instance before pt's hour, which holds for every hour up
+// to ForkHour; a policy due earlier is an error. cfg must carry the
+// trunk's price card; the selling discount and market fee are free,
+// since the trunk never sold. Config.RecordSchedules is ignored. On a
+// warm Scratch a resume allocates nothing.
+func (s *Scratch) Resume(pt *ResumePoint, cfg Config, policy SellingPolicy) (Totals, error) {
+	if err := cfg.Validate(); err != nil {
+		return Totals{}, err
+	}
+	if policy == nil {
+		return Totals{}, fmt.Errorf("simulate: nil selling policy")
+	}
+	if pt.card.PeriodHours == 0 {
+		return Totals{}, fmt.Errorf("simulate: resume point was never captured")
+	}
+	if cfg.Instance != pt.card {
+		return Totals{}, fmt.Errorf("simulate: resume point of card %s resumed under card %s", pt.card.Name, cfg.Instance.Name)
+	}
+	cfg.RecordSchedules = false
+	return s.replay(pt.demand, pt.newRes, cfg, policy, nil, pt, nil)
+}
+
+// ForkAge is how long after a user's first reservation a replay under
+// policy stays the Keep-Reserved replay: the smallest checkpoint age in
+// (0, periodHours) of a shared-age or multi-checkpoint policy, 0 for a
+// PerInstancePolicy, and -1 when the policy never sells (or is nil).
+// It depends on the policy alone, so a grid resolves it once per cell.
+func ForkAge(policy SellingPolicy, periodHours int) int {
+	if policy == nil {
+		return -1
+	}
+	if _, ok := policy.(PerInstancePolicy); ok {
+		return 0
+	}
+	ages := checkpointAges(policy, periodHours)
+	if len(ages) == 0 {
+		return -1
+	}
+	return ages[0]
+}
+
+// ForkHour is the latest hour Resume accepts for a policy of the given
+// ForkAge on a user whose first reservation is at hour firstRes (-1 if
+// the user never reserves): firstRes + forkAge, or the horizon when
+// the policy never sells, the user never reserves or the sum lies
+// beyond it.
+func ForkHour(forkAge, firstRes, horizon int) int {
+	if forkAge < 0 || firstRes < 0 || firstRes+forkAge > horizon {
+		return horizon
+	}
+	return firstRes + forkAge
+}
+
+// replay is the engine kernel behind Run, Totals, Replay, Trunk and
+// Resume: one hour loop, started at hour 0 or, with from set, at
+// from's hour on the state from holds. Inputs must have passed
+// validateRun. When res is non-nil its len(demand) Hours are written;
+// with cfg.RecordSchedules set each instance's busy schedule is
+// recorded into s.scheds, one period-long window per instance. Each
+// capture point, whose hour is preset, is filled just before its hour.
+// On return s.slab holds the replay's instances in reservation order.
+// The only error is a resume point later than the policy's first
+// checkpoint.
+func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result, from *ResumePoint, capture []ResumePoint) (Totals, error) {
 	it := cfg.Instance
 	period := it.PeriodHours
 	alphaHourly := it.ReservedHourly
 	horizon := len(demand)
+	recordSchedules := cfg.RecordSchedules
 
 	s.sharedAges = appendCheckpointAges(s.sharedAges, policy, period)
 	sharedAges := s.sharedAges
 	perInst, isPerInstance := policy.(PerInstancePolicy)
 
-	// Slab of all instances ever reserved, in reservation order (start
-	// ascending, batch index ascending). batchOff[t]..batchOff[t+1] is
-	// hour t's batch.
-	total := 0
-	s.batchOff = grow(s.batchOff, horizon+1)
-	batchOff := s.batchOff
-	for t, n := range newRes {
-		batchOff[t] = total
-		total += n
+	// Batch list: one entry per hour with reservations, counted first
+	// so it is sized exactly; a resume point carries its trunk's.
+	t0 := 0
+	var batches []batch
+	if from != nil {
+		t0, batches = from.hour, from.batches
+	} else {
+		nb := 0
+		for _, n := range newRes {
+			if n > 0 {
+				nb++
+			}
+		}
+		s.batches = grow(s.batches, nb)
+		batches = s.batches
+		bi, lo := 0, 0
+		for t, n := range newRes {
+			if n > 0 {
+				batches[bi] = batch{hour: t, lo: lo, hi: lo + n}
+				bi++
+				lo += n
+			}
+		}
 	}
-	batchOff[horizon] = total
+	total := 0
+	if len(batches) > 0 {
+		total = batches[len(batches)-1].hi
+	}
 
+	// Slab of all instances ever reserved, in reservation order (start
+	// ascending, batch index ascending).
 	s.slab = grow(s.slab, total)
 	slab := s.slab
 	var soloAges []int // backing for per-instance single-age slices
@@ -248,7 +420,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		s.soloAges = grow(s.soloAges, total)
 		soloAges = s.soloAges
 	}
-	if cfg.RecordSchedules {
+	if recordSchedules {
 		// The kernel only ever sets entries, so reused capacity is
 		// cleared first; a fresh allocation is already zero.
 		if cap(s.scheds) < total*period {
@@ -258,65 +430,54 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 			clear(s.scheds)
 		}
 	}
-	for t := 0; t < horizon; t++ {
-		for i := 1; i <= newRes[t]; i++ {
-			j := batchOff[t] + i - 1
+	for _, b := range batches {
+		for j := b.lo; j < b.hi; j++ {
 			in := &slab[j]
 			*in = instState{
-				rec:    InstanceRecord{Start: t, BatchIndex: i, SoldAt: -1, WorkedAtCheckpoint: -1},
-				expiry: t + period,
+				rec:    InstanceRecord{Start: b.hour, BatchIndex: j - b.lo + 1, SoldAt: -1, WorkedAtCheckpoint: -1},
+				expiry: b.hour + period,
 			}
 			if isPerInstance {
-				if age := perInst.InstanceCheckpointAge(t, i, period); age > 0 && age < period {
+				if age := perInst.InstanceCheckpointAge(b.hour, j-b.lo+1, period); age > 0 && age < period {
 					soloAges[j] = age
 					in.ckAges = soloAges[j : j+1 : j+1]
 				}
 			} else {
 				in.ckAges = sharedAges
 			}
-			if cfg.RecordSchedules {
+			if recordSchedules {
 				in.rec.Schedule = s.scheds[j*period : (j+1)*period : (j+1)*period]
 			}
 		}
 	}
 
-	// Checkpoint event schedule: for each hour, the slab indices of the
-	// instances with a decision age falling on that hour, in working-
-	// sequence order (start ascending, batch index descending — the
-	// order the reference engine consults them in). Built with one
-	// counting pass and one fill pass over two shared arrays.
-	var evOff []int // evOff[t]..evOff[t+1] indexes events for hour t
-	var events []int
-	hasEvents := total > 0 && (len(sharedAges) > 0 || isPerInstance)
-	if hasEvents {
-		s.evOff = grow(s.evOff, horizon+2)
-		evOff = s.evOff
-		clear(evOff)
-		for j := range slab {
-			in := &slab[j]
-			for _, a := range in.ckAges {
-				if h := in.rec.Start + a; h < horizon {
-					evOff[h+2]++
-				}
-			}
+	// Checkpoint events, generated in working-sequence order (start
+	// ascending, batch index descending — the order the reference
+	// engine consults them in) and stably sorted by hour, so each
+	// hour's events keep that order.
+	var events []event
+	if total > 0 && (len(sharedAges) > 0 || isPerInstance) {
+		n := total
+		if !isPerInstance {
+			n *= len(sharedAges)
 		}
-		for t := 2; t <= horizon+1; t++ {
-			evOff[t] += evOff[t-1]
-		}
-		s.events = grow(s.events, evOff[horizon+1])
-		events = s.events
-		// Fill in (start asc, batch index desc) order so each bucket
-		// comes out in working-sequence order; evOff[t+1] doubles as the
-		// running fill cursor for hour t and ends at its final value.
-		for t := 0; t < horizon; t++ {
-			for j := batchOff[t+1] - 1; j >= batchOff[t]; j-- {
+		events = grow(s.events, n)[:0]
+		for _, b := range batches {
+			for j := b.hi - 1; j >= b.lo; j-- {
 				for _, a := range slab[j].ckAges {
-					if h := t + a; h < horizon {
-						events[evOff[h+1]] = j
-						evOff[h+1]++
+					if h := b.hour + a; h < horizon {
+						events = append(events, event{hour: h, j: j})
 					}
 				}
 			}
+		}
+		s.events = events
+		if !slices.IsSortedFunc(events, byHour) {
+			slices.SortStableFunc(events, byHour)
+		}
+		if len(events) > 0 && events[0].hour < t0 {
+			return Totals{}, fmt.Errorf("simulate: policy consults an instance at hour %d, before resume hour %d",
+				events[0].hour, t0)
 		}
 	}
 
@@ -338,8 +499,37 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 	}
 	active := s.active[:0]
 	head := 0
+	bi := 0 // next batch to activate
+	if from != nil {
+		// Before from's hour nothing sold, so the active list is every
+		// batch so far in activation order, and from knows its head.
+		for _, b := range batches[:from.activated] {
+			for j := b.hi - 1; j >= b.lo; j-- {
+				active = append(active, j)
+			}
+		}
+		for j, w := range from.worked {
+			slab[j].rec.Worked = w
+		}
+		bi, head = from.activated, from.head
+		onDemandCost, upfrontCost, reservedCost = from.onDemand, from.upfront, from.reserved
+	}
+	ei := 0 // next checkpoint event
+	ci, nextCapture := 0, horizon+1
+	if len(capture) > 0 {
+		nextCapture = capture[0].hour
+	}
 
-	for t := 0; t < horizon; t++ {
+	for t := t0; t < horizon; t++ {
+		for t == nextCapture {
+			capture[ci].capture(demand, newRes, it, onDemandCost, upfrontCost, reservedCost, head, batches, bi, slab)
+			ci++
+			nextCapture = horizon + 1
+			if ci < len(capture) {
+				nextCapture = capture[ci].hour
+			}
+		}
+
 		// Drop expired instances: always a prefix of the window.
 		for head < len(active) && slab[active[head]].expiry <= t {
 			head++
@@ -349,15 +539,23 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		// active started earlier (less remaining period), and within the
 		// batch the higher index works first, so the batch is appended
 		// at the tail in descending index order.
-		for j := batchOff[t+1] - 1; j >= batchOff[t]; j-- {
-			active = append(active, j)
+		if bi < len(batches) && batches[bi].hour == t {
+			b := batches[bi]
+			bi++
+			for j := b.hi - 1; j >= b.lo; j-- {
+				active = append(active, j)
+			}
 		}
 
 		// 2. Selling checkpoints: only the instances scheduled for hour t.
 		var soldNow int
 		var income float64
-		if hasEvents && evOff[t] < evOff[t+1] {
-			active, soldNow, income = checkpoints(t, events[evOff[t]:evOff[t+1]], slab, active, head, policy, &cfg)
+		if ei < len(events) && events[ei].hour == t {
+			due := ei
+			for ei < len(events) && events[ei].hour == t {
+				ei++
+			}
+			active, soldNow, income = checkpoints(t, events[due:ei], slab, active, head, policy, &cfg)
 			sold += soldNow
 		}
 
@@ -371,7 +569,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		for _, j := range win[:busy] {
 			in := &slab[j]
 			in.rec.Worked++
-			if cfg.RecordSchedules {
+			if recordSchedules {
 				in.rec.Schedule[t-in.rec.Start] = true
 			}
 		}
@@ -395,6 +593,9 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		reservedCost += float64(len(win)) * alphaHourly
 		saleIncome += income
 	}
+	for ; ci < len(capture); ci++ {
+		capture[ci].capture(demand, newRes, it, onDemandCost, upfrontCost, reservedCost, head, batches, bi, slab)
+	}
 
 	// Idle hours: every active instance-hour that served no demand,
 	// summed per instance from its lifetime and working hours.
@@ -407,7 +608,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		}
 		idle += end - in.rec.Start - in.rec.Worked
 	}
-	cfg.Metrics.RecordRun(horizon, total, sold)
+	cfg.Metrics.RecordRun(horizon-t0, total, sold)
 	return Totals{
 		Cost: CostBreakdown{
 			OnDemand:       onDemandCost,
@@ -417,6 +618,24 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		},
 		Sold:      sold,
 		IdleHours: idle,
+	}, nil
+}
+
+// capture fills pt from a never-selling replay's state just before
+// pt's hour: the accumulators, the head, the replay's batches, how many
+// of them are active and their instances' working time. It reuses pt's
+// buffers.
+func (pt *ResumePoint) capture(demand, newRes []int, card pricing.InstanceType, onDemand, upfront, reserved float64, head int, batches []batch, activated int, slab []instState) {
+	pt.demand, pt.newRes, pt.card = demand, newRes, card
+	pt.onDemand, pt.upfront, pt.reserved = onDemand, upfront, reserved
+	pt.head = head
+	pt.batches = append(pt.batches[:0], batches...)
+	pt.activated = activated
+	pt.worked = pt.worked[:0]
+	if activated > 0 {
+		for j := range batches[activated-1].hi {
+			pt.worked = append(pt.worked, slab[j].rec.Worked)
+		}
 	}
 }
 
@@ -426,13 +645,13 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 // active list, the number sold and the hour's sale income. Only hours
 // with a due checkpoint call it, which keeps its state out of the
 // every-hour path's registers.
-func checkpoints(t int, due []int, slab []instState, active []int, head int, policy SellingPolicy, cfg *Config) ([]int, int, float64) {
+func checkpoints(t int, due []event, slab []instState, active []int, head int, policy SellingPolicy, cfg *Config) ([]int, int, float64) {
 	period := cfg.Instance.PeriodHours
 	saleKeep := 1 - cfg.MarketFee
 	var soldNow int
 	var income float64
-	for _, j := range due {
-		in := &slab[j]
+	for _, e := range due {
+		in := &slab[e.j]
 		if in.sold || in.nextCk >= len(in.ckAges) || t-in.rec.Start != in.ckAges[in.nextCk] {
 			continue
 		}

@@ -11,8 +11,9 @@ import (
 // demand/reservation series, price cards and policy shapes, and checks
 // that it (a) never panics, (b) conserves the Eq. (1) accounting
 // identities, (c) stays field-for-field identical to the reference
-// engine, and (d) agrees bit for bit with Scratch.Totals on one Scratch
-// reused, dirty, across every input the fuzzer feeds this process.
+// engine, (d) agrees bit for bit with Scratch.Totals on one Scratch
+// reused, dirty, across every input the fuzzer feeds this process, and
+// (e) agrees with a Keep-Reserved trunk resumed at the fork hour.
 // Seed corpus lives in testdata/fuzz/FuzzEngineRun.
 func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 7, 1}, []byte{1, 0, 2}, byte(40), byte(80), byte(12), byte(1), byte(10))
@@ -22,6 +23,7 @@ func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 4, 4, 4}, []byte{0, 3, 0, 3}, byte(5), byte(75), byte(30), byte(10), byte(4))
 
 	var scratch Scratch // inputs run one at a time per process
+	forkPoint := make([]ResumePoint, 1)
 	f.Fuzz(func(t *testing.T, demandB, resB []byte, periodB, discountB, feeB, shapeB, ageB byte) {
 		n := len(demandB)
 		if n > 300 {
@@ -134,5 +136,17 @@ func FuzzEngineRun(f *testing.F) {
 			t.Fatalf("Totals rejected input Run accepted: %v", err)
 		}
 		assertTotalsIdentical(t, tot, totalsFromRun(res))
+
+		// Resume oracle: a Keep-Reserved trunk captured at the fork hour
+		// and resumed under the policy carries the same totals.
+		fork := ForkHour(ForkAge(policy, period), firstReservation(newRes), n)
+		if _, err := scratch.Trunk(demand, newRes, cfg, []int{fork}, forkPoint); err != nil {
+			t.Fatalf("Trunk rejected input Run accepted: %v", err)
+		}
+		resumed, err := scratch.Resume(&forkPoint[0], cfg, policy)
+		if err != nil {
+			t.Fatalf("resume at fork hour %d: %v", fork, err)
+		}
+		assertTotalsIdentical(t, resumed, tot)
 	})
 }

@@ -254,3 +254,162 @@ func TestScratchReplaySchedulesZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// firstReservation is the hour of newRes's first reservation, or -1.
+func firstReservation(newRes []int) int {
+	for t, n := range newRes {
+		if n > 0 {
+			return t
+		}
+	}
+	return -1
+}
+
+// forkOf is the case's ForkHour, resolved as a grid resolves it.
+func forkOf(c diffCase) int {
+	return ForkHour(ForkAge(c.policy, c.cfg.Instance.PeriodHours), firstReservation(c.newRes), len(c.demand))
+}
+
+// TestScratchResumeMatchesTotals holds the trunk/resume split to the
+// plain replay: over the corpus, on one dirty reused Scratch and three
+// reused resume points, a Keep-Reserved trunk's totals equal
+// Totals(KeepReserved), and resuming at hours 0, fork/2 and fork
+// equals Totals under the case's policy bit for bit. Where the fork is
+// a shared-age checkpoint hour, resuming one hour later is rejected,
+// so ForkHour is as late as a resume can go.
+func TestScratchResumeMatchesTotals(t *testing.T) {
+	s := dirtyScratch(t)
+	pts := make([]ResumePoint, 3)
+	resumed := 0
+	for _, c := range scratchCorpus(t) {
+		want, err := Run(c.demand, c.newRes, c.cfg, c.policy)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		keep, err := Run(c.demand, c.newRes, c.cfg, KeepReserved{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fork := forkOf(c)
+		hours := []int{0, fork / 2, fork}
+		t.Run(c.name, func(t *testing.T) {
+			trunk, err := s.Trunk(c.demand, c.newRes, c.cfg, hours, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTotalsIdentical(t, trunk, totalsFromRun(keep))
+			for i := range pts {
+				if pts[i].hour != hours[i] {
+					t.Fatalf("point %d at hour %d, want %d", i, pts[i].hour, hours[i])
+				}
+				got, err := s.Resume(&pts[i], c.cfg, c.policy)
+				if err != nil {
+					t.Fatalf("resume at hour %d (fork %d): %v", hours[i], fork, err)
+				}
+				assertTotalsIdentical(t, got, totalsFromRun(want))
+				resumed++
+			}
+			_, isPerInstance := c.policy.(PerInstancePolicy)
+			if isPerInstance || fork >= len(c.demand) {
+				return
+			}
+			late := []ResumePoint{{}}
+			if _, err := s.Trunk(c.demand, c.newRes, c.cfg, []int{fork + 1}, late); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Resume(&late[0], c.cfg, c.policy); err == nil {
+				t.Fatalf("resume at hour %d, one past the fork, was accepted", fork+1)
+			}
+		})
+	}
+	if resumed < 750 {
+		t.Fatalf("only %d resumes checked, want the whole corpus at three hours", resumed)
+	}
+}
+
+// TestScratchResumeErrors pins the resume step's validation: it checks
+// cfg and policy as Totals does, refuses a point never captured or one
+// captured under another price card, and Trunk refuses capture hours
+// out of order or past the horizon.
+func TestScratchResumeErrors(t *testing.T) {
+	var s Scratch
+	cfg := testConfig()
+	demand, newRes := []int{3, 1, 4, 1, 5}, []int{2, 0, 1, 0, 0}
+	pts := make([]ResumePoint, 1)
+	if _, err := s.Trunk(demand, newRes, cfg, []int{0}, pts); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Instance.Name = "other.card"
+	bad := cfg
+	bad.SellingDiscount = 2
+	for _, c := range []struct {
+		name   string
+		pt     *ResumePoint
+		cfg    Config
+		policy SellingPolicy
+	}{
+		{"bad cfg", &pts[0], bad, KeepReserved{}},
+		{"nil policy", &pts[0], cfg, nil},
+		{"never captured", &ResumePoint{}, cfg, KeepReserved{}},
+		{"other card", &pts[0], other, KeepReserved{}},
+	} {
+		if _, err := s.Resume(c.pt, c.cfg, c.policy); err == nil {
+			t.Errorf("%s: resume accepted", c.name)
+		}
+	}
+	for _, hours := range [][]int{{3, 2}, {-1}, {6}} {
+		if _, err := s.Trunk(demand, newRes, cfg, hours, make([]ResumePoint, len(hours))); err == nil {
+			t.Errorf("capture hours %v accepted", hours)
+		}
+	}
+	if _, err := s.Trunk(demand, newRes, cfg, []int{1}, nil); err == nil {
+		t.Error("more capture hours than points accepted")
+	}
+	if _, err := s.Trunk([]int{-1}, []int{0}, cfg, nil, nil); err == nil {
+		t.Error("trunk accepted negative demand")
+	}
+}
+
+// TestScratchResumeZeroAllocs pins the trunk/resume path at zero
+// allocations once warm: a one-year trunk capturing into reused points
+// carved by NewResumePoints, and a resume from each point, for every
+// allocCase policy.
+func TestScratchResumeZeroAllocs(t *testing.T) {
+	demand, newRes, cfg, policies := allocCase()
+	reserved := 0
+	for _, n := range newRes {
+		reserved += n
+	}
+	first := firstReservation(newRes)
+	for _, p := range policies {
+		fork := ForkHour(ForkAge(p.policy, cfg.Instance.PeriodHours), first, len(demand))
+		hours := []int{0, fork / 2, fork}
+		pts := NewResumePoints([]int{reserved, reserved, reserved})
+		var s Scratch
+		if _, err := s.Trunk(demand, newRes, cfg, hours, pts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Resume(&pts[0], cfg, p.policy); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.Trunk(demand, newRes, cfg, hours, pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm trunk capture made %v allocs, want 0", p.name, allocs)
+		}
+		for i := range pts {
+			allocs = testing.AllocsPerRun(20, func() {
+				if _, err := s.Resume(&pts[i], cfg, p.policy); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: warm resume at hour %d made %v allocs, want 0", p.name, hours[i], allocs)
+			}
+		}
+	}
+}

@@ -11,7 +11,9 @@
 # repeats and exits 0 within tolerance or on a written baseline, 1 on a
 # regression or bad input, 2 on misuse.
 #
-# Each benchmark's doc comment says what its rows guard. MillionUsers
+# Each benchmark's doc comment says what its rows guard;
+# SensitivityGridCachedPlan holds a whole grid's wall time, trunks and
+# resumed cells, on a cached plan. MillionUsers
 # takes seconds per op, so it repeats twice; MarketMatch runs a fixed op
 # count so the book's depth, and so its allocs/op, are deterministic.
 #
@@ -27,7 +29,7 @@ case "$*" in
 esac
 
 {
-	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
+	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace

@@ -100,10 +100,11 @@ func TestResumeConfigMismatch(t *testing.T) {
 // invocation must print stdout byte-identical to a never-interrupted
 // run while the manifest records the resumed-vs-recomputed split.
 func TestSpillInterruptAndResume(t *testing.T) {
-	// A larger cohort than the other spill tests: the run must outlive
-	// the watcher goroutine's signal, or there is nothing to resume.
+	// A larger cohort than the other spill tests, on one grid worker so
+	// a core stays free for the watcher goroutine and the signal path:
+	// the run must outlive the signal, or there is nothing to resume.
 	interruptArgs := func(extra ...string) []string {
-		return append([]string{"-exp", "sensitivity", "-pergroup", "12", "-seed", "11"}, extra...)
+		return append([]string{"-exp", "sensitivity", "-pergroup", "12", "-parallelism", "1", "-seed", "11"}, extra...)
 	}
 	ref, _, err := runObs(t, interruptArgs())
 	if err != nil {

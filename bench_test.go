@@ -267,7 +267,10 @@ func BenchmarkSellingDecision(b *testing.B) {
 }
 
 // BenchmarkCohortSynthesis isolates the workload substrate: a 300-user
-// cohort like the paper's, at a 60-day horizon.
+// cohort like the paper's, at a 60-day horizon. Synthesis is
+// single-threaded and its user names bypass fmt's pooled printers, so
+// its allocs/op do not depend on when the garbage collector runs;
+// scripts/bench.sh gates them exactly.
 func BenchmarkCohortSynthesis(b *testing.B) {
 	cfg := workload.CohortConfig{PerGroup: 100, Hours: 1460, Seed: 2018}
 	b.ReportAllocs()

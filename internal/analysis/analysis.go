@@ -121,19 +121,14 @@ func BoundForInstance(it pricing.InstanceType, k, a float64) (Bound, error) {
 // restricted offline OPT (which sells no earlier than the checkpoint,
 // per Section IV.C) on one instance's busy schedule and returns
 // onlineCost / optCost under the proofs' accounting (BillWhenUsed).
+// Both costs come from one count of the schedule (core.CompetitiveCosts)
+// in one market: a must equal policy.Discount(), or MeasuredRatio
+// returns an error rather than a ratio of two markets.
 func MeasuredRatio(schedule []bool, policy core.Threshold, a float64) (float64, error) {
-	it := policy.Instance()
-	params := core.OfflineParams{
-		Instance:        it,
-		SellingDiscount: a,
-		Billing:         core.BillWhenUsed,
-		MinSellAge:      policy.CheckpointAge(it.PeriodHours),
+	if a != policy.Discount() {
+		return 0, fmt.Errorf("analysis: selling discount %v differs from the policy's %v", a, policy.Discount())
 	}
-	opt, err := core.OptimalSell(schedule, params)
-	if err != nil {
-		return 0, err
-	}
-	online, err := core.ThresholdCost(schedule, policy, core.BillWhenUsed)
+	online, opt, err := core.CompetitiveCosts(schedule, policy, core.BillWhenUsed)
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +140,8 @@ func MeasuredRatio(schedule []bool, policy core.Threshold, a float64) (float64, 
 
 // VerifyBound checks that the measured online/OPT ratio on the given
 // schedule does not exceed the proven bound for the instance (with its
-// own alpha and theta). It returns the measured ratio and the bound.
+// own alpha and theta). It returns the measured ratio and the bound. As
+// in MeasuredRatio, a must equal policy.Discount().
 func VerifyBound(schedule []bool, policy core.Threshold, a float64) (measured float64, bound Bound, err error) {
 	it := policy.Instance()
 	bound, err = BoundForInstance(it, policy.Fraction(), a)

@@ -53,6 +53,29 @@ func TestMeasuredRatioErrors(t *testing.T) {
 	}
 }
 
+// TestMeasuredRatioDiscountMismatch: the online cost is priced at the
+// policy's own discount, so an a that differs from it would divide the
+// costs of two markets; MeasuredRatio and VerifyBound refuse it.
+func TestMeasuredRatioDiscountMismatch(t *testing.T) {
+	it := cardTheta2()
+	policy, err := core.NewAT2(it, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := make([]bool, it.PeriodHours)
+	if _, err := MeasuredRatio(sched, policy, 0.5); err == nil {
+		t.Error("MeasuredRatio accepted a = 0.5 for a policy built at 0.8")
+	} else if !strings.Contains(err.Error(), "differs") {
+		t.Errorf("error %q does not name the mismatch", err)
+	}
+	if _, _, err := VerifyBound(sched, policy, 0.5); err == nil {
+		t.Error("VerifyBound accepted a = 0.5 for a policy built at 0.8")
+	}
+	if _, err := MeasuredRatio(sched, policy, 0.8); err != nil {
+		t.Errorf("matching discount refused: %v", err)
+	}
+}
+
 func TestVerifyBoundErrors(t *testing.T) {
 	it := cardTheta2()
 	policy, err := core.NewAT2(it, 0.8)

@@ -83,8 +83,8 @@ type OfflineDecision struct {
 // OptimalSell computes the optimal offline selling decision for one
 // reserved instance, per Section IV.A: with the instance's full busy
 // schedule known (schedule[h] is true iff the instance serves demand in
-// hour h of its life, len(schedule) == T), scan every sale age
-// e in [1, T-1] and compare with keeping.
+// hour h of its life, len(schedule) == T), find the cheapest sale age
+// e in [max(MinSellAge, 1), T-1] and compare it with keeping.
 //
 // Selling at age e costs (in BillWhenUsed mode, the proofs' accounting)
 //
@@ -95,125 +95,68 @@ type OfflineDecision struct {
 // R + alpha*p*(x+y). In BillWhileActive mode the alpha*p term charges
 // e (respectively T) hours regardless of use.
 //
-// The scan counts the schedule's busy hours once, then walks the sale
-// ages forward with a running x and takes y as the total minus x, so it
-// makes no allocation.
+// Only the ages where x steps are candidates: the first allowed age
+// max(MinSellAge, 1) and every later age right after a busy hour.
+// Between two candidates x and y are fixed, so the cost moves only
+// through the income a*R*(T-e)/T, which float rounding never lets grow
+// with e, and in BillWhileActive mode through alpha*p*e, which it never
+// lets shrink. The cost is therefore non-decreasing from a candidate to
+// the next one, and as the strict < keeps the earliest of equal costs,
+// the candidates alone yield, bit for bit, the decision a scan of every
+// age would. OptimalSell counts the busy hours in one pass and prices
+// the candidates in a second one over the ages from the first allowed
+// one on; it makes no allocation.
 func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.check(schedule); err != nil {
 		return OfflineDecision{}, err
 	}
-	it := params.Instance
-	T := it.PeriodHours
-	if len(schedule) != T {
-		return OfflineDecision{}, fmt.Errorf("core: schedule has %d hours, want the period %d", len(schedule), T)
-	}
+	first := max(params.MinSellAge, 1)
+	x, total := splitBusy(schedule, first)
+	return params.optimum(schedule, first, x, total), nil
+}
 
-	p := it.OnDemandHourly
-	ap := it.ReservedHourly
-	R := it.Upfront
-	a := params.SellingDiscount
-
-	totalBusy := 0
-	for _, busy := range schedule {
-		if busy {
-			totalBusy++
-		}
+// CompetitiveCosts returns, from one count of the schedule, the cost
+// of the online algorithm A_{kT} (as ThresholdCost) and the paper's
+// restricted offline OPT for it (as OptimalSell with MinSellAge at the
+// checkpoint age, Section IV.C), both at the policy's own selling
+// discount.
+func CompetitiveCosts(schedule []bool, policy Threshold, billing Billing) (online float64, opt OfflineDecision, err error) {
+	ck := policy.CheckpointAge(policy.instance.PeriodHours)
+	params := OfflineParams{
+		Instance:        policy.instance,
+		SellingDiscount: policy.discount,
+		Billing:         billing,
+		MinSellAge:      ck,
 	}
-
-	var keepCost float64
-	switch params.Billing {
-	case BillWhenUsed:
-		keepCost = R + ap*float64(totalBusy)
-	default: // BillWhileActive
-		keepCost = R + ap*float64(T)
+	if err := params.check(schedule); err != nil {
+		return 0, OfflineDecision{}, err
 	}
-
-	minAge := params.MinSellAge
-	if minAge < 1 {
-		minAge = 1
-	}
-	best := OfflineDecision{Sell: false, SellAge: -1, Cost: keepCost, KeepCost: keepCost}
-	x := 0 // busy hours before the sale age e
-	for e := 1; e < T; e++ {
-		if schedule[e-1] {
-			x++
-		}
-		if e < minAge {
-			continue
-		}
-		y := totalBusy - x // busy hours re-bought on-demand
-		income := a * R * float64(T-e) / float64(T)
-		var cost float64
-		switch params.Billing {
-		case BillWhenUsed:
-			cost = R + ap*float64(x) + p*float64(y) - income
-		default:
-			cost = R + ap*float64(e) + p*float64(y) - income
-		}
-		if cost < best.Cost {
-			best = OfflineDecision{Sell: true, SellAge: e, Cost: cost, KeepCost: keepCost}
-		}
-	}
-	return best, nil
+	x, total := splitBusy(schedule, ck)
+	return params.thresholdCost(policy, ck, x, total), params.optimum(schedule, ck, x, total), nil
 }
 
 // CostIfSoldAt returns the per-instance cost of selling at the given
 // age, under the same accounting as OptimalSell. It exists so analyses
 // and tests can probe individual candidate sale points.
 func CostIfSoldAt(schedule []bool, age int, params OfflineParams) (float64, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.check(schedule); err != nil {
 		return 0, err
 	}
-	it := params.Instance
-	T := it.PeriodHours
-	if len(schedule) != T {
-		return 0, fmt.Errorf("core: schedule has %d hours, want the period %d", len(schedule), T)
-	}
-	if age < 0 || age > T {
+	if T := params.Instance.PeriodHours; age < 0 || age > T {
 		return 0, fmt.Errorf("core: sale age %d outside [0, %d]", age, T)
 	}
-	var x, y int
-	for h, busy := range schedule {
-		if !busy {
-			continue
-		}
-		if h < age {
-			x++
-		} else {
-			y++
-		}
-	}
-	income := params.SellingDiscount * it.Upfront * float64(T-age) / float64(T)
-	switch params.Billing {
-	case BillWhenUsed:
-		return it.Upfront + it.ReservedHourly*float64(x) + it.OnDemandHourly*float64(y) - income, nil
-	default:
-		return it.Upfront + it.ReservedHourly*float64(age) + it.OnDemandHourly*float64(y) - income, nil
-	}
+	x, total := splitBusy(schedule, age)
+	return params.saleCost(age, x, total), nil
 }
 
 // CostIfKept returns the per-instance cost of holding the reservation
 // for its whole period, under the same accounting as OptimalSell.
 func CostIfKept(schedule []bool, params OfflineParams) (float64, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.check(schedule); err != nil {
 		return 0, err
 	}
-	it := params.Instance
-	if len(schedule) != it.PeriodHours {
-		return 0, fmt.Errorf("core: schedule has %d hours, want the period %d", len(schedule), it.PeriodHours)
-	}
-	busy := 0
-	for _, b := range schedule {
-		if b {
-			busy++
-		}
-	}
-	switch params.Billing {
-	case BillWhenUsed:
-		return it.Upfront + it.ReservedHourly*float64(busy), nil
-	default:
-		return it.Upfront + it.ReservedHourly*float64(it.PeriodHours), nil
-	}
+	_, total := splitBusy(schedule, 0)
+	return params.keepCost(total), nil
 }
 
 // ThresholdCost returns the per-instance cost incurred by the online
@@ -227,15 +170,97 @@ func ThresholdCost(schedule []bool, policy Threshold, billing Billing) (float64,
 		SellingDiscount: policy.discount,
 		Billing:         billing,
 	}
-	ckAge := policy.CheckpointAge(policy.instance.PeriodHours)
-	worked := 0
-	for h := 0; h < ckAge && h < len(schedule); h++ {
-		if schedule[h] {
-			worked++
+	if err := params.check(schedule); err != nil {
+		return 0, err
+	}
+	ck := policy.CheckpointAge(policy.instance.PeriodHours)
+	x, total := splitBusy(schedule, ck)
+	return params.thresholdCost(policy, ck, x, total), nil
+}
+
+// check validates the parameters and the schedule's length.
+func (p OfflineParams) check(schedule []bool) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if T := p.Instance.PeriodHours; len(schedule) != T {
+		return fmt.Errorf("core: schedule has %d hours, want the period %d", len(schedule), T)
+	}
+	return nil
+}
+
+// splitBusy counts, in one pass, the schedule's busy hours before age
+// and in total.
+func splitBusy(schedule []bool, age int) (before, total int) {
+	before = countBusy(schedule[:age])
+	return before, before + countBusy(schedule[age:])
+}
+
+// countBusy returns the number of busy hours in hours.
+func countBusy(hours []bool) int {
+	n := 0
+	for _, busy := range hours {
+		if busy {
+			n++
 		}
 	}
-	if float64(worked) < policy.BreakEven() {
-		return CostIfSoldAt(schedule, ckAge, params)
+	return n
+}
+
+// saleCost is the cost of selling at age e with x busy hours before e
+// out of total; the one cost formula every sale price goes through. It
+// takes a pointer so the scan prices each candidate without copying the
+// parameters.
+func (p *OfflineParams) saleCost(e, x, total int) float64 {
+	T := p.Instance.PeriodHours
+	R := p.Instance.Upfront
+	y := total - x // busy hours re-bought on-demand
+	income := p.SellingDiscount * R * float64(T-e) / float64(T)
+	if p.Billing == BillWhenUsed {
+		return R + p.Instance.ReservedHourly*float64(x) + p.Instance.OnDemandHourly*float64(y) - income
 	}
-	return CostIfKept(schedule, params)
+	return R + p.Instance.ReservedHourly*float64(e) + p.Instance.OnDemandHourly*float64(y) - income
+}
+
+// keepCost is the cost of never selling an instance busy total hours.
+func (p *OfflineParams) keepCost(total int) float64 {
+	if p.Billing == BillWhenUsed {
+		return p.Instance.Upfront + p.Instance.ReservedHourly*float64(total)
+	}
+	return p.Instance.Upfront + p.Instance.ReservedHourly*float64(p.Instance.PeriodHours)
+}
+
+// thresholdCost is A_{kT}'s cost given x, the busy hours before its
+// checkpoint age ck, out of total.
+func (p *OfflineParams) thresholdCost(policy Threshold, ck, x, total int) float64 {
+	if float64(x) < policy.BreakEven() {
+		return p.saleCost(ck, x, total)
+	}
+	return p.keepCost(total)
+}
+
+// optimum prices OptimalSell's candidate sale ages given x, the busy
+// hours before age from, out of total; from is at most the first
+// allowed age max(MinSellAge, 1).
+func (p *OfflineParams) optimum(schedule []bool, from, x, total int) OfflineDecision {
+	keep := p.keepCost(total)
+	best := OfflineDecision{Sell: false, SellAge: -1, Cost: keep, KeepCost: keep}
+	T := len(schedule)
+	first := max(p.MinSellAge, 1)
+	if first >= T {
+		return best
+	}
+	x += countBusy(schedule[from:first])
+	for e := first; e < T; e++ {
+		if e > first {
+			if !schedule[e-1] {
+				continue // same x as e-1 and no cheaper
+			}
+			x++
+		}
+		if cost := p.saleCost(e, x, total); cost < best.Cost {
+			best = OfflineDecision{Sell: true, SellAge: e, Cost: cost, KeepCost: keep}
+		}
+	}
+	return best
 }

@@ -27,7 +27,14 @@ func Mean[T ~int | ~float64](xs []T) float64 {
 
 // Sum returns the sum of xs using Kahan compensated summation so that
 // long hourly cost series (tens of thousands of terms) do not drift.
+// An integer series whose magnitudes sum to at most 2^53 is summed in
+// integers instead: every partial sum is then an integer that float64
+// holds exactly, so Kahan's compensation stays zero and both ways give
+// the same bits.
 func Sum[T ~int | ~float64](xs []T) float64 {
+	if sum, ok := exactSum(xs); ok {
+		return sum
+	}
 	var sum, comp float64
 	for _, x := range xs {
 		y := float64(x) - comp
@@ -38,13 +45,38 @@ func Sum[T ~int | ~float64](xs []T) float64 {
 	return sum
 }
 
+// exactSum returns the integer sum of an integer series whose
+// magnitudes sum to at most 2^53, and false for any other series.
+func exactSum[T ~int | ~float64](xs []T) (float64, bool) {
+	if one := T(1); one/2 != 0 {
+		return 0, false // a float64 series
+	}
+	const limit = 1 << 53
+	var sum int64
+	var mag uint64 // sum of |x| so far, at most limit
+	for _, x := range xs {
+		v := int64(x)
+		sign := v >> 63
+		mag += uint64((v ^ sign) - sign)
+		if mag > limit {
+			return 0, false
+		}
+		sum += v
+	}
+	return float64(sum), true
+}
+
 // Variance returns the population variance of xs, or 0 if len(xs) < 2.
 func Variance[T ~int | ~float64](xs []T) float64 {
+	return variance(xs, Mean(xs))
+}
+
+// variance is the population variance of xs about its mean mu.
+func variance[T ~int | ~float64](xs []T, mu float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	mu := Mean(xs)
 	var acc float64
 	for _, x := range xs {
 		d := float64(x) - mu
@@ -61,10 +93,13 @@ func StdDev[T ~int | ~float64](xs []T) float64 {
 // FluctuationRatio returns sigma/mu, the paper's measure of demand
 // fluctuation (Fig. 2). It returns +Inf when the mean is zero but the
 // deviation is not, and 0 for an all-zero or empty series. An integer
-// series is read in place, bit-identical to its float64 copy.
+// series is read in place, bit-identical to its float64 copy. The mean
+// is computed once, and an integer series takes it from Sum's exact
+// integer sum, so a classifier pays one integer pass and one deviation
+// pass per series.
 func FluctuationRatio[T ~int | ~float64](xs []T) float64 {
 	mu := Mean(xs)
-	sigma := StdDev(xs)
+	sigma := math.Sqrt(variance(xs, mu))
 	if mu == 0 {
 		if sigma == 0 {
 			return 0

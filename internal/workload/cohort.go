@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // CohortConfig describes the synthetic user population that stands in
@@ -46,11 +47,25 @@ func NewCohort(cfg CohortConfig) ([]Trace, error) {
 	var traces []Trace
 	for _, g := range []Group{GroupStable, GroupModerate, GroupVolatile} {
 		for i := 0; i < cfg.PerGroup; i++ {
-			user := fmt.Sprintf("user-g%d-%03d", int(g), i)
-			traces = append(traces, generateInBand(user, g, cfg.Hours, rng))
+			traces = append(traces, generateInBand(userName(g, i), g, cfg.Hours, rng))
 		}
 	}
 	return traces, nil
+}
+
+// userName returns the name of group g's i-th user, spelled as
+// fmt.Sprintf("user-g%d-%03d", g, i) would. It formats with strconv:
+// fmt's pooled printers allocate anew after each garbage collection,
+// which made a cohort's allocation count depend on GC timing rather
+// than on its configuration alone.
+func userName(g Group, i int) string {
+	b := make([]byte, 0, 16)
+	b = strconv.AppendInt(append(b, "user-g"...), int64(g), 10)
+	b = append(b, '-')
+	for pad := 100; pad > 1 && i < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // generateInBand draws traces from the group's generator pool until one

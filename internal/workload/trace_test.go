@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,5 +158,17 @@ func TestPropertySpikeTrainRatioAnalytic(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUserNameMatchesSprintf pins the cohort's strconv user names to
+// the fmt spelling they replace, across the zero-padding boundaries.
+func TestUserNameMatchesSprintf(t *testing.T) {
+	for _, g := range []Group{GroupStable, GroupModerate, GroupVolatile, Group(12)} {
+		for _, i := range []int{0, 1, 9, 10, 42, 99, 100, 101, 999, 1000, 12345} {
+			if got, want := userName(g, i), fmt.Sprintf("user-g%d-%03d", int(g), i); got != want {
+				t.Errorf("userName(%d, %d) = %q, want %q", g, i, got, want)
+			}
+		}
 	}
 }

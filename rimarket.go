@@ -224,7 +224,9 @@ func RatioForFraction(k, alpha, a, theta float64) (Bound, error) {
 }
 
 // VerifyBound checks a measured online/OPT ratio against the proven
-// bound for one instance schedule.
+// bound for one instance schedule. The selling discount a must equal
+// policy.Discount(): online cost, OPT and bound are priced in one
+// market, and a mismatched a returns an error.
 func VerifyBound(schedule []bool, policy Threshold, a float64) (measured float64, bound Bound, err error) {
 	return analysis.VerifyBound(schedule, policy, a)
 }

@@ -13,7 +13,8 @@
 #
 # Each benchmark's doc comment says what its rows guard;
 # SensitivityGridCachedPlan holds a whole grid's wall time, trunks and
-# resumed cells, on a cached plan. MillionUsers
+# resumed cells, on a cached plan; CohortSynthesis is single-threaded,
+# so its allocs/op are exact. MillionUsers
 # takes seconds per op, so it repeats twice; MarketMatch runs a fixed op
 # count so the book's depth, and so its allocs/op, are deterministic.
 #
@@ -35,6 +36,7 @@ esac
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace
 	go test -run '^$' -bench '^BenchmarkMeasuredRatio$' -benchmem -cpu 2 -count 5 ./internal/analysis
 	go test -run '^$' -bench '^BenchmarkPlanReservations$' -benchmem -cpu 2 -count 5 ./internal/purchasing
+	go test -run '^$' -bench '^BenchmarkCohortSynthesis$' -benchmem -cpu 2 -count 5 .
 } |
 	tee /dev/stderr |
 	go run ./scripts/benchgate "$@"

@@ -78,7 +78,7 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	// worker.
 	ratios := make([][]float64, len(traces))
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, len(traces)))
-	_, _, err = runShardedDone(ctx, cfg.Parallelism, len(traces), func(w, i int) error {
+	_, err = runPool(ctx, cfg.Parallelism, len(traces), func(w, i int) error {
 		tr := traces[i]
 		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
 		if err != nil {

@@ -206,7 +206,7 @@ func BenchmarkMillionUsers(b *testing.B) {
 		workers := workerCount(0, users)
 		scratch := make([]simulate.Scratch, workers)
 		sold := make([]int, workers)
-		_, _, err := runShardedDone(ctx, 0, users, func(w, u int) error {
+		_, err := runPool(ctx, 0, users, func(w, u int) error {
 			tot, err := scratch[w].Totals(demands[u%patterns], plans[u%patterns], cfg, policy)
 			sold[w] += tot.Sold
 			return err

@@ -75,7 +75,7 @@ func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policyFor func(i int
 
 	perUser := make([][]sellEvent, p.Len())
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
-	_, _, err := runShardedDone(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
+	_, err := runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
 		u := &p.users[i]
 		_, recs, err := obsReplay(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policyFor(i))
 		if err != nil {

@@ -207,7 +207,7 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 	// results are identical at any parallelism.
 	jobs := len(replayed) * len(p.users)
 	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
-	_, _, err = runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
+	_, err = runPool(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
 		np := replayed[k/len(p.users)]
 		ui := k % len(p.users)
 		u := &p.users[ui]

@@ -137,20 +137,21 @@ func (e *CancelError) Error() string {
 
 func (e *CancelError) Unwrap() error { return e.Err }
 
-// runJob invokes fn(i) with panic containment: a panic becomes a
-// *JobPanicError carrying the job index, panic value and stack.
-func runJob(i int, fn func(i int) error) (err error) {
+// runJob invokes fn(worker, i) with panic containment: a panic becomes
+// a *JobPanicError carrying the job index, panic value and stack.
+func runJob(worker, i int, fn func(worker, i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &JobPanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(i)
+	return fn(worker, i)
 }
 
-// runIndexed evaluates fn(0..n-1) over the sharded, work-stealing
-// worker pool (shard.go). It is the package's one fan-out primitive,
-// with guarantees that make every caller byte-identical at any worker
+// runIndexed evaluates fn(0..n-1) over the shared-cursor worker pool
+// (runPool, shard.go), for callers that need neither the worker id nor
+// the completion bitmap. Every fan-out in the package has the same
+// guarantees, which make every caller byte-identical at any worker
 // count:
 //
 //   - each job writes only its own index, so outputs land in
@@ -169,17 +170,8 @@ func runJob(i int, fn func(i int) error) (err error) {
 //     precedence; otherwise, if any job was abandoned, the context's
 //     error is returned.
 func runIndexed(ctx context.Context, parallelism, n int, fn func(i int) error) error {
-	_, err := runIndexedDone(ctx, parallelism, n, fn)
+	_, err := runPool(ctx, parallelism, n, func(_, i int) error { return fn(i) })
 	return err
-}
-
-// runIndexedDone is runIndexed plus a completion bitmap: done[i]
-// reports whether fn(i) ran to completion without error. The bitmap is
-// what lets RunGrid report which cells fully completed after a
-// cancellation.
-func runIndexedDone(ctx context.Context, parallelism, n int, fn func(i int) error) ([]bool, error) {
-	done, _, err := runShardedDone(ctx, parallelism, n, func(_, i int) error { return fn(i) })
-	return done, err
 }
 
 // Cell is one grid cell of a sweep or sensitivity experiment: a selling
@@ -347,7 +339,7 @@ func (p *CohortPlan) RunGridNamed(ctx context.Context, name string, cells []Cell
 	for _, ci := range pending {
 		remaining[ci].Store(int64(users))
 	}
-	done, _, err := runShardedDone(ctx, p.cfg.Parallelism, jobs, func(w, j int) error {
+	done, err := runPool(ctx, p.cfg.Parallelism, jobs, func(w, j int) error {
 		ci, ui := pending[j/users], j%users
 		u := &p.users[ui]
 		pt, keep := trunks.point(ci, ui)

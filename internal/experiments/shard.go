@@ -8,193 +8,80 @@ import (
 	"rimarket/internal/obs"
 )
 
-// This file is the package's fan-out scheduler: a sharded,
-// work-stealing worker pool with per-worker result accumulators,
-// merged deterministically after the pool joins (DESIGN.md §4.5).
-//
-// Each worker owns a contiguous shard of the job index space and
-// claims from its own shard's atomic cursor. A worker whose shard is
-// exhausted steals from the victim with the most remaining jobs, via
-// the same cursor — so every job is still claimed exactly once, and a
-// few heavy cells at one end of a grid no longer serialize the sweep
-// behind a single unlucky worker. Because jobs write only their own
-// index and completions/failures are merged in index order at the
-// end, the output stays byte-identical at any parallelism and the
-// lowest-index-first-error rule is preserved exactly.
-
-// stealEnabled gates the stealing phase of claim. It exists for the
-// BenchmarkGridSkewed pair (stealing on vs off under a heavy-tail
-// grid) and for tests that pin the no-stealing tail behavior;
-// production code never touches it and it must only be flipped while
-// no pool is running.
-var stealEnabled = true
-
-// shardStats reports one fan-out's scheduling behavior. Steals is
-// inherently timing-dependent (a fast machine steals less), so it
-// feeds observability and benchmarks only — never results.
-type shardStats struct {
-	// steals counts jobs claimed from another worker's shard.
-	steals int64
-}
-
-// indexedErr is one failed job in a worker's private log.
-type indexedErr struct {
-	i   int
-	err error
-}
-
-// workerLog is one worker's private accumulator. Only its owning
-// goroutine touches it while the pool runs; the merge loop reads all
-// logs after wg.Wait, so no field needs atomics.
-type workerLog struct {
-	completed []int
-	failed    []indexedErr
-	steals    int64
-}
-
-// cursor is a shard's claim index, padded out to its own cache line so
-// workers hammering neighboring shards do not false-share.
-type cursor struct {
-	next atomic.Int64
-	_    [56]byte
-}
-
-// claimJob returns the next job for worker w: the head of w's own
-// shard while it lasts, then — when stealing is enabled — a job from
-// the victim with the most remaining work. Returns -1 when no shard
-// has jobs left. bounds[v]..bounds[v+1] is worker v's shard.
-func claimJob(cursors []cursor, bounds []int64, w int, stealing bool, lg *workerLog) int {
-	if c := &cursors[w]; c.next.Load() < bounds[w+1] {
-		if i := c.next.Add(1) - 1; i < bounds[w+1] {
-			return int(i)
-		}
-	}
-	if !stealing {
-		return -1
-	}
-	for {
-		victim, best := -1, int64(0)
-		for v := range cursors {
-			if v == w {
-				continue
-			}
-			if rem := bounds[v+1] - cursors[v].next.Load(); rem > best {
-				victim, best = v, rem
-			}
-		}
-		if victim < 0 {
-			return -1
-		}
-		// The claim may race another thief past the shard end; rescan.
-		if i := cursors[victim].next.Add(1) - 1; i < bounds[victim+1] {
-			lg.steals++
-			return int(i)
-		}
-	}
-}
-
-// runShardedDone evaluates fn(worker, 0..n-1) over the sharded,
-// work-stealing pool and returns the completion bitmap, scheduling
-// stats, and the fan-out error. It preserves runIndexed's contract
-// verbatim (see that doc comment): deterministic outputs at any
+// runPool is the package's fan-out scheduler (DESIGN.md §4.5): it
+// evaluates fn(worker, 0..n-1) over workerCount(parallelism, n)
+// goroutines that claim job indices from one shared atomic cursor, and
+// returns the completion bitmap — done[i] reports whether fn ran job i
+// to completion without error — with the fan-out error. It keeps the
+// contract documented on runIndexed: deterministic outputs at any
 // parallelism, lowest-index-first-error with full drain below the
 // best-known failing index, panic containment via *JobPanicError, and
-// drain-don't-interrupt cancellation. fn additionally receives the
-// claiming worker's id, which spill-to-disk uses to route each
-// completed cell to that worker's shard file.
-func runShardedDone(ctx context.Context, parallelism, n int, fn func(worker, i int) error) ([]bool, shardStats, error) {
+// drain-don't-interrupt cancellation. fn also receives the claiming
+// worker's id, which indexes per-worker scratch and routes each
+// spilled cell to that worker's shard file.
+func runPool(ctx context.Context, parallelism, n int, fn func(worker, i int) error) ([]bool, error) {
 	done := make([]bool, n)
 	if n <= 0 {
-		return done, shardStats{}, ctx.Err()
+		return done, ctx.Err()
 	}
 	// Job accounting is observation only: the counters feed progress
-	// lines and the manifest, never scheduling, so the pool's claiming
-	// order and lowest-index-error rule are untouched.
+	// lines and the manifest, never scheduling.
 	m := obs.FromContext(ctx)
 	if m != nil {
 		m.JobsTotal.Add(int64(n))
 	}
-	workers := workerCount(parallelism, n)
-	bounds := make([]int64, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = int64(w) * int64(n) / int64(workers)
-	}
-	cursors := make([]cursor, workers)
-	for w := range cursors {
-		cursors[w].next.Store(bounds[w])
-	}
-	logs := make([]workerLog, workers)
-	stealing := stealEnabled
 	var (
-		wg     sync.WaitGroup
-		minErr atomic.Int64
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		minErr   atomic.Int64 // lowest failing index so far; n if none
+		mu       sync.Mutex   // guards firstErr; only failures take it
+		firstErr error
 	)
 	minErr.Store(int64(n))
-	for w := 0; w < workers; w++ {
+	for w := 0; w < workerCount(parallelism, n); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lg := &logs[w]
-			for {
-				if ctx.Err() != nil {
-					return // stop claiming; in-flight jobs drain elsewhere
-				}
-				i := claimJob(cursors, bounds, w, stealing, lg)
-				if i < 0 {
+			for ctx.Err() == nil { // stop claiming; in-flight jobs drain elsewhere
+				i := next.Add(1) - 1
+				if i >= int64(n) {
 					return
 				}
-				if int64(i) > minErr.Load() {
+				if i > minErr.Load() {
 					continue // canceled: a lower-index job already failed
 				}
-				if err := runJob(i, func(i int) error { return fn(w, i) }); err != nil {
-					lg.failed = append(lg.failed, indexedErr{i: i, err: err})
-					for {
-						cur := minErr.Load()
-						if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				} else {
-					lg.completed = append(lg.completed, i)
+				// Every index has exactly one claimant, so each job writes
+				// its own done[i]; wg.Wait orders the writes before the
+				// caller's reads.
+				err := runJob(w, int(i), fn)
+				if err == nil {
+					done[i] = true
 					if m != nil {
 						m.JobsDone.Add(1)
 					}
+					continue
 				}
+				mu.Lock()
+				if i < minErr.Load() {
+					minErr.Store(i)
+					firstErr = err
+				}
+				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Deterministic merge: fold every worker's private log into the
-	// shared bitmap and pick the lowest-index failure, regardless of
-	// which worker hit it or when.
-	var stats shardStats
-	var firstErr error
-	firstIdx := n
-	for w := range logs {
-		stats.steals += logs[w].steals
-		for _, i := range logs[w].completed {
-			done[i] = true
-		}
-		for _, fe := range logs[w].failed {
-			if fe.i < firstIdx {
-				firstIdx, firstErr = fe.i, fe.err
-			}
-		}
-	}
-	if m != nil {
-		m.JobsStolen.Add(stats.steals)
-	}
 	if firstErr != nil {
-		return done, stats, firstErr
+		return done, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		// Cancellation may race the tail of the run: if every job in
 		// fact completed, the results are whole and the run succeeded.
 		for _, d := range done {
 			if !d {
-				return done, stats, err
+				return done, err
 			}
 		}
 	}
-	return done, stats, nil
+	return done, nil
 }

@@ -1,12 +1,11 @@
 package experiments
 
-// Property tests for the sharded, work-stealing scheduler (shard.go):
+// Property tests for the shared-cursor scheduler (shard.go):
 // deliberately skewed job costs — a heavy tail on a few cells — must
 // not change a single output byte or the lowest-index-first-error
-// pick at any parallelism, with stealing on or off, including when
-// the failing or panicking job is one a thief claimed. Run under
-// -race in CI, these are also the proof the stolen-claim path has no
-// data races.
+// pick at any parallelism, including when the panicking job runs
+// while another worker is still busy. Run under -race in CI, these are
+// also the proof that the direct done[i] writes have no data races.
 
 import (
 	"context"
@@ -34,9 +33,10 @@ func spinWork(i, units int) float64 {
 	return float64(acc%1000) + float64(i)
 }
 
-// heavyTailUnits gives jobs at the front of the index space ~100x the
-// work of the rest — the adversarial case for contiguous shards,
-// because without stealing worker 0 serializes the whole tail.
+// heavyTailUnits gives every 64th job ~200x the work of the rest, so
+// the heavy jobs land on whichever workers claim them and finish long
+// after later, light jobs — completion order is nothing like index
+// order.
 func heavyTailUnits(i int) int {
 	if i%64 == 0 {
 		return 200_000
@@ -46,90 +46,82 @@ func heavyTailUnits(i int) int {
 
 func TestShardedSkewDeterminism(t *testing.T) {
 	const n = 192
-	for _, stealing := range []bool{true, false} {
-		ref := make([]float64, n)
-		for i := range ref {
-			ref[i] = spinWork(i, heavyTailUnits(i))
-		}
-		for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			t.Run(fmt.Sprintf("steal=%v/par=%d", stealing, par), func(t *testing.T) {
-				defer func(prev bool) { stealEnabled = prev }(stealEnabled)
-				stealEnabled = stealing
-				out := make([]float64, n)
-				done, _, err := runShardedDone(context.Background(), par, n, func(_, i int) error {
-					out[i] = spinWork(i, heavyTailUnits(i))
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range out {
-					if !done[i] {
-						t.Fatalf("job %d not marked done", i)
-					}
-					if out[i] != ref[i] {
-						t.Fatalf("job %d = %v, want %v", i, out[i], ref[i])
-					}
-				}
+	ref := make([]float64, n)
+	for i := range ref {
+		ref[i] = spinWork(i, heavyTailUnits(i))
+	}
+	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			out := make([]float64, n)
+			done, err := runPool(context.Background(), par, n, func(_, i int) error {
+				out[i] = spinWork(i, heavyTailUnits(i))
+				return nil
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if !done[i] {
+					t.Fatalf("job %d not marked done", i)
+				}
+				if out[i] != ref[i] {
+					t.Fatalf("job %d = %v, want %v", i, out[i], ref[i])
+				}
+			}
+		})
 	}
 }
 
 func TestShardedSkewFirstErrorDeterministic(t *testing.T) {
 	const n = 192
 	failAt := map[int]bool{3: true, 77: true, 130: true}
-	for _, stealing := range []bool{true, false} {
-		for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			t.Run(fmt.Sprintf("steal=%v/par=%d", stealing, par), func(t *testing.T) {
-				defer func(prev bool) { stealEnabled = prev }(stealEnabled)
-				stealEnabled = stealing
-				ran := make([]bool, n)
-				_, _, err := runShardedDone(context.Background(), par, n, func(_, i int) error {
-					ran[i] = true
-					spinWork(i, heavyTailUnits(i))
-					if failAt[i] {
-						return fmt.Errorf("job %d failed", i)
-					}
-					return nil
-				})
-				if err == nil || err.Error() != "job 3 failed" {
-					t.Fatalf("err = %v, want the lowest-index failure (job 3)", err)
+	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			ran := make([]bool, n)
+			_, err := runPool(context.Background(), par, n, func(_, i int) error {
+				ran[i] = true
+				spinWork(i, heavyTailUnits(i))
+				if failAt[i] {
+					return fmt.Errorf("job %d failed", i)
 				}
-				for i := 0; i < 3; i++ {
-					if !ran[i] {
-						t.Errorf("job %d below the failing index never ran", i)
-					}
-				}
+				return nil
 			})
-		}
+			if err == nil || err.Error() != "job 3 failed" {
+				t.Fatalf("err = %v, want the lowest-index failure (job 3)", err)
+			}
+			for i := 0; i < 3; i++ {
+				if !ran[i] {
+					t.Errorf("job %d below the failing index never ran", i)
+				}
+			}
+		})
 	}
 }
 
-// TestShardedPanicFromStolenJob forces a steal and makes the stolen
-// job panic. Worker 0's first job blocks until the last job of worker
-// 0's own shard has run — which can only happen if another worker
-// steals it — so the test deadlocks (and fails by watchdog) if
-// stealing is broken, and otherwise proves a thief's panic is captured
-// as a *JobPanicError under the lowest-index rule like any other
-// failure.
+// TestShardedPanicFromStolenJob makes a job panic while another
+// worker is still inside an earlier one. Job 0 blocks until job 3 has
+// run, which can only happen if other workers keep claiming from the
+// shared cursor while job 0's worker is busy — so the test fails by
+// watchdog if claiming is serialized behind a running job, and
+// otherwise proves a concurrent job's panic is captured as a
+// *JobPanicError under the lowest-index rule like any other failure.
 func TestShardedPanicFromStolenJob(t *testing.T) {
 	const (
 		n       = 16
-		workers = 4 // shards of 4: worker 0 owns jobs 0-3
+		workers = 4
 	)
 	release := make(chan struct{})
-	_, stats, err := runShardedDone(context.Background(), workers, n, func(_, i int) error {
+	_, err := runPool(context.Background(), workers, n, func(_, i int) error {
 		switch i {
 		case 0:
 			select {
 			case <-release:
 			case <-time.After(10 * time.Second):
-				t.Error("job 3 was never stolen: job 0 timed out waiting")
+				t.Error("job 3 never ran concurrently: job 0 timed out waiting")
 			}
 		case 3:
 			close(release)
-			panic("boom from stolen job")
+			panic("boom from concurrent job")
 		}
 		return nil
 	})
@@ -140,11 +132,8 @@ func TestShardedPanicFromStolenJob(t *testing.T) {
 	if pe.Index != 3 {
 		t.Fatalf("panic captured at index %d, want 3", pe.Index)
 	}
-	if pe.Value != "boom from stolen job" {
+	if pe.Value != "boom from concurrent job" {
 		t.Fatalf("panic value = %v", pe.Value)
-	}
-	if stats.steals == 0 {
-		t.Fatal("no steals recorded despite the forced-steal construction")
 	}
 }
 
@@ -177,8 +166,8 @@ func TestGridSkewDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Make cell 0 heavy: every one of its engine runs spins before
-	// delegating, so worker 0's shard is the hot spot thieves drain.
+	// Make every engine run spin before delegating, so jobs stay in
+	// flight long enough for workers to finish out of index order.
 	orig := simulateResume
 	var sink atomic.Uint64 // workers run the hook concurrently
 	simulateResume = func(s *simulate.Scratch, u int, pt *simulate.ResumePoint, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {

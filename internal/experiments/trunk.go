@@ -111,7 +111,7 @@ func (p *CohortPlan) runTrunks(ctx context.Context, cfgs []simulate.Config, ages
 	m := obs.FromContext(ctx)
 	sp := obs.StartSpan(ctx, "baseline")
 	defer sp.End()
-	_, _, err := runShardedDone(ctx, p.cfg.Parallelism, len(cfgs)*users, func(w, j int) error {
+	_, err := runPool(ctx, p.cfg.Parallelism, len(cfgs)*users, func(w, j int) error {
 		c, ui := j/users, j%users
 		u := &p.users[ui]
 		n := len(ages[c])

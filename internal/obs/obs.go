@@ -57,9 +57,10 @@ type Metrics struct {
 	// resumed-vs-recomputed work.
 	CellsResumed Counter
 
-	// JobsStolen counts pool jobs claimed from another worker's shard
-	// by the work-stealing scheduler. Timing-dependent by nature —
-	// useful for judging skew, never part of any result.
+	// JobsStolen is always 0: the experiment pool claims every job from
+	// one shared cursor, so no job is ever taken from another worker.
+	// It stays only because perfbench still reports
+	// experiments.jobs_stolen from it, and goes when that metric does.
 	JobsStolen Counter
 
 	// EngineRunNs is the wall-time distribution of individual engine

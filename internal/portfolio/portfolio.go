@@ -115,13 +115,18 @@ func (r Result) SavingsFraction() float64 {
 }
 
 // Evaluate plans reservations and runs the selling policy for every
-// service.
+// service. Both replays of every service run on one simulate.Scratch:
+// the Keep-Reserved baseline needs only its totals, the policy its
+// totals and per-instance records, so no per-hour rows are built.
 func Evaluate(services []Service, cfg Config) (Result, error) {
 	if len(services) == 0 {
 		return Result{}, errors.New("portfolio: no services")
 	}
 	seen := make(map[string]bool, len(services))
-	var out Result
+	var (
+		out     Result
+		scratch simulate.Scratch
+	)
 	for _, svc := range services {
 		if err := svc.Validate(); err != nil {
 			return Result{}, err
@@ -149,7 +154,7 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 			SellingDiscount: cfg.SellingDiscount,
 			MarketFee:       cfg.MarketFee,
 		}
-		keepRun, err := simulate.Run(svc.Demand, plan, engCfg, simulate.KeepReserved{})
+		keep, err := scratch.Totals(svc.Demand, plan, engCfg, simulate.KeepReserved{})
 		if err != nil {
 			return Result{}, fmt.Errorf("portfolio: %s: %w", svc.Name, err)
 		}
@@ -161,7 +166,9 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("portfolio: %s: %w", svc.Name, err)
 			}
 		}
-		policyRun, err := simulate.Run(svc.Demand, plan, engCfg, policy)
+		// The records belong to the scratch, so they are read here,
+		// before the next service's replays overwrite them.
+		pol, recs, err := scratch.Replay(svc.Demand, plan, engCfg, policy)
 		if err != nil {
 			return Result{}, fmt.Errorf("portfolio: %s: %w", svc.Name, err)
 		}
@@ -170,10 +177,10 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 			Name:       svc.Name,
 			Instance:   svc.Instance,
 			Reserved:   reserved,
-			KeepCost:   keepRun.Cost.Total(),
-			PolicyCost: policyRun.Cost.Total(),
+			KeepCost:   keep.Cost.Total(),
+			PolicyCost: pol.Cost.Total(),
 		}
-		for _, inst := range policyRun.Instances {
+		for _, inst := range recs {
 			if inst.SoldAt < 0 {
 				continue
 			}

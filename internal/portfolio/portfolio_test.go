@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -189,5 +190,86 @@ func TestListOnMarket(t *testing.T) {
 	}
 	if _, err := ListOnMarket(m, res, 0); err == nil {
 		t.Error("zero discount accepted")
+	}
+}
+
+// TestEvaluateMatchesRun pins Evaluate, which replays every service on
+// one shared Scratch, to a fresh simulate.Run per service: costs bit
+// for bit and the sold instances' remaining hours in reservation
+// order. The services differ in card, horizon and demand shape, and a
+// long one precedes short ones, so the scratch is reused dirty.
+func TestEvaluateMatchesRun(t *testing.T) {
+	bursty := func(name string, hours int, seed uint32) Service {
+		demand := make([]int, hours)
+		x := seed
+		for h := range demand {
+			x = x*1664525 + 1013904223
+			if x>>28 < 5 { // busy about a third of the hours
+				demand[h] = int(x>>24) % 4
+			}
+		}
+		return Service{Name: name, Instance: card(name + ".large"), Demand: demand}
+	}
+	long := bursty("batch", 160, 7)
+	long.Instance.PeriodHours = 64
+	services := []Service{long, bursty("etl", 90, 11), idleService("cron"), busyService("web"), bursty("ml", 50, 3)}
+
+	policies := map[string]func(pricing.InstanceType) (simulate.SellingPolicy, error){
+		"multi-checkpoint": func(it pricing.InstanceType) (simulate.SellingPolicy, error) {
+			return core.NewPaperMultiThreshold(it, 0.8)
+		},
+		"A3T4":          a3t4Factory(t),
+		"keep-reserved": nil,
+	}
+	for name, factory := range policies {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{SellingDiscount: 0.8, MarketFee: 0.12, Policy: factory}
+			res, err := Evaluate(services, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sold := 0
+			for i, svc := range services {
+				plan, err := purchasing.PlanReservations(svc.Demand, svc.Instance.PeriodHours, purchasing.AllReserved{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engCfg := simulate.Config{Instance: svc.Instance, SellingDiscount: cfg.SellingDiscount, MarketFee: cfg.MarketFee}
+				keep, err := simulate.Run(svc.Demand, plan, engCfg, simulate.KeepReserved{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				policy := simulate.SellingPolicy(simulate.KeepReserved{})
+				if factory != nil {
+					if policy, err = factory(svc.Instance); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run, err := simulate.Run(svc.Demand, plan, engCfg, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []int
+				for _, inst := range run.Instances {
+					if inst.SoldAt >= 0 {
+						want = append(want, inst.Start+svc.Instance.PeriodHours-inst.SoldAt)
+					}
+				}
+				got := res.Services[i]
+				if math.Float64bits(got.KeepCost) != math.Float64bits(keep.Cost.Total()) {
+					t.Errorf("%s: KeepCost = %v, Run gives %v", svc.Name, got.KeepCost, keep.Cost.Total())
+				}
+				if math.Float64bits(got.PolicyCost) != math.Float64bits(run.Cost.Total()) {
+					t.Errorf("%s: PolicyCost = %v, Run gives %v", svc.Name, got.PolicyCost, run.Cost.Total())
+				}
+				if !reflect.DeepEqual(got.SoldInstances, want) {
+					t.Errorf("%s: SoldInstances = %v, Run gives %v", svc.Name, got.SoldInstances, want)
+				}
+				sold += len(want)
+			}
+			if factory != nil && sold == 0 {
+				t.Error("no service sold anything; the policy never fired")
+			}
+		})
 	}
 }

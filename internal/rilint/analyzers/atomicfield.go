@@ -21,7 +21,7 @@ import (
 //   - a plain field used with atomic.AddInt64(&s.f, ...)-style calls
 //     may not be read or written directly anywhere else in the
 //     package — mixed access is exactly the race the snapshot-swap
-//     and padded-cursor conventions exist to prevent.
+//     and method-only obs counter conventions exist to prevent.
 //
 // The inventory is package-wide (the fact scan covers every file
 // before any access is judged), so an atomic.AddInt64 in one file

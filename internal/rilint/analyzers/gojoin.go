@@ -10,7 +10,7 @@ import (
 
 // Gojoin requires every `go` statement in library packages to have a
 // visible join path in its enclosing function declaration — the
-// repo's pools are all joined (runShardedDone's wg.Wait, ridserver's
+// repo's pools are all joined (runPool's wg.Wait, ridserver's
 // result channel), and a goroutine with no
 // join is either a leak or an invisible lifetime contract. Accepted
 // join evidence, in order:

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rimarket/internal/obs"
@@ -14,7 +15,7 @@ import (
 
 // This file pins cohort replays to per-user Run. The experiment
 // drivers evaluate a cohort by giving each pool worker one Scratch and
-// replaying a shard of users on it back to back, so every buffer is
+// replaying the users it claims on it back to back, so every buffer is
 // outgrown, reused and left dirty between users of different sizes.
 // Over 250 seeded cohorts covering every policy shape, sizes from empty
 // to dozens of users and ragged per-user horizons, each user's Totals
@@ -111,10 +112,10 @@ func sampleBatchCase(rng *rand.Rand, i int) batchCase {
 }
 
 // cohortTotals replays a cohort the way the experiment drivers' pool
-// does: par workers (0 means GOMAXPROCS) each replay a contiguous shard
-// of users on their own Scratch. Out-of-shard work stealing is left
-// out; it moves users between scratches, which the shard split already
-// does. Every user is replayed; the lowest failing user's error wins.
+// does: par workers (0 means GOMAXPROCS) claim users from one shared
+// cursor and replay each on the worker's own Scratch, so which users
+// share a scratch depends on timing. Every user is replayed; the lowest
+// failing user's error wins.
 func cohortTotals(users []cohortUser, cfg Config, policy SellingPolicy, par int) ([]Totals, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -124,14 +125,16 @@ func cohortTotals(users []cohortUser, cfg Config, policy SellingPolicy, par int)
 	}
 	out := make([]Totals, len(users))
 	errs := make([]error, len(users))
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
 	for w := 0; w < par; w++ {
-		lo, hi := w*len(users)/par, (w+1)*len(users)/par
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var s Scratch
-			for i := lo; i < hi; i++ {
+			for i := int(next.Add(1) - 1); i < len(users); i = int(next.Add(1) - 1) {
 				out[i], errs[i] = s.Totals(users[i].demand, users[i].newRes, cfg, policy)
 			}
 		}()

@@ -422,9 +422,13 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 	}
 	if recordSchedules {
 		// The kernel only ever sets entries, so reused capacity is
-		// cleared first; a fresh allocation is already zero.
+		// cleared first; a fresh allocation is already zero. Growth at
+		// least doubles: which users a pool worker's Scratch replays,
+		// and so how often their largest schedule so far is outgrown,
+		// depends on timing, and doubling keeps the reallocations few
+		// in any order.
 		if cap(s.scheds) < total*period {
-			s.scheds = make([]bool, total*period)
+			s.scheds = make([]bool, total*period, max(total*period, 2*cap(s.scheds)))
 		} else {
 			s.scheds = s.scheds[:total*period]
 			clear(s.scheds)

@@ -13,14 +13,16 @@
 #
 # Each benchmark's doc comment says what its rows guard;
 # SensitivityGridCachedPlan holds a whole grid's wall time, trunks and
-# resumed cells, on a cached plan; CohortSynthesis is single-threaded,
-# so its allocs/op are exact. MillionUsers
+# resumed cells, on a cached plan; CohortSynthesis is single-threaded
+# and GridSkewed runs a fixed four workers off one shared cursor, so
+# their allocs/op are exact. MillionUsers
 # takes seconds per op, so it repeats twice; MarketMatch runs a fixed op
 # count so the book's depth, and so its allocs/op, are deterministic.
 #
 # Every line runs at -cpu 2, the GOMAXPROCS the rows were recorded at:
-# MillionUsers' and GridSkewed's allocs/op grow with the worker count, so
-# another CPU count would move the verdict with no code change.
+# MillionUsers runs one worker per CPU and its allocs/op grow with the
+# worker count, so another CPU count would move the verdict with no code
+# change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

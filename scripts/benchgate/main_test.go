@@ -170,7 +170,8 @@ func TestCommittedBaseline(t *testing.T) {
 			exact = append(exact, e.Name)
 		}
 	}
-	want := []string{"BenchmarkCohortSynthesis", "BenchmarkMarketMatch/open=100000", "BenchmarkMarketMatch/open=1000000",
+	want := []string{"BenchmarkCohortSynthesis", "BenchmarkGridSkewed/dist=skewed", "BenchmarkGridSkewed/dist=uniform",
+		"BenchmarkMarketMatch/open=100000", "BenchmarkMarketMatch/open=1000000",
 		"BenchmarkMeasuredRatio", "BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on",
 		"BenchmarkPlanReservations/wang-online", "BenchmarkPlanReservations/wang-variant"}
 	if !slices.Equal(exact, want) {

@@ -25,15 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"flag"
 
 	"rimarket/internal/analysis"
 	"rimarket/internal/cli"
-	"rimarket/internal/coltrace"
 	"rimarket/internal/core"
 	"rimarket/internal/experiments"
 	"rimarket/internal/gtrace"
@@ -274,7 +270,7 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		var rep *gtrace.LoadReport
 		var err error
 		if p.traceFmt == "colt" {
-			traces, rep, err = loadColtDir(p.traceDir, loadOpts)
+			traces, rep, err = gtrace.LoadColtDir(p.traceDir, loadOpts)
 		} else {
 			traces, rep, err = gtrace.LoadEC2LogDirOpts(p.traceDir, loadOpts)
 		}
@@ -314,55 +310,6 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 			len(report.Skipped), len(report.Skipped)+len(report.Loaded), cli.ErrPartial)
 	}
 	return nil
-}
-
-// loadColtDir reads every columnar cohort store (.colt) in a directory
-// into traces, sorted by file name, under the same error policy as the
-// EC2-log loader: Strict fails on the first undecodable store,
-// BestEffort skips it (within the failure budget) and records it in
-// the report. Duplicate user ids across stores fail under either
-// policy, like gtrace's *DuplicateUserError — the cohort would be
-// ambiguous, not merely smaller.
-func loadColtDir(dir string, opts gtrace.LoadOptions) ([]workload.Trace, *gtrace.LoadReport, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), coltrace.Ext) {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("no %s cohort stores (convert traces with: ritrace convert)", coltrace.Ext)
-	}
-	sort.Strings(names)
-	report := &gtrace.LoadReport{}
-	var cohorts []*coltrace.Cohort
-	for _, name := range names {
-		cs, err := coltrace.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			if opts.Policy == gtrace.BestEffort {
-				report.Skipped = append(report.Skipped, gtrace.SkippedFile{File: name, Err: err})
-				if opts.FailureBudget > 0 && len(report.Skipped) > opts.FailureBudget {
-					return nil, report, fmt.Errorf("failure budget of %d exceeded: %w", opts.FailureBudget, err)
-				}
-				continue
-			}
-			return nil, report, err
-		}
-		cohorts = append(cohorts, cs...)
-		report.Loaded = append(report.Loaded, name)
-	}
-	if len(cohorts) == 0 {
-		return nil, report, fmt.Errorf("all %d cohort stores skipped", len(names))
-	}
-	traces, err := coltrace.MergeTraces(cohorts...)
-	if err != nil {
-		return nil, report, err
-	}
-	return traces, report, nil
 }
 
 // traceIngest converts a gtrace load report to the manifest's

@@ -73,6 +73,24 @@ func BenchmarkSensitivityGridCachedPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkDecisions measures rid's decision-table build on a cached
+// paper-scale plan (300 users, one year): one Keep-Reserved trunk per
+// user and the six selling policies resumed from it, at the default
+// parallelism (GOMAXPROCS; scripts/bench.sh runs it at -cpu 2).
+func BenchmarkDecisions(b *testing.B) {
+	plan, err := NewCohortPlan(context.Background(), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Decisions(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepFraction measures the sweep-k driver end to end.
 func BenchmarkSweepFraction(b *testing.B) {
 	for _, workers := range []int{1, 4} {

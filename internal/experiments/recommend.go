@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rimarket/internal/obs"
 	"rimarket/internal/simulate"
@@ -114,9 +115,9 @@ type policyDecisions struct {
 //
 // Answers are bit-identical to the offline pipeline by construction:
 // the tables come from the same engine replay the experiment drivers
-// use (Scratch.Replay, whose records equal simulate.Run's instances),
-// and simulate.DecisionAges shares the engine's checkpoint-age
-// resolution.
+// use (a Scratch.Resume from the Keep-Reserved trunk, whose Totals
+// and Records equal simulate.Run's cost and instances), and
+// simulate.DecisionAges shares the engine's checkpoint-age resolution.
 //
 //rilint:frozen
 type DecisionSet struct {
@@ -137,12 +138,17 @@ type userSkeleton struct {
 	insts []instSkeleton
 }
 
-// Decisions resolves the plan's full decision tables: one engine
-// replay per (selling policy, user), the Keep-Reserved baseline from
-// the plan's cache, and the per-instance checkpoint ages. The fan-out
-// honors Config.Parallelism and cancelling ctx drains it; metrics on
-// ctx observe the runs like any other driver. The result is immutable
-// and independent of the plan's lifetime.
+// Decisions resolves the plan's full decision tables: every (selling
+// policy, user) replay, the Keep-Reserved baselines, and the
+// per-instance checkpoint ages. A replay is the Keep-Reserved replay
+// until its policy's first checkpoint, so each user's Keep-Reserved
+// trunk runs once, capturing a resume point at every distinct fork age
+// of the selling policies (and filling the plan's KeepStats cache),
+// and each (policy, user) table is read from the records of a replay
+// resumed at its fork hour. The fan-out honors Config.Parallelism and
+// cancelling ctx drains it; metrics on ctx observe the runs like any
+// other driver. The result is immutable and independent of the plan's
+// lifetime.
 func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 	sp := obs.StartSpan(ctx, "decisions")
 	defer sp.End()
@@ -153,21 +159,69 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 		return nil, err
 	}
 	engCfg := p.engineConfig()
-	keeps, err := p.KeepStats(ctx, engCfg)
-	if err != nil {
-		return nil, err
-	}
 	if m != nil {
 		engCfg.Metrics = m.EngineHook()
 	}
+	s, replayed := p.newDecisionSet(policies)
 
+	// One fork age per distinct first checkpoint, in capture order.
+	period := p.cfg.Instance.PeriodHours
+	var ages []int
+	forkAge := make([]int, len(replayed))
+	for k, np := range replayed {
+		forkAge[k] = simulate.ForkAge(np.policy, period)
+		if !slices.Contains(ages, forkAge[k]) {
+			ages = append(ages, forkAge[k])
+		}
+	}
+	slices.SortFunc(ages, forkAgeOrder)
+	for k := range forkAge {
+		forkAge[k] = slices.Index(ages, forkAge[k])
+	}
+
+	users := len(p.users)
+	jobs := len(replayed) * users
+	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, max(jobs, users)))
+	keeps, points, err := p.runTrunks(ctx, []simulate.Config{engCfg}, [][]int{ages}, scratch)
+	if err != nil {
+		return nil, err
+	}
+	s.setKeeps(keeps[0])
+
+	// Fan the (policy, user) resumes out over the worker pool, each
+	// worker on its own Scratch; each job copies what it keeps out of
+	// the scratch's records and writes a distinct table slot, so
+	// results are identical at any parallelism.
+	_, err = runPool(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
+		pi, ui := k/users, k%users
+		np := replayed[pi]
+		pt := &points[0][ui*len(ages)+forkAge[pi]]
+		tot, _, err := obsResume(m, &scratch[w], ui, pt, engCfg, np.policy)
+		if err != nil {
+			return fmt.Errorf("experiments: policy %s: user %s: %w", np.name, p.users[ui].Trace.User, err)
+		}
+		pd := s.byPolicy[np.name]
+		pd.users[ui] = pd.table(np.policy, period, tot, scratch[w].Records())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newDecisionSet lays out the plan's decision set: every user's
+// instance skeleton and one empty table per policy, in presentation
+// order. It returns the selling policies, whose tables replays fill;
+// Keep-Reserved never sells, so its table needs no replay (nil soldAt
+// means "never sold") and takes its costs from setKeeps.
+func (p *CohortPlan) newDecisionSet(policies []namedPolicy) (*DecisionSet, []namedPolicy) {
 	period := p.cfg.Instance.PeriodHours
 	s := &DecisionSet{
 		cfg:       p.cfg,
 		horizon:   p.cfg.Hours,
 		byPolicy:  make(map[string]*policyDecisions, len(policies)),
 		skel:      make([]userSkeleton, len(p.users)),
-		keeps:     keeps,
 		userIndex: make(map[string]int, len(p.users)),
 	}
 	for i, u := range p.users {
@@ -180,19 +234,12 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 		s.skel[i] = userSkeleton{name: u.Trace.User, insts: insts}
 		s.userIndex[u.Trace.User] = i
 	}
-
-	// One decision table per policy. Keep-Reserved never sells, so its
-	// table needs no replay: nil soldAt means "never sold" and its cost
-	// is the cached baseline.
 	var replayed []namedPolicy
 	for _, np := range policies {
 		s.policies = append(s.policies, np.name)
 		pd := &policyDecisions{users: make([]userDecisions, len(p.users))}
 		s.byPolicy[np.name] = pd
 		if np.name == PolicyKeep {
-			for i := range p.users {
-				pd.users[i] = userDecisions{cost: keeps[i].Total}
-			}
 			continue
 		}
 		if _, perInst := np.policy.(simulate.PerInstancePolicy); !perInst {
@@ -200,39 +247,34 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 		}
 		replayed = append(replayed, np)
 	}
+	return s, replayed
+}
 
-	// Fan the (policy, user) replays out over the worker pool, each
-	// worker on its own Scratch; each job copies what it keeps out of
-	// the scratch's records and writes a distinct table slot, so
-	// results are identical at any parallelism.
-	jobs := len(replayed) * len(p.users)
-	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, jobs))
-	_, err = runPool(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
-		np := replayed[k/len(p.users)]
-		ui := k % len(p.users)
-		u := &p.users[ui]
-		tot, recs, err := obsReplay(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, np.policy)
-		if err != nil {
-			return fmt.Errorf("experiments: policy %s: user %s: %w", np.name, u.Trace.User, err)
-		}
-		ud := userDecisions{soldAt: make([]int, len(recs)), cost: tot.Cost.Total()}
-		pd := s.byPolicy[np.name]
-		if pd.ages == nil {
-			ud.ages = make([][]int, len(recs))
-		}
-		for j, in := range recs {
-			ud.soldAt[j] = in.SoldAt
-			if ud.ages != nil {
-				ud.ages[j] = simulate.DecisionAges(np.policy, in.Start, in.BatchIndex, period)
-			}
-		}
-		pd.users[ui] = ud
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// setKeeps installs the Keep-Reserved baselines, which are also the
+// Keep-Reserved table's costs.
+func (s *DecisionSet) setKeeps(keeps []KeepStat) {
+	s.keeps = keeps
+	pd := s.byPolicy[PolicyKeep]
+	for i := range pd.users {
+		pd.users[i] = userDecisions{cost: keeps[i].Total}
 	}
-	return s, nil
+}
+
+// table copies one user's decision table under policy out of a
+// replay's totals and records, which belong to the replaying Scratch.
+// A policy without shared checkpoint ages gets each instance's own.
+func (pd *policyDecisions) table(policy simulate.SellingPolicy, period int, tot simulate.Totals, recs []simulate.InstanceRecord) userDecisions {
+	ud := userDecisions{soldAt: make([]int, len(recs)), cost: tot.Cost.Total()}
+	if pd.ages == nil {
+		ud.ages = make([][]int, len(recs))
+	}
+	for j, in := range recs {
+		ud.soldAt[j] = in.SoldAt
+		if ud.ages != nil {
+			ud.ages[j] = simulate.DecisionAges(policy, in.Start, in.BatchIndex, period)
+		}
+	}
+	return ud
 }
 
 // Config returns the experiment configuration the set was built from.

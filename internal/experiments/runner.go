@@ -60,8 +60,8 @@ func obsResume(m *obs.Metrics, s *simulate.Scratch, u int, pt *simulate.ResumePo
 }
 
 // simulateReplay indirects the scratch-reusing engine call that also
-// returns per-instance records — the market session's seller replays,
-// the decision tables and the ratio audit — so tests can count or fail
+// returns per-instance records — the market session's seller replays
+// and the ratio audit — so tests can count or fail
 // those invocations; production code always calls the real
 // Scratch.Replay.
 var simulateReplay = (*simulate.Scratch).Replay

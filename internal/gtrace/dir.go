@@ -1,13 +1,19 @@
 package gtrace
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
+	"rimarket/internal/coltrace"
 	"rimarket/internal/workload"
 )
 
@@ -103,47 +109,40 @@ func LoadEC2LogDirOpts(dir string, opts LoadOptions) ([]workload.Trace, *LoadRep
 // and two files resolving to the same user return *DuplicateUserError
 // under either policy. Per-file failures are wrapped in *ParseError
 // naming the file (and row, when the parser got that far).
+//
+// Files are decoded on GOMAXPROCS workers; the policy is applied
+// afterwards in name order, so the traces, the report and the error
+// are those of a one-file-at-a-time load.
 func LoadEC2LogFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
 	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
 		return nil, nil, fmt.Errorf("gtrace: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if strings.HasSuffix(name, ".csv") || strings.HasSuffix(name, ".csv.gz") {
-			names = append(names, name)
-		}
-	}
+	names := fileNames(entries, ".csv", ".csv.gz")
 	if len(names) == 0 {
 		return nil, nil, ErrNoTraces
 	}
-	sort.Strings(names)
-
-	report := &LoadReport{}
+	decoded := make([]workload.Trace, len(names))
+	errs := decodeFiles(len(names), opts.Policy, func() func(int) error {
+		s := logScratch{line: make([]byte, bufio.MaxScanTokenSize)}
+		return func(i int) (err error) {
+			decoded[i], err = s.loadOne(fsys, names[i])
+			return err
+		}
+	})
 	traces := make([]workload.Trace, 0, len(names))
 	owners := make(map[string]string, len(names)) // user -> file that claimed it
-	for _, name := range names {
-		tr, err := loadOneLog(fsys, name)
-		if err != nil {
-			if opts.Policy == BestEffort {
-				report.Skipped = append(report.Skipped, SkippedFile{File: name, Err: err})
-				if opts.FailureBudget > 0 && len(report.Skipped) > opts.FailureBudget {
-					return nil, report, fmt.Errorf("gtrace: failure budget of %d exceeded: %w", opts.FailureBudget, err)
-				}
-				continue
-			}
-			return nil, report, err
-		}
+	report, err := applyPolicy(names, errs, opts, "gtrace: ", func(i int) error {
+		tr := decoded[i]
 		if prev, dup := owners[tr.User]; dup {
-			return nil, report, &DuplicateUserError{User: tr.User, Files: [2]string{prev, name}}
+			return &DuplicateUserError{User: tr.User, Files: [2]string{prev, names[i]}}
 		}
-		owners[tr.User] = name
-		report.Loaded = append(report.Loaded, name)
+		owners[tr.User] = names[i]
 		traces = append(traces, tr)
+		return nil
+	})
+	if err != nil {
+		return nil, report, err
 	}
 	if len(traces) == 0 {
 		return nil, report, fmt.Errorf("all %d trace files skipped: %w", len(names), ErrNoTraces)
@@ -151,14 +150,166 @@ func LoadEC2LogFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, 
 	return traces, report, nil
 }
 
-// loadOneLog reads one trace file, wrapping any failure — open, read,
-// gunzip or parse — in a *ParseError naming the file.
-func loadOneLog(fsys fs.FS, name string) (workload.Trace, error) {
+// LoadColtDir reads every columnar cohort store (.colt) in a directory
+// into traces, sorted by file name, under the same error policy as the
+// EC2-log loader: Strict fails on the first undecodable store,
+// BestEffort skips it (within the failure budget) and records it in
+// the report. A user id found in two stores fails under either policy,
+// with coltrace.ErrDuplicateUser — the cohort would be ambiguous, not
+// merely smaller. As with LoadEC2LogDir, the report is returned even
+// when err is non-nil.
+func LoadColtDir(dir string, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := fileNames(entries, coltrace.Ext)
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("no %s cohort stores (convert traces with: ritrace convert)", coltrace.Ext)
+	}
+	stores := make([][]*coltrace.Cohort, len(names))
+	errs := decodeFiles(len(names), opts.Policy, func() func(int) error {
+		return func(i int) (err error) {
+			stores[i], err = coltrace.ReadFile(filepath.Join(dir, names[i]))
+			return err
+		}
+	})
+	var cohorts []*coltrace.Cohort
+	report, err := applyPolicy(names, errs, opts, "", func(i int) error {
+		cohorts = append(cohorts, stores[i]...)
+		return nil
+	})
+	if err != nil {
+		return nil, report, err
+	}
+	if len(cohorts) == 0 {
+		return nil, report, fmt.Errorf("all %d cohort stores skipped", len(names))
+	}
+	traces, err := coltrace.MergeTraces(cohorts...)
+	if err != nil {
+		return nil, report, err
+	}
+	return traces, report, nil
+}
+
+// fileNames returns the sorted names of the regular entries with one
+// of the given suffixes.
+func fileNames(entries []fs.DirEntry, suffixes ...string) []string {
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		for _, suf := range suffixes {
+			if strings.HasSuffix(e.Name(), suf) {
+				names = append(names, e.Name())
+				break
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// decodeFiles calls decode(i) for every file index i in [0, n) on up to
+// GOMAXPROCS workers that claim indices from one shared cursor, and
+// returns each index's error. newDecoder is called once per worker, so
+// each decoder can own its buffers. Decoding order is free; what the
+// loaders report is not, so they apply the error policy afterwards, in
+// name order (applyPolicy). Under Strict the workers stop claiming
+// after the first failure: every index below a claimed one was claimed
+// too, so every file up to the first failure in name order is decoded,
+// which is as far as a strict load reads. A decoder panic stops the
+// claiming and is re-raised on the caller's goroutine once every
+// worker has returned, the lowest-index one if several panicked.
+func decodeFiles(n int, policy ErrorPolicy, newDecoder func() func(int) error) []error {
+	errs := make([]error, n)
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		stop     atomic.Bool
+		mu       sync.Mutex // guards panicAt and panicked
+		panicAt  = n
+		panicked any
+	)
+	run := func(decode func(int) error, i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				stop.Store(true)
+				mu.Lock()
+				if i < panicAt {
+					panicAt, panicked = i, p
+				}
+				mu.Unlock()
+			}
+		}()
+		// Each index has one claimant, so each slot has one writer;
+		// wg.Wait orders the writes before the caller's reads.
+		if errs[i] = decode(i); errs[i] != nil && policy == Strict {
+			stop.Store(true)
+		}
+	}
+	work := func() {
+		defer wg.Done()
+		decode := newDecoder()
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			run(decode, i)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	wg.Add(workers)
+	for range workers - 1 {
+		go work()
+	}
+	work() // the caller decodes too
+	wg.Wait()
+	if panicAt < n {
+		//rilint:allow nopanic -- re-raises a decoder's panic on the caller's goroutine, where a serial load would have raised it
+		panic(panicked)
+	}
+	return errs
+}
+
+// applyPolicy walks a directory load's per-file decode errors in name
+// order and applies opts: a failed file fails the load under Strict
+// and is skipped under BestEffort, until more than FailureBudget files
+// are skipped. accept takes each decoded file in order; its error
+// fails the load under either policy. prefix starts the budget error's
+// text. The report lists what was loaded and skipped so far, also on
+// failure.
+func applyPolicy(names []string, errs []error, opts LoadOptions, prefix string, accept func(i int) error) (*LoadReport, error) {
+	report := &LoadReport{}
+	for i, name := range names {
+		if err := errs[i]; err != nil {
+			if opts.Policy == BestEffort {
+				report.Skipped = append(report.Skipped, SkippedFile{File: name, Err: err})
+				if opts.FailureBudget > 0 && len(report.Skipped) > opts.FailureBudget {
+					return report, fmt.Errorf("%sfailure budget of %d exceeded: %w", prefix, opts.FailureBudget, err)
+				}
+				continue
+			}
+			return report, err
+		}
+		if err := accept(i); err != nil {
+			return report, err
+		}
+		report.Loaded = append(report.Loaded, name)
+	}
+	return report, nil
+}
+
+// loadOne reads one trace file on s's buffers, wrapping any failure —
+// open, read, gunzip or parse — in a *ParseError naming the file.
+func (s *logScratch) loadOne(fsys fs.FS, name string) (workload.Trace, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return workload.Trace{}, &ParseError{File: name, Err: err}
 	}
-	tr, err := ReadEC2LogAuto(f)
+	tr, err := s.readAuto(f)
 	closeErr := f.Close()
 	if err == nil {
 		err = closeErr

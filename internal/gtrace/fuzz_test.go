@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -29,24 +30,55 @@ func gzipped(tb testing.TB, s string) []byte {
 	return buf.Bytes()
 }
 
-func FuzzReadEC2Log(f *testing.F) {
+// ec2LogSeeds is FuzzReadEC2Log's seed corpus: well-formed logs, the
+// hostile and malformed rows the parser must reject, and the spellings
+// on which a hand-rolled byte parser could drift from strconv.Atoi and
+// strings.TrimSpace.
+func ec2LogSeeds(tb testing.TB) [][]byte {
 	valid := "# user: app-7\nhour,instances\n0,12\n1,14\n5,3\n"
-	f.Add([]byte(valid))
-	f.Add([]byte("hour,instances\n"))        // header only: empty trace, no error
-	f.Add([]byte("0,1\n99999999999,5\n"))    // hostile hour index: must error, not allocate
-	f.Add([]byte("0,1\n1,-3\n"))             // negative count
-	f.Add([]byte("not,a,log\n"))             // wrong arity
-	f.Add([]byte("12\n"))                    // missing column
-	f.Add([]byte(""))                        // empty stream
-	f.Add(gzipped(f, valid))                 // gzip-compressed valid log
-	f.Add(gzipped(f, valid)[:10])            // truncated gzip stream
-	f.Add([]byte{0x1f, 0x8b})                // bare gzip magic
-	f.Add([]byte("hour,instances\n0,5\n1,")) // row cut mid-write (partial download)
-	gz := gzipped(f, valid)
-	f.Add(gz[:len(gz)-6]) // gzip cut mid-deflate-stream, past the header
-	f.Add([]byte("# user: x\nhour,instances\n" + strings.Repeat("0,1\n", 100)))
+	gz := gzipped(tb, valid)
+	return [][]byte{
+		[]byte(valid),
+		[]byte("hour,instances\n"),        // header only: empty trace, no error
+		[]byte("0,1\n99999999999,5\n"),    // hostile hour index: must error, not allocate
+		[]byte("0,1\n1,-3\n"),             // negative count
+		[]byte("not,a,log\n"),             // wrong arity
+		[]byte("12\n"),                    // missing column
+		[]byte(""),                        // empty stream
+		gz,                                // gzip-compressed valid log
+		gz[:10],                           // truncated gzip stream
+		{0x1f, 0x8b},                      // bare gzip magic
+		[]byte("hour,instances\n0,5\n1,"), // row cut mid-write (partial download)
+		gz[:len(gz)-6],                    // gzip cut mid-deflate-stream, past the header
+		[]byte("# user: x\nhour,instances\n" + strings.Repeat("0,1\n", 100)),
+		[]byte("# user: crlf\r\nhour,instances\r\n0,3\r\n2,4\r\n"),            // CRLF line endings
+		[]byte("hour,instances\n \t0 ,\t7 \n\t1\t, 8\t\n"),                    // tabs and spaces around fields
+		[]byte("hour,instances\n+3,+4\n-0,0\n"),                               // leading signs
+		[]byte("hour,instances\n5,1\n2,9\n5,6\n0,0\n"),                        // duplicate and out-of-order hours
+		[]byte("hour,instances\n" + strconv.Itoa(MaxLogHours) + ",1\n"),       // the hour bound itself
+		[]byte("hour,instances\n" + strconv.Itoa(MaxLogHours+1) + ",1\n"),     // one past it
+		[]byte("hour,instances\n12345678901234567890,1\n"),                    // 20 digits: Atoi's range error
+		[]byte("hour,instances\n1,99999999999999999999\n"),                    // ... in the count column
+		[]byte("hour,instances\n\u00a00,5\u00a0\n\u00a01\u00a0,\u00a06\n"),    // U+00A0 padding
+		[]byte("# user:  \u00a0 nbsp-user\u00a0\nhour,instances\n0,1\n"),      // ... around the user name
+		[]byte("hour,instances\n1_0,2\n"),                                     // underscores are not digits
+		[]byte("hour,instances\n0,1\n" + strings.Repeat("9", 70000) + ",1\n"), // row over bufio's 64 KB token limit
+	}
+}
+
+// FuzzReadEC2Log holds the in-place parser to the reference one: any
+// input yields the same trace (user, length, every hour) or the same
+// error text from both, and a nil error a structurally sane trace.
+func FuzzReadEC2Log(f *testing.F) {
+	for _, seed := range ec2LogSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadEC2LogAuto(bytes.NewReader(data))
+		want, wantErr := readEC2LogAutoOracle(bytes.NewReader(data))
+		if d := sameParse(tr, err, want, wantErr); d != "" {
+			t.Fatalf("parser and oracle disagree: %s", d)
+		}
 		if err != nil {
 			return
 		}

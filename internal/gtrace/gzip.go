@@ -17,7 +17,11 @@ var gzipMagic = [2]byte{0x1f, 0x8b}
 // real Google cluster-usage trace ships as part-?????-of-?????.csv.gz,
 // so parsers auto-detect rather than trusting file extensions.
 func maybeGunzip(r io.Reader) (io.Reader, error) {
-	br := bufio.NewReader(r)
+	return gunzipPeeked(bufio.NewReader(r))
+}
+
+// gunzipPeeked is maybeGunzip on a buffered reader the caller owns.
+func gunzipPeeked(br *bufio.Reader) (io.Reader, error) {
 	head, err := br.Peek(2)
 	if err != nil {
 		// Short or empty streams cannot be gzip; hand them to the parser
@@ -47,11 +51,22 @@ func ReadTaskEventsAuto(r io.Reader) ([]TaskEvent, error) {
 // ReadEC2LogAuto parses an EC2 usage log that may be gzip compressed
 // (auto-detected by magic bytes).
 func ReadEC2LogAuto(r io.Reader) (workload.Trace, error) {
-	rr, err := maybeGunzip(r)
+	var s logScratch
+	return s.readAuto(r)
+}
+
+// readAuto is ReadEC2LogAuto on s's buffers.
+func (s *logScratch) readAuto(r io.Reader) (workload.Trace, error) {
+	if s.br == nil {
+		s.br = bufio.NewReader(r)
+	} else {
+		s.br.Reset(r)
+	}
+	rr, err := gunzipPeeked(s.br)
 	if err != nil {
 		return workload.Trace{}, err
 	}
-	return ReadEC2Log(rr)
+	return s.read(rr)
 }
 
 // WriteTaskEventsGZ writes events as a gzip-compressed task-events CSV.

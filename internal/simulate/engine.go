@@ -169,10 +169,7 @@ func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error)
 		return Result{}, err
 	}
 	res.Cost = tot.Cost
-	res.Instances = make([]InstanceRecord, len(s.slab))
-	for j := range s.slab {
-		res.Instances[j] = s.slab[j].rec
-	}
+	res.Instances = s.Records() // s is Run's own, so the result owns them
 	return res, nil
 }
 
@@ -225,7 +222,22 @@ func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy)
 	if err != nil {
 		return Totals{}, nil, err
 	}
-	// Non-nil even when empty, as Run's Instances are.
+	return tot, s.Records(), nil
+}
+
+// Records returns the per-instance records of the last successful
+// replay on s — Totals, Replay, Trunk or Resume — in reservation
+// order, as Run's Instances would hold them for the same replay. A
+// resumed replay's records equal an hour-0 replay's: nothing sold
+// before the resume hour, and the instances reserved before it
+// continue from the working time the trunk captured. A record carries
+// its busy schedule
+// only when the replay recorded schedules, which only Replay and Run
+// do. The records live in a buffer the Scratch owns, valid until the
+// next replay or Records call on s; a caller that keeps them must
+// copy. The slice is non-nil even when empty, and on a warm Scratch
+// Records allocates nothing.
+func (s *Scratch) Records() []InstanceRecord {
 	if s.recs == nil || cap(s.recs) < len(s.slab) {
 		s.recs = make([]InstanceRecord, len(s.slab))
 	}
@@ -233,7 +245,7 @@ func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy)
 	for j := range s.slab {
 		recs[j] = s.slab[j].rec
 	}
-	return tot, recs, nil
+	return recs
 }
 
 // ResumePoint is a Keep-Reserved replay's state just before one hour:

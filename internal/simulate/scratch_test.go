@@ -270,11 +270,23 @@ func forkOf(c diffCase) int {
 	return ForkHour(ForkAge(c.policy, c.cfg.Instance.PeriodHours), firstReservation(c.newRes), len(c.demand))
 }
 
+// unscheduled is recs without their busy schedules, as a replay that
+// records none returns them.
+func unscheduled(recs []InstanceRecord) []InstanceRecord {
+	out := make([]InstanceRecord, len(recs))
+	for j, r := range recs {
+		r.Schedule = nil
+		out[j] = r
+	}
+	return out
+}
+
 // TestScratchResumeMatchesTotals holds the trunk/resume split to the
 // plain replay: over the corpus, on one dirty reused Scratch and three
 // reused resume points, a Keep-Reserved trunk's totals equal
 // Totals(KeepReserved), and resuming at hours 0, fork/2 and fork
-// equals Totals under the case's policy bit for bit. Where the fork is
+// equals Totals under the case's policy bit for bit, with Records
+// equal to Run's instances (schedules aside). Where the fork is
 // a shared-age checkpoint hour, resuming one hour later is rejected,
 // so ForkHour is as late as a resume can go.
 func TestScratchResumeMatchesTotals(t *testing.T) {
@@ -307,6 +319,9 @@ func TestScratchResumeMatchesTotals(t *testing.T) {
 					t.Fatalf("resume at hour %d (fork %d): %v", hours[i], fork, err)
 				}
 				assertTotalsIdentical(t, got, totalsFromRun(want))
+				if recs := s.Records(); !reflect.DeepEqual(recs, unscheduled(want.Instances)) {
+					t.Fatalf("resume at hour %d: records differ from Run's instances:\n got %+v\nwant %+v", hours[i], recs, want.Instances)
+				}
 				resumed++
 			}
 			_, isPerInstance := c.policy.(PerInstancePolicy)
@@ -373,8 +388,8 @@ func TestScratchResumeErrors(t *testing.T) {
 
 // TestScratchResumeZeroAllocs pins the trunk/resume path at zero
 // allocations once warm: a one-year trunk capturing into reused points
-// carved by NewResumePoints, and a resume from each point, for every
-// allocCase policy.
+// carved by NewResumePoints, and a resume from each point followed by
+// Records, for every allocCase policy.
 func TestScratchResumeZeroAllocs(t *testing.T) {
 	demand, newRes, cfg, policies := allocCase()
 	reserved := 0
@@ -406,9 +421,10 @@ func TestScratchResumeZeroAllocs(t *testing.T) {
 				if _, err := s.Resume(&pts[i], cfg, p.policy); err != nil {
 					t.Fatal(err)
 				}
+				s.Records()
 			})
 			if allocs != 0 {
-				t.Errorf("%s: warm resume at hour %d made %v allocs, want 0", p.name, hours[i], allocs)
+				t.Errorf("%s: warm resume and records at hour %d made %v allocs, want 0", p.name, hours[i], allocs)
 			}
 		}
 	}

@@ -32,7 +32,8 @@ case "$*" in
 esac
 
 {
-	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
+	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan|BenchmarkDecisions)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
+	go test -run '^$' -bench '^(BenchmarkLoadEC2LogDir|BenchmarkLoadColtDir)$' -benchmem -cpu 2 -count 5 ./internal/gtrace
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace

@@ -10,6 +10,7 @@ import (
 	"rimarket/internal/obs"
 	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
+	"rimarket/internal/workload"
 )
 
 // AuditResult summarizes a per-instance competitive-ratio audit: every
@@ -36,12 +37,15 @@ type AuditResult struct {
 // instances reserved during the first period live out their full term
 // and have complete schedules.
 //
-// Users fan out over Config.Parallelism workers with runIndexed's
+// The two-period cohort is synthesized as the first job of the fan-out
+// that audits it (cohortFeed), so users are audited as they are drawn.
+// Users fan out over Config.Parallelism workers with runPool's
 // contract: the result is identical at any worker count, a failure
 // reports the lowest-index failing user's error, and cancelling ctx
-// drains the in-flight users and returns the context's error. Each
-// worker replays on its own Scratch, so a user's instance records and
-// busy schedules live in that worker's buffers until its next user.
+// stops synthesis at the next user, drains the in-flight users and
+// returns the context's error. Each worker replays on its own Scratch,
+// so a user's instance records and busy schedules live in that
+// worker's buffers until its next user.
 func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -56,7 +60,7 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	}
 
 	period := cfg.Instance.PeriodHours
-	traces, err := synthesize(ctx, cfg, 2*period)
+	feed, err := synthFeed(cfg, 2*period)
 	if err != nil {
 		return AuditResult{}, err
 	}
@@ -76,10 +80,9 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	// with its job and the schedules are overwritten by the worker's next
 	// replay, so the fan-out never holds more than one user's replay per
 	// worker.
-	ratios := make([][]float64, len(traces))
-	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, len(traces)))
-	_, err = runPool(ctx, cfg.Parallelism, len(traces), func(w, i int) error {
-		tr := traces[i]
+	ratios := make([][]float64, feed.Len())
+	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, feed.Len()+1))
+	err = feed.run(ctx, cfg.Parallelism, func(w, i int, tr workload.Trace) error {
 		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
 		if err != nil {
 			return err

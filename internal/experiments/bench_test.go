@@ -172,6 +172,33 @@ func BenchmarkCohortPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkColdCohortPlan measures one cold paper-scale plan, the
+// set-up every riexp driver pays: the 300-user, one-year cohort drawn
+// as job 0 of the fan-out that plans it, at GOMAXPROCS workers.
+// scripts/bench.sh gates it at -cpu 2, where synthesis and planning
+// overlap on the two cores.
+func BenchmarkColdCohortPlan(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCohortPlan(context.Background(), DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRatioAuditCold measures one paper-scale competitive-ratio
+// audit of A_{3T/4}: the two-period cohort synthesized as the audit's
+// job 0, every user planned, replayed with schedules and verified.
+// scripts/bench.sh gates it at -cpu 2.
+func BenchmarkRatioAuditCold(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RatioAudit(context.Background(), DefaultConfig(), core.Fraction3T4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMillionUsers pushes a 100k-user cohort through one 1-year
 // sweep cell as full replays, without a grid's shared trunks: one
 // Scratch.Totals per user over the worker pool at GOMAXPROCS, one

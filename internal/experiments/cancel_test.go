@@ -44,7 +44,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 func TestRunIndexedPanicCaptured(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			err := runIndexed(context.Background(), workers, 16, func(i int) error {
+			_, err := runPool(context.Background(), workers, 16, func(_, i int) error {
 				if i == 5 {
 					panic("boom")
 				}
@@ -83,7 +83,7 @@ func TestRunIndexedPanicLowestIndexWins(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				err := runIndexed(context.Background(), workers, 16, func(i int) error {
+				_, err := runPool(context.Background(), workers, 16, func(_, i int) error {
 					switch i {
 					case tc.panicAt:
 						panic("pool panic")
@@ -111,7 +111,7 @@ func TestRunIndexedPanicKeepsResultsDeterministic(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 4, n} {
 		out := make([]int, n)
-		err := runIndexed(context.Background(), workers, n, func(i int) error {
+		_, err := runPool(context.Background(), workers, n, func(_, i int) error {
 			if i == n-1 {
 				panic(i)
 			}
@@ -134,7 +134,7 @@ func TestRunIndexedPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := runIndexed(ctx, 4, 100, func(i int) error {
+	_, err := runPool(ctx, 4, 100, func(_, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -154,7 +154,7 @@ func TestRunIndexedCancelDrainsInFlight(t *testing.T) {
 	const n = 1000
 	var started, finished atomic.Int64
 	var once sync.Once
-	err := runIndexed(ctx, 4, n, func(i int) error {
+	_, err := runPool(ctx, 4, n, func(_, i int) error {
 		started.Add(1)
 		once.Do(cancel) // cancel from inside the first claimed job
 		time.Sleep(time.Millisecond)
@@ -180,7 +180,7 @@ func TestRunIndexedCancelRacingCompletion(t *testing.T) {
 	defer cancel()
 	var ran atomic.Int64
 	n := 8
-	err := runIndexed(ctx, 2, n, func(i int) error {
+	_, err := runPool(ctx, 2, n, func(_, i int) error {
 		if ran.Add(1) == int64(n) {
 			cancel() // fires after the last job's work is done
 		}
@@ -195,7 +195,7 @@ func TestRunIndexedNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_ = runIndexed(ctx, 8, 64, func(i int) error {
+		_, _ = runPool(ctx, 8, 64, func(_, i int) error {
 			switch {
 			case i == 10:
 				panic("leak-check panic")

@@ -135,10 +135,12 @@ type cardStream struct {
 }
 
 // newCardStream plans the cohort's traces against cfg's card and
-// precomputes the card's seller stream and buy-order index. The plan
-// itself is dropped, so only one card's plan is live at a time.
-func newCardStream(ctx context.Context, cfg Config, traces []workload.Trace) (*cardStream, error) {
-	plan, err := newPlan(ctx, cfg, traces)
+// precomputes the card's seller stream and buy-order index. The first
+// card's plan synthesizes the cohort as it goes; later cards plan from
+// the feed's finished traces. The plan itself is dropped, so only one
+// card's plan is live at a time.
+func newCardStream(ctx context.Context, cfg Config, feed *cohortFeed) (*cardStream, error) {
+	plan, err := newPlan(ctx, cfg, feed)
 	if err != nil {
 		return nil, err
 	}
@@ -214,8 +216,9 @@ func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.Instanc
 	return events, nil
 }
 
-// RunMarketScenario synthesizes the scenario's cohort once and plans
-// it against each card, then replays all cards through a single
+// RunMarketScenario synthesizes the scenario's cohort once, while
+// planning it against the first card, and plans it against each later
+// card, then replays all cards through a single
 // hour-stepped order book: each hour ages the book (expiring and
 // repricing listings), lists the hour's sell decisions, and routes the
 // hour's planned reservations through the book before falling back to
@@ -235,7 +238,7 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 
 	// The cohort depends only on PerGroup, Hours and Seed, which every
 	// card shares; only the plans differ per card.
-	traces, err := synthesize(ctx, sc.Base, sc.Base.Hours)
+	feed, err := synthFeed(sc.Base, sc.Base.Hours)
 	if err != nil {
 		return nil, err
 	}
@@ -243,10 +246,11 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	for ci, card := range sc.Cards {
 		cfg := sc.Base
 		cfg.Instance = card
-		if streams[ci], err = newCardStream(ctx, cfg, traces); err != nil {
+		if streams[ci], err = newCardStream(ctx, cfg, feed); err != nil {
 			return nil, err
 		}
 	}
+	traces := feed.traces
 
 	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
 	if err != nil {

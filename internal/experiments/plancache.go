@@ -59,29 +59,19 @@ type CohortPlan struct {
 // NewCohortPlan synthesizes the config's cohort and plans every user's
 // reservations once, fanning the planning out over Config.Parallelism
 // workers (results are identical at any worker count: each user's
-// behavior is seeded from its cohort index). Cancelling ctx drains the
+// behavior is seeded from its cohort index). Synthesis runs as the
+// fan-out's first job, so users are planned as soon as they are drawn.
+// Cancelling ctx stops synthesis at the next user, drains the
 // in-flight planning jobs and returns the context's error.
 func NewCohortPlan(ctx context.Context, cfg Config) (*CohortPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	traces, err := synthesize(ctx, cfg, cfg.Hours)
+	feed, err := synthFeed(cfg, cfg.Hours)
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(ctx, cfg, traces)
-}
-
-// synthesize builds the config's cohort at the given horizon inside a
-// "synth" span, so run manifests show synthesis apart from planning.
-func synthesize(ctx context.Context, cfg Config, hours int) ([]workload.Trace, error) {
-	sp := obs.StartSpan(ctx, "synth")
-	defer sp.End()
-	return workload.NewCohort(workload.CohortConfig{
-		PerGroup: cfg.PerGroup,
-		Hours:    hours,
-		Seed:     cfg.Seed,
-	})
+	return newPlan(ctx, cfg, feed)
 }
 
 // PlanTraces builds a plan from externally supplied traces (e.g. real
@@ -108,19 +98,20 @@ func PlanTraces(ctx context.Context, cfg Config, traces []workload.Trace) (*Coho
 		}
 		fitted[i] = tr
 	}
-	return newPlan(ctx, cfg, fitted)
+	return newPlan(ctx, cfg, filledFeed(fitted))
 }
 
-func newPlan(ctx context.Context, cfg Config, traces []workload.Trace) (*CohortPlan, error) {
+// newPlan plans every user of feed, synthesizing the cohort first if
+// the feed has not yet done so, inside a "plan" span.
+func newPlan(ctx context.Context, cfg Config, feed *cohortFeed) (*CohortPlan, error) {
 	sp := obs.StartSpan(ctx, "plan")
 	defer sp.End()
 	p := &CohortPlan{
 		cfg:   cfg,
-		users: make([]PlannedUser, len(traces)),
+		users: make([]PlannedUser, feed.Len()),
 		keeps: make(map[pricing.InstanceType][]KeepStat),
 	}
-	err := runIndexed(ctx, cfg.Parallelism, len(traces), func(i int) error {
-		tr := traces[i]
+	err := feed.run(ctx, cfg.Parallelism, func(_, i int, tr workload.Trace) error {
 		behavior := Behaviors[i%len(Behaviors)]
 		planner, err := behaviorPolicy(cfg, behavior, int64(i))
 		if err != nil {

@@ -148,32 +148,6 @@ func runJob(worker, i int, fn func(worker, i int) error) (err error) {
 	return fn(worker, i)
 }
 
-// runIndexed evaluates fn(0..n-1) over the shared-cursor worker pool
-// (runPool, shard.go), for callers that need neither the worker id nor
-// the completion bitmap. Every fan-out in the package has the same
-// guarantees, which make every caller byte-identical at any worker
-// count:
-//
-//   - each job writes only its own index, so outputs land in
-//     deterministic order regardless of scheduling;
-//   - the returned error is the one from the lowest-index failing job,
-//     not the temporally first. On failure the pool cancels all jobs
-//     above the best-known failing index but still drains every job
-//     below it (any of those could fail with a lower index), so the
-//     same error surfaces whether n workers race or one worker walks
-//     the jobs in order;
-//   - a panicking job is captured as a *JobPanicError and participates
-//     in the lowest-index rule like any other failure — the process
-//     never crashes because one job did;
-//   - cancelling ctx stops workers from claiming new jobs; jobs already
-//     running are drained, never interrupted. Job errors take
-//     precedence; otherwise, if any job was abandoned, the context's
-//     error is returned.
-func runIndexed(ctx context.Context, parallelism, n int, fn func(i int) error) error {
-	_, err := runPool(ctx, parallelism, n, func(_, i int) error { return fn(i) })
-	return err
-}
-
 // Cell is one grid cell of a sweep or sensitivity experiment: a selling
 // policy and the engine configuration it runs under.
 type Cell struct {

@@ -95,7 +95,7 @@ func TestRunIndexedFirstErrorDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, n} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ran := make([]atomic.Bool, n)
-			err := runIndexed(context.Background(), workers, n, func(i int) error {
+			_, err := runPool(context.Background(), workers, n, func(_, i int) error {
 				ran[i].Store(true)
 				if failAt[i] {
 					return fmt.Errorf("job %d failed", i)
@@ -118,7 +118,7 @@ func TestRunIndexedAllJobsRunOnSuccess(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 100} {
 		const n = 41
 		ran := make([]atomic.Bool, n)
-		if err := runIndexed(context.Background(), workers, n, func(i int) error {
+		if _, err := runPool(context.Background(), workers, n, func(_, i int) error {
 			ran[i].Store(true)
 			return nil
 		}); err != nil {
@@ -130,7 +130,7 @@ func TestRunIndexedAllJobsRunOnSuccess(t *testing.T) {
 			}
 		}
 	}
-	if err := runIndexed(context.Background(), 4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if _, err := runPool(context.Background(), 4, 0, func(_, _ int) error { return errors.New("never") }); err != nil {
 		t.Errorf("zero jobs: %v", err)
 	}
 }

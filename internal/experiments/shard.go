@@ -12,14 +12,40 @@ import (
 // evaluates fn(worker, 0..n-1) over workerCount(parallelism, n)
 // goroutines that claim job indices from one shared atomic cursor, and
 // returns the completion bitmap — done[i] reports whether fn ran job i
-// to completion without error — with the fan-out error. It keeps the
-// contract documented on runIndexed: deterministic outputs at any
-// parallelism, lowest-index-first-error with full drain below the
-// best-known failing index, panic containment via *JobPanicError, and
-// drain-don't-interrupt cancellation. fn also receives the claiming
-// worker's id, which indexes per-worker scratch and routes each
-// spilled cell to that worker's shard file.
+// to completion without error — with the fan-out error. fn also
+// receives the claiming worker's id, which indexes per-worker scratch
+// and routes each spilled cell to that worker's shard file. Every
+// fan-out in the package runs on it, with guarantees that make every
+// caller byte-identical at any worker count:
+//
+//   - each job writes only its own index, so outputs land in
+//     deterministic order regardless of scheduling;
+//   - the returned error is the one from the lowest-index failing job,
+//     not the temporally first. On failure the pool cancels all jobs
+//     above the best-known failing index but still drains every job
+//     below it (any of those could fail with a lower index), so the
+//     same error surfaces whether n workers race or one worker walks
+//     the jobs in order;
+//   - a panicking job is captured as a *JobPanicError and participates
+//     in the lowest-index rule like any other failure — the process
+//     never crashes because one job did;
+//   - cancelling ctx stops workers from claiming new jobs; jobs already
+//     running are drained, never interrupted. Job errors take
+//     precedence; otherwise, if any job was abandoned, the context's
+//     error is returned;
+//   - jobs are claimed in index order and a claimed job 0 is never
+//     skipped, so job 0 runs before or alongside every other job: they
+//     may wait on its output (cohortFeed) without deadlocking at any
+//     worker count.
 func runPool(ctx context.Context, parallelism, n int, fn func(worker, i int) error) ([]bool, error) {
+	return runPoolLead(ctx, parallelism, n, 0, fn)
+}
+
+// runPoolLead is runPool whose first lead jobs are set-up work for the
+// rest (a cohort's synthesis ahead of its planning): they run and fail
+// like any other job but stay out of the JobsTotal/JobsDone counters,
+// which count units of the run's own work.
+func runPoolLead(ctx context.Context, parallelism, n, lead int, fn func(worker, i int) error) ([]bool, error) {
 	done := make([]bool, n)
 	if n <= 0 {
 		return done, ctx.Err()
@@ -28,7 +54,7 @@ func runPool(ctx context.Context, parallelism, n int, fn func(worker, i int) err
 	// lines and the manifest, never scheduling.
 	m := obs.FromContext(ctx)
 	if m != nil {
-		m.JobsTotal.Add(int64(n))
+		m.JobsTotal.Add(int64(n - lead))
 	}
 	var (
 		wg       sync.WaitGroup
@@ -56,7 +82,7 @@ func runPool(ctx context.Context, parallelism, n int, fn func(worker, i int) err
 				err := runJob(w, int(i), fn)
 				if err == nil {
 					done[i] = true
-					if m != nil {
+					if m != nil && i >= int64(lead) {
 						m.JobsDone.Add(1)
 					}
 					continue

@@ -38,19 +38,53 @@ const maxDraws = 8
 // NewCohort synthesizes the experiment population: PerGroup traces per
 // fluctuation band, each verified to actually lie in its band (drawn
 // from a diverse pool of behavioral generators, with an analytic
-// spike-train fallback that guarantees band membership).
+// spike-train fallback that guarantees band membership). It is
+// CohortGenerator drawn to the end.
 func NewCohort(cfg CohortConfig) ([]Trace, error) {
+	gen, err := NewCohortGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	traces := make([]Trace, gen.Len())
+	for i := range traces {
+		traces[i] = gen.Next()
+	}
+	return traces, nil
+}
+
+// CohortGenerator draws NewCohort's traces one at a time, in cohort
+// order (every stable user, then every moderate one, then every
+// volatile one), from one seeded random source: the i-th Next returns
+// NewCohort's i-th trace, so a consumer can start on the first users
+// while the rest are still being drawn. A generator is not safe for
+// concurrent use.
+type CohortGenerator struct {
+	cfg  CohortConfig
+	rng  *rand.Rand
+	next int // index of the next user to draw
+}
+
+// NewCohortGenerator returns a generator positioned at the cohort's
+// first user.
+func NewCohortGenerator(cfg CohortConfig) (*CohortGenerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var traces []Trace
-	for _, g := range []Group{GroupStable, GroupModerate, GroupVolatile} {
-		for i := 0; i < cfg.PerGroup; i++ {
-			traces = append(traces, generateInBand(userName(g, i), g, cfg.Hours, rng))
-		}
+	return &CohortGenerator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+}
+
+// Len returns the cohort's user count: three bands of PerGroup users.
+func (g *CohortGenerator) Len() int { return 3 * g.cfg.PerGroup }
+
+// Next draws the next user's trace. After Len calls the cohort is
+// exhausted and Next returns the zero Trace.
+func (g *CohortGenerator) Next() Trace {
+	if g.next >= g.Len() {
+		return Trace{}
 	}
-	return traces, nil
+	band, i := GroupStable+Group(g.next/g.cfg.PerGroup), g.next%g.cfg.PerGroup
+	g.next++
+	return generateInBand(userName(band, i), band, g.cfg.Hours, g.rng)
 }
 
 // userName returns the name of group g's i-th user, spelled as

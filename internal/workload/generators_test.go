@@ -125,6 +125,58 @@ func TestNewCohortDeterministic(t *testing.T) {
 	}
 }
 
+// newCohortSerial is NewCohort's loop as it was before the cohort was
+// drawn through CohortGenerator: one seeded source, every band's users
+// appended in order.
+func newCohortSerial(cfg CohortConfig) []Trace {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var traces []Trace
+	for _, g := range []Group{GroupStable, GroupModerate, GroupVolatile} {
+		for i := 0; i < cfg.PerGroup; i++ {
+			traces = append(traces, generateInBand(userName(g, i), g, cfg.Hours, rng))
+		}
+	}
+	return traces
+}
+
+// TestCohortGenerator: the generator's draws, and NewCohort on top of
+// them, are the serial loop's traces in the same order; Len counts the
+// users, and a drawn-out generator returns the zero Trace.
+func TestCohortGenerator(t *testing.T) {
+	for _, cfg := range []CohortConfig{
+		{PerGroup: 1, Hours: 50, Seed: 1},
+		{PerGroup: 7, Hours: 600, Seed: 11},
+		{PerGroup: 30, Hours: 1460, Seed: 2018},
+	} {
+		want := newCohortSerial(cfg)
+		gen, err := NewCohortGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen.Len() != len(want) {
+			t.Fatalf("%+v: Len = %d, want %d", cfg, gen.Len(), len(want))
+		}
+		for i := range want {
+			if tr := gen.Next(); !reflect.DeepEqual(tr, want[i]) {
+				t.Fatalf("%+v: draw %d (%s) differs from the serial loop's %s", cfg, i, tr.User, want[i].User)
+			}
+		}
+		if tr := gen.Next(); !reflect.DeepEqual(tr, Trace{}) {
+			t.Errorf("%+v: draw past the cohort = %s, want the zero Trace", cfg, tr.User)
+		}
+		got, err := NewCohort(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: NewCohort differs from the serial loop", cfg)
+		}
+	}
+	if _, err := NewCohortGenerator(CohortConfig{PerGroup: 0, Hours: 10}); err == nil {
+		t.Error("NewCohortGenerator accepted PerGroup 0")
+	}
+}
+
 func TestNewCohortRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []CohortConfig{
 		{PerGroup: 0, Hours: 100},

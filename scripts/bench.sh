@@ -13,7 +13,9 @@
 #
 # Each benchmark's doc comment says what its rows guard;
 # SensitivityGridCachedPlan holds a whole grid's wall time, trunks and
-# resumed cells, on a cached plan; CohortSynthesis is single-threaded
+# resumed cells, on a cached plan; ColdCohortPlan and RatioAuditCold
+# hold a cold paper-scale plan and audit, whose synthesis overlaps their
+# planning on the second core; CohortSynthesis is single-threaded
 # and GridSkewed runs a fixed four workers off one shared cursor, so
 # their allocs/op are exact. MillionUsers
 # takes seconds per op, so it repeats twice; MarketMatch runs a fixed op
@@ -32,7 +34,7 @@ case "$*" in
 esac
 
 {
-	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan|BenchmarkDecisions)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
+	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan|BenchmarkDecisions|BenchmarkColdCohortPlan|BenchmarkRatioAuditCold)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
 	go test -run '^$' -bench '^(BenchmarkLoadEC2LogDir|BenchmarkLoadColtDir)$' -benchmem -cpu 2 -count 5 ./internal/gtrace
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 func TestRunSyntheticProfiles(t *testing.T) {
 	for _, profile := range []string{"stable", "moderate", "volatile"} {
@@ -130,5 +135,44 @@ func TestRunDumpHours(t *testing.T) {
 	}
 	if err := run([]string{"-synthetic", "stable", "-dump", "/nonexistent-dir/x.csv"}, &out); err == nil {
 		t.Error("bad dump path accepted")
+	}
+}
+
+// TestRunDumpGolden pins the bytes of a -dump CSV: its row count and
+// SHA-256, plus every sold-hour row spelled out so a diff names the
+// hours that moved. Rewrite with
+//
+//	go test ./cmd/risim -run TestRunDumpGolden -update
+func TestRunDumpGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hours.csv")
+	var out strings.Builder
+	if err := run([]string{"-synthetic", "stable", "-hours", "9000", "-dump", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "rows=%d sha256=%x\n", len(lines), sha256.Sum256(data))
+	for _, line := range lines[1:] {
+		if !strings.HasSuffix(line, ",0") {
+			fmt.Fprintln(&got, line)
+		}
+	}
+	golden := filepath.Join("testdata", "dump.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("dump differs from %s (run with -update after intentional changes)\n--- want\n%s--- got\n%s", golden, want, got.Bytes())
 	}
 }

@@ -132,7 +132,7 @@ func simulateCmd(w io.Writer, sess *cli.ObsSession, tracePath, synthetic string,
 			return err
 		}
 		if dump != "" && np.name == "A_{3T/4}" {
-			if err := dumpHours(dump, res); err != nil {
+			if err := dumpHours(dump, tr.Demand, newRes, it.PeriodHours, res); err != nil {
 				return err
 			}
 		}
@@ -181,13 +181,18 @@ func allPolicies(it pricing.InstanceType, a float64) ([]namedPolicy, error) {
 	}, nil
 }
 
-// dumpHours writes a run's per-hour accounting to a CSV file.
-func dumpHours(path string, res simulate.Result) error {
+// dumpHours writes a run's per-hour accounting, derived from its
+// inputs and instance records, to a CSV file.
+func dumpHours(path string, demand, newRes []int, period int, res simulate.Result) error {
+	rows, err := simulate.HourRows(demand, newRes, period, res.Instances)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := res.WriteHoursCSV(f); err != nil {
+	if err := simulate.WriteHoursCSV(f, rows); err != nil {
 		f.Close()
 		return err
 	}

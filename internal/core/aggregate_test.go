@@ -147,14 +147,18 @@ func TestAggregateMatchesEngineNoSales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := simulate.HourRows(demand, newRes, it.PeriodHours, eng.Instances)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for t2 := range demand {
-		if agg.Active[t2] != eng.Hours[t2].ActiveRes {
-			t.Errorf("hour %d: aggregate r = %d, engine r = %d", t2, agg.Active[t2], eng.Hours[t2].ActiveRes)
+		if agg.Active[t2] != rows[t2].ActiveRes {
+			t.Errorf("hour %d: aggregate r = %d, engine r = %d", t2, agg.Active[t2], rows[t2].ActiveRes)
 		}
-		if agg.OnDemand[t2] != eng.Hours[t2].OnDemand {
-			t.Errorf("hour %d: aggregate o = %d, engine o = %d", t2, agg.OnDemand[t2], eng.Hours[t2].OnDemand)
+		if agg.OnDemand[t2] != rows[t2].OnDemand {
+			t.Errorf("hour %d: aggregate o = %d, engine o = %d", t2, agg.OnDemand[t2], rows[t2].OnDemand)
 		}
-		if agg.Sold[t2] != 0 || eng.Hours[t2].Sold != 0 {
+		if agg.Sold[t2] != 0 || rows[t2].Sold != 0 {
 			t.Errorf("hour %d: unexpected sale", t2)
 		}
 	}
@@ -198,8 +202,12 @@ func TestPropertyAggregateMatchesEngineSingleInstance(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rows, err := simulate.HourRows(demand, newRes, it.PeriodHours, eng.Instances)
+		if err != nil {
+			return false
+		}
 		engSold := make([]int, n)
-		for t2, h := range eng.Hours {
+		for t2, h := range rows {
 			engSold[t2] = h.Sold
 		}
 		return reflect.DeepEqual(agg.Sold, engSold)
@@ -244,8 +252,12 @@ func TestPropertyAggregateMatchesEngineMultiBatchFirstDecision(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rows, err := simulate.HourRows(demand, newRes, it.PeriodHours, eng.Instances)
+		if err != nil {
+			return false
+		}
 		engSold := make([]int, n)
-		for t2, h := range eng.Hours {
+		for t2, h := range rows {
 			engSold[t2] = h.Sold
 		}
 		return reflect.DeepEqual(agg.Sold, engSold)

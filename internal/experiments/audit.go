@@ -91,12 +91,11 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 		if err != nil {
 			return err
 		}
-		_, recs, err := obsReplay(m, &scratch[w], tr.Demand, newRes, engCfg, core.KeepReserved{})
-		if err != nil {
+		if _, err := obsTotals(m, &scratch[w], tr.Demand, newRes, engCfg, core.KeepReserved{}); err != nil {
 			return err
 		}
 		var rs []float64
-		for _, inst := range recs {
+		for _, inst := range scratch[w].Records() {
 			if inst.Start+period > tr.Len() {
 				continue // truncated lifetime: schedule incomplete
 			}

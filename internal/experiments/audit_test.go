@@ -177,15 +177,15 @@ func hookAuditEngine(t *testing.T, cfg Config, fn func(user int) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := simulateReplay
-	simulateReplay = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		user := slices.IndexFunc(traces, func(tr workload.Trace) bool { return slices.Equal(tr.Demand, demand) })
 		if err := fn(user); err != nil {
-			return simulate.Totals{}, nil, err
+			return simulate.Totals{}, err
 		}
 		return orig(s, demand, newRes, ec, pol)
 	}
-	t.Cleanup(func() { simulateReplay = orig })
+	t.Cleanup(func() { simulateTotals = orig })
 }
 
 // TestRatioAuditLowestIndexError injects engine failures for two users

@@ -37,11 +37,11 @@ func decisionsFromHourZero(ctx context.Context, p *CohortPlan) (*DecisionSet, er
 		pd := s.byPolicy[np.name]
 		for ui := range p.users {
 			u := &p.users[ui]
-			tot, recs, err := sc.Replay(u.Trace.Demand, u.NewRes, engCfg, np.policy)
+			tot, err := sc.Totals(u.Trace.Demand, u.NewRes, engCfg, np.policy)
 			if err != nil {
 				return nil, fmt.Errorf("policy %s: user %s: %w", np.name, u.Trace.User, err)
 			}
-			pd.users[ui] = pd.table(np.policy, p.cfg.Instance.PeriodHours, tot, recs)
+			pd.users[ui] = pd.table(np.policy, p.cfg.Instance.PeriodHours, tot, sc.Records())
 		}
 	}
 	return s, nil

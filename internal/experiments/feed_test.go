@@ -113,19 +113,19 @@ func TestCohortFeedAuditOracle(t *testing.T) {
 			}
 			var mu sync.Mutex
 			replayed := make([][]int, len(want))
-			origReplay := simulateReplay
-			simulateReplay = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
+			origTotals := simulateTotals
+			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 				u := slices.IndexFunc(want, func(pu PlannedUser) bool { return slices.Equal(pu.Trace.Demand, demand) })
 				mu.Lock()
 				if u < 0 || replayed[u] != nil {
 					mu.Unlock()
-					return simulate.Totals{}, nil, fmt.Errorf("replayed demand matches oracle user %d, or that user twice", u)
+					return simulate.Totals{}, fmt.Errorf("replayed demand matches oracle user %d, or that user twice", u)
 				}
 				replayed[u] = slices.Clone(newRes)
 				mu.Unlock()
-				return origReplay(s, demand, newRes, ec, pol)
+				return origTotals(s, demand, newRes, ec, pol)
 			}
-			defer func() { nextTrace, simulateReplay = origNext, origReplay }()
+			defer func() { nextTrace, simulateTotals = origNext, origTotals }()
 
 			cfg := cfg
 			cfg.Parallelism = par

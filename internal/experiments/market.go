@@ -77,11 +77,10 @@ func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policyFor func(i int
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
 	_, err := runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
 		u := &p.users[i]
-		_, recs, err := obsReplay(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policyFor(i))
-		if err != nil {
+		if _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policyFor(i)); err != nil {
 			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 		}
-		for _, inst := range recs {
+		for _, inst := range scratch[w].Records() {
 			if inst.SoldAt < 0 {
 				continue
 			}

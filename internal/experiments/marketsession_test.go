@@ -190,14 +190,14 @@ func TestMarketScenarioReplayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected engine failure")
-	orig := simulateReplay
-	simulateReplay = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
+	orig := simulateTotals
+	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 		if slices.Equal(demand, traces[5].Demand) || slices.Equal(demand, traces[9].Demand) {
-			return simulate.Totals{}, nil, injected
+			return simulate.Totals{}, injected
 		}
 		return orig(s, demand, newRes, ec, pol)
 	}
-	defer func() { simulateReplay = orig }()
+	defer func() { simulateTotals = orig }()
 
 	want := fmt.Sprintf("experiments: user %s: %v", traces[5].User, injected)
 	for _, par := range []int{1, 4, runtime.NumCPU()} {

@@ -40,14 +40,19 @@ func oracleRun(t *testing.T, u PlannedUser, ec simulate.Config, policy simulate.
 }
 
 // oracleKeeps is the Keep-Reserved baseline a loop over simulate.Run
-// implies, with idle hours counted from the hourly records.
+// implies, with idle hours counted from the hourly rows HourRows
+// derives from the run.
 func oracleKeeps(t *testing.T, plan *CohortPlan, ec simulate.Config) []KeepStat {
 	t.Helper()
 	out := make([]KeepStat, plan.Len())
 	for i, u := range plan.Users() {
 		res := oracleRun(t, u, ec, core.KeepReserved{})
 		out[i].Total = res.Cost.Total()
-		for _, h := range res.Hours {
+		rows, err := simulate.HourRows(u.Trace.Demand, u.NewRes, ec.Instance.PeriodHours, res.Instances)
+		if err != nil {
+			t.Fatalf("oracle rows for %s: %v", u.Trace.User, err)
+		}
+		for _, h := range rows {
 			out[i].IdleHours += h.ActiveRes - (h.Demand - h.OnDemand)
 		}
 	}

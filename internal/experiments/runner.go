@@ -59,28 +59,18 @@ func obsResume(m *obs.Metrics, s *simulate.Scratch, u int, pt *simulate.ResumePo
 	return timeEngine(m, func() (simulate.Totals, error) { return simulateResume(s, u, pt, cfg, policy) })
 }
 
-// simulateReplay indirects the scratch-reusing engine call that also
-// returns per-instance records — the market session's seller replays
-// and the ratio audit — so tests can count or fail
-// those invocations; production code always calls the real
-// Scratch.Replay.
-var simulateReplay = (*simulate.Scratch).Replay
+// simulateTotals indirects the scratch-reusing hour-0 replays whose
+// per-instance records the caller then reads through Scratch.Records —
+// the market session's seller replays and the ratio audit — so tests
+// can count or fail those invocations; production code always calls
+// the real Scratch.Totals.
+var simulateTotals = (*simulate.Scratch).Totals
 
-// replayOut is one Scratch.Replay's outputs, carried through
-// timeEngine as a single value.
-type replayOut struct {
-	tot  simulate.Totals
-	recs []simulate.InstanceRecord
-}
-
-// obsReplay is simulateReplay under timeEngine. The records live in
-// s's buffer until the worker's next replay on it.
-func obsReplay(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, []simulate.InstanceRecord, error) {
-	out, _, err := timeEngine(m, func() (replayOut, error) {
-		tot, recs, err := simulateReplay(s, demand, newRes, cfg, policy)
-		return replayOut{tot, recs}, err
-	})
-	return out.tot, out.recs, err
+// obsTotals is simulateTotals under timeEngine. The replay's records
+// stay on s until the worker's next replay on it.
+func obsTotals(m *obs.Metrics, s *simulate.Scratch, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) (simulate.Totals, error) {
+	tot, _, err := timeEngine(m, func() (simulate.Totals, error) { return simulateTotals(s, demand, newRes, cfg, policy) })
+	return tot, err
 }
 
 // workerCount resolves the Config.Parallelism contract: non-positive

@@ -166,9 +166,7 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("portfolio: %s: %w", svc.Name, err)
 			}
 		}
-		// The records belong to the scratch, so they are read here,
-		// before the next service's replays overwrite them.
-		pol, recs, err := scratch.Replay(svc.Demand, plan, engCfg, policy)
+		pol, err := scratch.Totals(svc.Demand, plan, engCfg, policy)
 		if err != nil {
 			return Result{}, fmt.Errorf("portfolio: %s: %w", svc.Name, err)
 		}
@@ -180,7 +178,9 @@ func Evaluate(services []Service, cfg Config) (Result, error) {
 			KeepCost:   keep.Cost.Total(),
 			PolicyCost: pol.Cost.Total(),
 		}
-		for _, inst := range recs {
+		// The records belong to the scratch, so they are read here,
+		// before the next service's replays overwrite them.
+		for _, inst := range scratch.Records() {
 			if inst.SoldAt < 0 {
 				continue
 			}

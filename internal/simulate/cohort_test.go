@@ -166,7 +166,7 @@ func TestDifferentialBatchEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("per-user engine rejected sampled input: %v", err)
 				}
-				want[u] = totalsFromRun(res)
+				want[u] = totalsFromRun(t, c.users[u].demand, c.users[u].newRes, c.cfg, res)
 			}
 			for _, par := range parallelisms {
 				got, err := cohortTotals(c.users, c.cfg, c.policy, par)
@@ -265,8 +265,8 @@ func TestBatchValidationParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != totalsFromRun(res) {
-					t.Fatalf("user %d after the rejected one: totals %+v, Run implies %+v", u, got, totalsFromRun(res))
+				if want := totalsFromRun(t, user.demand, user.newRes, cfg, res); got != want {
+					t.Fatalf("user %d after the rejected one: totals %+v, Run implies %+v", u, got, want)
 				}
 			}
 		})

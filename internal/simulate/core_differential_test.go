@@ -85,7 +85,7 @@ func TestDifferentialCorePolicies(t *testing.T) {
 					MarketFee:       []float64{0, 0.12}[rng.Intn(2)],
 					RecordSchedules: rng.Intn(2) == 0,
 				}
-				want, err := simulate.RunReference(tr.Demand, newRes, cfg, policy)
+				want, wantRows, err := simulate.RunReference(tr.Demand, newRes, cfg, policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,6 +96,13 @@ func TestDifferentialCorePolicies(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("user %s: optimized result diverges from reference\n got %+v\nwant %+v",
 						tr.User, got.Cost, want.Cost)
+				}
+				rows, err := simulate.HourRows(tr.Demand, newRes, it.PeriodHours, got.Instances)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rows, wantRows) {
+					t.Fatalf("user %s: HourRows diverges from the reference's rows", tr.User)
 				}
 			}
 		})

@@ -142,18 +142,21 @@ func sampleDiffCase(rng *rand.Rand, i int) diffCase {
 }
 
 // assertResultsIdentical fails with the first differing field rather
-// than dumping both Results wholesale.
-func assertResultsIdentical(t *testing.T, got, want Result) {
+// than dumping both Results wholesale. The reference writes its rows
+// inside its hour loop; Run's come from HourRows of its instances, so
+// the comparison pins the derivation too.
+func assertResultsIdentical(t *testing.T, c diffCase, got, want Result, wantRows []HourRecord) {
 	t.Helper()
 	if got.Cost != want.Cost {
 		t.Fatalf("Cost differs:\n got %+v\nwant %+v", got.Cost, want.Cost)
 	}
-	if len(got.Hours) != len(want.Hours) {
-		t.Fatalf("Hours length %d, want %d", len(got.Hours), len(want.Hours))
+	gotRows := hourRows(t, c.demand, c.newRes, c.cfg, got)
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("rows length %d, want %d", len(gotRows), len(wantRows))
 	}
-	for h := range want.Hours {
-		if got.Hours[h] != want.Hours[h] {
-			t.Fatalf("hour %d differs:\n got %+v\nwant %+v", h, got.Hours[h], want.Hours[h])
+	for h := range wantRows {
+		if gotRows[h] != wantRows[h] {
+			t.Fatalf("hour %d differs:\n got %+v\nwant %+v", h, gotRows[h], wantRows[h])
 		}
 	}
 	if len(got.Instances) != len(want.Instances) {
@@ -179,7 +182,7 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		c := sampleDiffCase(rng, i)
 		t.Run(c.name, func(t *testing.T) {
-			want, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
+			want, wantRows, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
 			got, gotErr := Run(c.demand, c.newRes, c.cfg, c.policy)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("error mismatch: got %v, reference %v", gotErr, wantErr)
@@ -190,7 +193,7 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 				}
 				return
 			}
-			assertResultsIdentical(t, got, want)
+			assertResultsIdentical(t, c, got, want, wantRows)
 		})
 	}
 }
@@ -214,7 +217,7 @@ func TestDifferentialEngineErrors(t *testing.T) {
 	}
 	for _, c := range badCases {
 		t.Run(c.name, func(t *testing.T) {
-			_, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
+			_, _, wantErr := runReference(c.demand, c.newRes, c.cfg, c.policy)
 			_, gotErr := Run(c.demand, c.newRes, c.cfg, c.policy)
 			if wantErr == nil || gotErr == nil {
 				t.Fatalf("expected both engines to fail: got %v, reference %v", gotErr, wantErr)

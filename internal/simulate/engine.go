@@ -53,8 +53,8 @@ func appendCheckpointAges(dst []int, policy SellingPolicy, period int) []int {
 }
 
 // validateRun is the shared input validation of Run, Scratch.Totals,
-// Scratch.Replay, Scratch.Trunk and the test-only reference engine;
-// all must reject identical inputs identically.
+// Scratch.Trunk and the test-only reference engine; all must reject
+// identical inputs identically.
 func validateRun(demand, newRes []int, cfg Config, policy SellingPolicy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -91,8 +91,8 @@ func byHour(a, b event) int { return cmp.Compare(a.hour, b.hour) }
 // Scratch is the replay engine's reusable working memory: the batch
 // list, the checkpoint event list, the active list, the instance slab,
 // the per-instance age backing, and the instance records and busy
-// schedules Replay returns, which Run would otherwise allocate afresh
-// for every replay. Every buffer is sized by the instances replayed,
+// schedules Records returns, which Run allocates afresh for every
+// replay. Every buffer is sized by the instances replayed,
 // not by the horizon. Each replay grows the buffers on demand and
 // overwrites or clears every element it reads, so nothing leaks from
 // one replay into the next.
@@ -120,7 +120,8 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // Run replays the demand series against the reservation series under
-// the given selling policy and returns the full accounting.
+// the given selling policy and returns the cost and the per-instance
+// records; HourRows derives the per-hour rows from them.
 //
 // Per hour t the engine, in order:
 //  1. activates the newRes[t] instances reserved at t (active from t);
@@ -153,29 +154,24 @@ func grow[T any](buf []T, n int) []T {
 // hour, instead of scanning the active list every hour. The hour loop
 // walks the batch list and the event list with one cursor each, so the
 // set-up is proportional to the instances, not the horizon. The whole
-// replay makes O(1) heap allocations: instance state, hour records,
-// batches, checkpoint events and (optionally) schedules live in
-// pre-sized slabs. Run uses a fresh Scratch, so the Result it returns
-// owns its schedules; Scratch.Totals, Scratch.Replay, Scratch.Trunk and
-// Scratch.Resume are the same replay on a caller-owned one.
+// replay makes O(1) heap allocations: instance state, batches,
+// checkpoint events and (optionally) schedules live in pre-sized
+// slabs. Run is Scratch.Totals then Scratch.Records on a fresh
+// Scratch, so the Result it returns owns its records and schedules;
+// Scratch.Totals, Scratch.Trunk and Scratch.Resume are the same replay
+// on a caller-owned one.
 func Run(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
-	if err := validateRun(demand, newRes, cfg, policy); err != nil {
-		return Result{}, err
-	}
 	var s Scratch
-	res := Result{Hours: make([]HourRecord, len(demand))}
-	tot, err := s.replay(demand, newRes, cfg, policy, &res, nil, nil)
+	tot, err := s.Totals(demand, newRes, cfg, policy)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Cost = tot.Cost
-	res.Instances = s.Records() // s is Run's own, so the result owns them
-	return res, nil
+	return Result{Cost: tot.Cost, Instances: s.Records()}, nil
 }
 
-// Totals is one replay's lean outcome: the exact cost breakdown a full
+// Totals is one replay's lean outcome: the exact cost breakdown a
 // Result would carry, plus the aggregates the experiment drivers
-// consume, without per-hour or per-instance records.
+// consume, without the per-instance records (see Scratch.Records).
 type Totals struct {
 	// Cost is the run's cost decomposition, bit-identical to the Cost
 	// of the corresponding Run.
@@ -189,54 +185,33 @@ type Totals struct {
 }
 
 // Totals replays one user exactly as Run does — same decisions, same
-// float accumulation order, so Cost is bit-identical to Run's — but
-// returns only the lean Totals (Cost, Sold, IdleHours) and
-// materializes neither Hours nor Instances. It is the replay loop
-// started at hour 0 with no resume point and no captures.
-// Config.RecordSchedules is ignored, since no schedule is returned.
-// On a warm Scratch whose buffers already fit the input, a replay
-// under a single-checkpoint, per-instance or never-selling policy
-// allocates nothing.
+// float accumulation order, so Cost is bit-identical to Run's — and
+// returns the lean Totals (Cost, Sold, IdleHours); Records then reads
+// the per-instance records, with busy schedules when
+// Config.RecordSchedules is set. It is the replay loop started at hour
+// 0 with no resume point and no captures. On a warm Scratch whose
+// buffers already fit the input, a replay under a single-checkpoint,
+// per-instance or never-selling policy allocates nothing, schedules or
+// not.
 func (s *Scratch) Totals(demand, newRes []int, cfg Config, policy SellingPolicy) (Totals, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
 		return Totals{}, err
 	}
-	cfg.RecordSchedules = false // no schedule to return, so none to record
-	return s.replay(demand, newRes, cfg, policy, nil, nil, nil)
-}
-
-// Replay replays one user exactly as Run does and returns the lean
-// Totals together with the per-instance records in reservation order:
-// Run's Cost and Instances without the per-hour rows. With
-// Config.RecordSchedules set each record carries its busy schedule, as
-// Run's do; otherwise every Schedule is nil. The records and their
-// schedules live in buffers the Scratch owns, valid until the next
-// replay on s; a caller that keeps them must copy. On a warm Scratch
-// whose buffers already fit the input, a replay allocates nothing,
-// schedules or not.
-func (s *Scratch) Replay(demand, newRes []int, cfg Config, policy SellingPolicy) (Totals, []InstanceRecord, error) {
-	if err := validateRun(demand, newRes, cfg, policy); err != nil {
-		return Totals{}, nil, err
-	}
-	tot, err := s.replay(demand, newRes, cfg, policy, nil, nil, nil)
-	if err != nil {
-		return Totals{}, nil, err
-	}
-	return tot, s.Records(), nil
+	return s.replay(demand, newRes, cfg, policy, nil, nil)
 }
 
 // Records returns the per-instance records of the last successful
-// replay on s — Totals, Replay, Trunk or Resume — in reservation
-// order, as Run's Instances would hold them for the same replay. A
-// resumed replay's records equal an hour-0 replay's: nothing sold
-// before the resume hour, and the instances reserved before it
-// continue from the working time the trunk captured. A record carries
-// its busy schedule
-// only when the replay recorded schedules, which only Replay and Run
-// do. The records live in a buffer the Scratch owns, valid until the
-// next replay or Records call on s; a caller that keeps them must
-// copy. The slice is non-nil even when empty, and on a warm Scratch
-// Records allocates nothing.
+// replay on s — Totals, Trunk or Resume — in reservation order, as
+// Run's Instances would hold them for the same replay. A resumed
+// replay's records equal an hour-0 replay's: nothing sold before the
+// resume hour, and the instances reserved before it continue from the
+// working time the trunk captured. A record carries its busy schedule
+// only when the replay recorded schedules, which only Totals and Run
+// do, under Config.RecordSchedules. The records and their schedules
+// live in buffers the Scratch owns, valid until the next replay or
+// Records call on s; a caller that keeps them must copy. The slice is
+// non-nil even when empty, and on a warm Scratch Records allocates
+// nothing.
 func (s *Scratch) Records() []InstanceRecord {
 	if s.recs == nil || cap(s.recs) < len(s.slab) {
 		s.recs = make([]InstanceRecord, len(s.slab))
@@ -314,7 +289,7 @@ func (s *Scratch) Trunk(demand, newRes []int, cfg Config, hours []int, pts []Res
 		pts[i].hour = h
 	}
 	cfg.RecordSchedules = false
-	return s.replay(demand, newRes, cfg, KeepReserved{}, nil, nil, pts)
+	return s.replay(demand, newRes, cfg, KeepReserved{}, nil, pts)
 }
 
 // Resume continues the trunk replay pt was captured from under policy
@@ -339,7 +314,7 @@ func (s *Scratch) Resume(pt *ResumePoint, cfg Config, policy SellingPolicy) (Tot
 		return Totals{}, fmt.Errorf("simulate: resume point of card %s resumed under card %s", pt.card.Name, cfg.Instance.Name)
 	}
 	cfg.RecordSchedules = false
-	return s.replay(pt.demand, pt.newRes, cfg, policy, nil, pt, nil)
+	return s.replay(pt.demand, pt.newRes, cfg, policy, pt, nil)
 }
 
 // ForkAge is how long after a user's first reservation a replay under
@@ -373,17 +348,16 @@ func ForkHour(forkAge, firstRes, horizon int) int {
 	return firstRes + forkAge
 }
 
-// replay is the engine kernel behind Run, Totals, Replay, Trunk and
-// Resume: one hour loop, started at hour 0 or, with from set, at
-// from's hour on the state from holds. Inputs must have passed
-// validateRun. When res is non-nil its len(demand) Hours are written;
-// with cfg.RecordSchedules set each instance's busy schedule is
-// recorded into s.scheds, one period-long window per instance. Each
-// capture point, whose hour is preset, is filled just before its hour.
-// On return s.slab holds the replay's instances in reservation order.
-// The only error is a resume point later than the policy's first
+// replay is the engine kernel behind Run, Totals, Trunk and Resume:
+// one hour loop, started at hour 0 or, with from set, at from's hour
+// on the state from holds. Inputs must have passed validateRun. With
+// cfg.RecordSchedules set each instance's busy schedule is recorded
+// into s.scheds, one period-long window per instance. Each capture
+// point, whose hour is preset, is filled just before its hour. On
+// return s.slab holds the replay's instances in reservation order. The
+// only error is a resume point later than the policy's first
 // checkpoint.
-func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, res *Result, from *ResumePoint, capture []ResumePoint) (Totals, error) {
+func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy, from *ResumePoint, capture []ResumePoint) (Totals, error) {
 	it := cfg.Instance
 	period := it.PeriodHours
 	alphaHourly := it.ReservedHourly
@@ -564,13 +538,13 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		}
 
 		// 2. Selling checkpoints: only the instances scheduled for hour t.
-		var soldNow int
 		var income float64
 		if ei < len(events) && events[ei].hour == t {
 			due := ei
 			for ei < len(events) && events[ei].hour == t {
 				ei++
 			}
+			var soldNow int
 			active, soldNow, income = checkpoints(t, events[due:ei], slab, active, head, policy, &cfg)
 			sold += soldNow
 		}
@@ -595,15 +569,6 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		}
 
 		// 4. Book C_t per Eq. (1).
-		if res != nil {
-			res.Hours[t] = HourRecord{
-				Demand:    d,
-				NewlyRes:  newRes[t],
-				ActiveRes: len(win),
-				OnDemand:  onDemand,
-				Sold:      soldNow,
-			}
-		}
 		onDemandCost += float64(onDemand) * it.OnDemandHourly
 		upfrontCost += float64(newRes[t]) * it.Upfront
 		reservedCost += float64(len(win)) * alphaHourly

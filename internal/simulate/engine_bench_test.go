@@ -55,7 +55,7 @@ func BenchmarkEngineReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReference(demand, newRes, cfg, policy); err != nil {
+		if _, _, err := runReference(demand, newRes, cfg, policy); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,8 @@ func TestRunZeroLengthSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hours) != 0 || len(res.Instances) != 0 {
-		t.Errorf("Hours/Instances = %d/%d, want 0/0", len(res.Hours), len(res.Instances))
+	if rows := hourRows(t, nil, nil, testConfig(), res); len(rows) != 0 || len(res.Instances) != 0 {
+		t.Errorf("rows/Instances = %d/%d, want 0/0", len(rows), len(res.Instances))
 	}
 	if res.Cost != (CostBreakdown{}) {
 		t.Errorf("Cost = %+v, want zero", res.Cost)
@@ -38,7 +38,7 @@ func TestRunSingleHourPeriod(t *testing.T) {
 	}
 	wantActive := []int{1, 0, 1}
 	wantOnDemand := []int{0, 1, 0}
-	for h, rec := range res.Hours {
+	for h, rec := range hourRows(t, demand, newRes, cfg, res) {
 		if rec.ActiveRes != wantActive[h] || rec.OnDemand != wantOnDemand[h] {
 			t.Errorf("hour %d = %+v, want active %d, on-demand %d",
 				h, rec, wantActive[h], wantOnDemand[h])
@@ -79,7 +79,7 @@ func TestRunSellAndServeSameHour(t *testing.T) {
 	if res.Instances[0].SoldAt != -1 {
 		t.Errorf("index-1 SoldAt = %d, want kept", res.Instances[0].SoldAt)
 	}
-	h := res.Hours[10]
+	h := hourRows(t, demand, newRes, testConfig(), res)[10]
 	if h.Sold != 1 || h.ActiveRes != 1 || h.OnDemand != 1 || h.Demand != 2 {
 		t.Errorf("hour 10 = %+v, want 1 sold, 1 active, 1 on-demand", h)
 	}
@@ -108,7 +108,8 @@ func TestRunCheckpointAtPeriodMinusOne(t *testing.T) {
 	n := it.PeriodHours
 	newRes := constSeries(0, n)
 	newRes[0] = 1
-	res, err := Run(constSeries(0, n), newRes, testConfig(), sellAlways{age: it.PeriodHours - 1})
+	demand := constSeries(0, n)
+	res, err := Run(demand, newRes, testConfig(), sellAlways{age: it.PeriodHours - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +120,8 @@ func TestRunCheckpointAtPeriodMinusOne(t *testing.T) {
 	if res.Cost.SaleIncome != want {
 		t.Errorf("SaleIncome = %v, want %v", res.Cost.SaleIncome, want)
 	}
-	if res.Hours[it.PeriodHours-1].Sold != 1 {
-		t.Errorf("last-hour record = %+v, want the sale", res.Hours[it.PeriodHours-1])
+	if last := hourRows(t, demand, newRes, testConfig(), res)[it.PeriodHours-1]; last.Sold != 1 {
+		t.Errorf("last-hour record = %+v, want the sale", last)
 	}
 }
 
@@ -130,25 +131,27 @@ func TestRunOverflowWhileSelling(t *testing.T) {
 	n := 20
 	newRes := constSeries(0, n)
 	newRes[0] = 5
-	res, err := Run(constSeries(5, n), newRes, testConfig(), sellAlways{age: 10})
+	demand := constSeries(5, n)
+	res, err := Run(demand, newRes, testConfig(), sellAlways{age: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := hourRows(t, demand, newRes, testConfig(), res)
 	if res.SoldCount() != 5 {
 		t.Fatalf("SoldCount = %d, want 5", res.SoldCount())
 	}
 	for h := 0; h < 10; h++ {
-		if res.Hours[h].OnDemand != 0 || res.Hours[h].ActiveRes != 5 {
-			t.Fatalf("hour %d = %+v, want fully reserved", h, res.Hours[h])
+		if rows[h].OnDemand != 0 || rows[h].ActiveRes != 5 {
+			t.Fatalf("hour %d = %+v, want fully reserved", h, rows[h])
 		}
 	}
 	for h := 10; h < n; h++ {
-		if res.Hours[h].OnDemand != 5 || res.Hours[h].ActiveRes != 0 {
-			t.Fatalf("hour %d = %+v, want fully on-demand after the sell-off", h, res.Hours[h])
+		if rows[h].OnDemand != 5 || rows[h].ActiveRes != 0 {
+			t.Fatalf("hour %d = %+v, want fully on-demand after the sell-off", h, rows[h])
 		}
 	}
-	if res.Hours[10].Sold != 5 {
-		t.Errorf("hour 10 Sold = %d, want 5", res.Hours[10].Sold)
+	if rows[10].Sold != 5 {
+		t.Errorf("hour 10 Sold = %d, want 5", rows[10].Sold)
 	}
 }
 
@@ -168,7 +171,8 @@ func TestRunMultiCheckpointBoundaryAges(t *testing.T) {
 	n := 45
 	newRes := constSeries(0, n)
 	newRes[0] = 1
-	res, err := Run(constSeries(0, n), newRes, testConfig(), boundaryAges{})
+	demand := constSeries(0, n)
+	res, err := Run(demand, newRes, testConfig(), boundaryAges{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestRunMultiCheckpointBoundaryAges(t *testing.T) {
 		t.Errorf("instances = %+v, want single sale at age 7", res.Instances)
 	}
 	total := 0
-	for _, h := range res.Hours {
+	for _, h := range hourRows(t, demand, newRes, testConfig(), res) {
 		total += h.Sold
 	}
 	if total != 1 {
@@ -215,7 +219,7 @@ func TestRunActivationAtLastHour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := res.Hours[2]
+	h := hourRows(t, demand, newRes, testConfig(), res)[2]
 	if h.ActiveRes != 1 || h.OnDemand != 0 || h.NewlyRes != 1 {
 		t.Errorf("hour 2 = %+v", h)
 	}

@@ -118,7 +118,8 @@ func TestRunValidation(t *testing.T) {
 func TestRunPureOnDemand(t *testing.T) {
 	// No reservations: every demand hour is an on-demand purchase.
 	demand := []int{2, 0, 3, 1}
-	res, err := Run(demand, constSeries(0, 4), testConfig(), KeepReserved{})
+	newRes := constSeries(0, 4)
+	res, err := Run(demand, newRes, testConfig(), KeepReserved{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRunPureOnDemand(t *testing.T) {
 	if res.Cost.Upfront != 0 || res.Cost.ReservedHourly != 0 || res.Cost.SaleIncome != 0 {
 		t.Errorf("unexpected non-on-demand cost: %+v", res.Cost)
 	}
-	for tt, h := range res.Hours {
+	for tt, h := range hourRows(t, demand, newRes, testConfig(), res) {
 		if h.OnDemand != demand[tt] {
 			t.Errorf("hour %d: OnDemand = %d, want %d", tt, h.OnDemand, demand[tt])
 		}
@@ -181,7 +182,8 @@ func TestRunExpiryStopsCharges(t *testing.T) {
 	n := 50
 	newRes := constSeries(0, n)
 	newRes[0] = 1
-	res, err := Run(constSeries(1, n), newRes, testConfig(), KeepReserved{})
+	demand := constSeries(1, n)
+	res, err := Run(demand, newRes, testConfig(), KeepReserved{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +191,8 @@ func TestRunExpiryStopsCharges(t *testing.T) {
 	if !almostEqual(res.Cost.Total(), want, 1e-9) {
 		t.Errorf("Total = %v, want %v", res.Cost.Total(), want)
 	}
-	if res.Hours[40].ActiveRes != 0 || res.Hours[40].OnDemand != 1 {
-		t.Errorf("hour 40 = %+v, want expired reservation", res.Hours[40])
+	if h := hourRows(t, demand, newRes, testConfig(), res)[40]; h.ActiveRes != 0 || h.OnDemand != 1 {
+		t.Errorf("hour 40 = %+v, want expired reservation", h)
 	}
 }
 
@@ -200,7 +202,8 @@ func TestRunSellAtCheckpoint(t *testing.T) {
 	n := 40
 	newRes := constSeries(0, n)
 	newRes[0] = 1
-	res, err := Run(constSeries(1, n), newRes, testConfig(), sellAlways{age: 30})
+	demand := constSeries(1, n)
+	res, err := Run(demand, newRes, testConfig(), sellAlways{age: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +225,8 @@ func TestRunSellAtCheckpoint(t *testing.T) {
 	if !almostEqual(res.Cost.Total(), want, 1e-9) {
 		t.Errorf("Total = %v, want %v", res.Cost.Total(), want)
 	}
-	if res.Hours[30].Sold != 1 || res.Hours[30].ActiveRes != 0 || res.Hours[30].OnDemand != 1 {
-		t.Errorf("hour 30 = %+v", res.Hours[30])
+	if h := hourRows(t, demand, newRes, testConfig(), res)[30]; h.Sold != 1 || h.ActiveRes != 0 || h.OnDemand != 1 {
+		t.Errorf("hour 30 = %+v", h)
 	}
 }
 
@@ -414,7 +417,7 @@ func TestPropertyEngineInvariants(t *testing.T) {
 			return false
 		}
 		var cost CostBreakdown
-		for tt, h := range res.Hours {
+		for tt, h := range hourRows(t, demand, newRes, testConfig(), res) {
 			if h.OnDemand+h.ActiveRes < h.Demand {
 				return false // coverage invariant violated
 			}
@@ -473,7 +476,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 			return false
 		}
 		served := 0
-		for _, h := range res.Hours {
+		for _, h := range hourRows(t, demand, newRes, testConfig(), res) {
 			served += h.Demand - h.OnDemand
 		}
 		worked := 0

@@ -81,10 +81,12 @@ func FuzzEngineRun(f *testing.F) {
 			t.Fatalf("SaleIncome %v without sales", c.SaleIncome)
 		}
 
-		// Per-hour identities: coverage, input echo, and ActiveRes equal
-		// to the instances still live per the lifecycle records.
+		// Per-hour identities of the rows HourRows derives: coverage,
+		// input echo, and ActiveRes equal to the instances still live per
+		// the lifecycle records.
+		rows := hourRows(t, demand, newRes, cfg, res)
 		served := 0
-		for h, rec := range res.Hours {
+		for h, rec := range rows {
 			if rec.OnDemand < 0 || rec.ActiveRes < 0 || rec.Sold < 0 {
 				t.Fatalf("hour %d: negative field %+v", h, rec)
 			}
@@ -120,13 +122,17 @@ func FuzzEngineRun(f *testing.F) {
 		}
 
 		// Differential oracle: the optimized engine must match the
-		// reference engine exactly.
-		want, err := runReference(demand, newRes, cfg, policy)
+		// reference engine exactly, and the derived rows the rows the
+		// reference writes inside its hour loop.
+		want, wantRows, err := runReference(demand, newRes, cfg, policy)
 		if err != nil {
 			t.Fatalf("reference rejected input: %v", err)
 		}
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("optimized result diverges from reference:\n got %+v\nwant %+v", res.Cost, want.Cost)
+		}
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Fatal("HourRows diverges from the reference's rows")
 		}
 
 		// Totals oracle: the lean output of the same kernel on a reused
@@ -135,7 +141,7 @@ func FuzzEngineRun(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Totals rejected input Run accepted: %v", err)
 		}
-		assertTotalsIdentical(t, tot, totalsFromRun(res))
+		assertTotalsIdentical(t, tot, totalsFromRun(t, demand, newRes, cfg, res))
 
 		// Resume oracle: a Keep-Reserved trunk captured at the fork hour
 		// and resumed under the policy carries the same totals.

@@ -15,13 +15,15 @@ type refInstance struct {
 // runReference is the original O(T·n log n) engine, kept test-only as
 // the semantic oracle for the optimized Run: it re-sorts the active
 // list every hour and scans every active instance for checkpoint
-// decisions. The differential suite (differential_test.go) and the
-// fuzz target pin Run to produce field-for-field identical Results —
-// including bit-identical floats, which both engines guarantee by
-// accumulating income in the same working-sequence order.
-func runReference(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, error) {
+// decisions, and writes each hour's accounting row inside its loop.
+// The differential suite (differential_test.go) and the fuzz target
+// pin Run to produce field-for-field identical Results — including
+// bit-identical floats, which both engines guarantee by accumulating
+// income in the same working-sequence order — and HourRows of Run's
+// instances to reproduce these rows.
+func runReference(demand, newRes []int, cfg Config, policy SellingPolicy) (Result, []HourRecord, error) {
 	if err := validateRun(demand, newRes, cfg, policy); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 
 	it := cfg.Instance
@@ -32,7 +34,8 @@ func runReference(demand, newRes []int, cfg Config, policy SellingPolicy) (Resul
 	sharedAges := checkpointAges(policy, period)
 	perInst, isPerInstance := policy.(PerInstancePolicy)
 
-	res := Result{Hours: make([]HourRecord, len(demand))}
+	var res Result
+	rows := make([]HourRecord, len(demand))
 	var instances []*refInstance
 	// active holds the currently active (unexpired, unsold) instances
 	// in working-sequence order: earlier start first (less remaining
@@ -130,7 +133,7 @@ func runReference(demand, newRes []int, cfg Config, policy SellingPolicy) (Resul
 		}
 
 		// 4. Book C_t per Eq. (1).
-		res.Hours[t] = HourRecord{
+		rows[t] = HourRecord{
 			Demand:    d,
 			NewlyRes:  newRes[t],
 			ActiveRes: len(active),
@@ -147,5 +150,5 @@ func runReference(demand, newRes []int, cfg Config, policy SellingPolicy) (Resul
 	for i, in := range instances {
 		res.Instances[i] = in.rec
 	}
-	return res, nil
+	return res, rows, nil
 }

@@ -7,70 +7,67 @@ import (
 	"strconv"
 )
 
-// PeakActive returns the largest number of simultaneously active
-// reservations during the run.
-func (r Result) PeakActive() int {
-	peak := 0
-	for _, h := range r.Hours {
-		if h.ActiveRes > peak {
-			peak = h.ActiveRes
+// HourRows rebuilds a replay's per-hour accounting rows (d_t, n_t, r_t,
+// o_t, s_t) from its inputs and the per-instance records Run (or
+// Scratch.Records) returned for them: instance i is active during
+// [Start, SoldAt) when sold and [Start, Start+period) otherwise, and
+// counts toward s_t at t = SoldAt. The active counts come from one
+// difference array over those intervals, so the cost is
+// O(instances + hours) and the rows equal the ones the replay itself
+// saw. A record whose Start lies outside the horizon, or whose SoldAt
+// is neither -1 nor inside (Start, Start+period) and the horizon, is an
+// error, as are series of different lengths and a non-positive period.
+func HourRows(demand, newRes []int, period int, instances []InstanceRecord) ([]HourRecord, error) {
+	if len(demand) != len(newRes) {
+		return nil, fmt.Errorf("%w: %d demand hours, %d reservation hours",
+			ErrLengthMismatch, len(demand), len(newRes))
+	}
+	if period <= 0 {
+		return nil, fmt.Errorf("simulate: period %d must be positive", period)
+	}
+	horizon := len(demand)
+	rows := make([]HourRecord, horizon)
+	// ActiveRes first holds the difference array: +1 at each instance's
+	// first active hour, -1 at the hour it stops being active.
+	for i, in := range instances {
+		if in.Start < 0 || in.Start >= horizon {
+			return nil, fmt.Errorf("simulate: instance %d starts at hour %d, outside [0, %d)", i, in.Start, horizon)
+		}
+		end := horizon
+		if period < horizon-in.Start {
+			end = in.Start + period
+		}
+		if in.SoldAt != -1 {
+			if in.SoldAt <= in.Start || in.SoldAt-in.Start >= period || in.SoldAt >= horizon {
+				return nil, fmt.Errorf("simulate: instance %d reserved at hour %d sold at hour %d, outside (%d, %d) within [0, %d)",
+					i, in.Start, in.SoldAt, in.Start, in.Start+period, horizon)
+			}
+			end = in.SoldAt
+			rows[end].Sold++
+		}
+		rows[in.Start].ActiveRes++
+		if end < horizon {
+			rows[end].ActiveRes--
 		}
 	}
-	return peak
+	active := 0
+	for t := range rows {
+		r := &rows[t]
+		active += r.ActiveRes
+		r.Demand, r.NewlyRes, r.ActiveRes = demand[t], newRes[t], active
+		r.OnDemand = max(0, demand[t]-active)
+	}
+	return rows, nil
 }
 
-// OnDemandHours returns the total on-demand instance-hours bought.
-func (r Result) OnDemandHours() int {
-	total := 0
-	for _, h := range r.Hours {
-		total += h.OnDemand
-	}
-	return total
-}
-
-// Utilization returns the fraction of active reserved instance-hours
-// that served demand (1 means no reserved hour was wasted; 0 when
-// nothing was ever reserved).
-func (r Result) Utilization() float64 {
-	var active, busy int
-	for _, h := range r.Hours {
-		active += h.ActiveRes
-		served := h.Demand - h.OnDemand
-		if served > h.ActiveRes {
-			served = h.ActiveRes
-		}
-		busy += served
-	}
-	if active == 0 {
-		return 0
-	}
-	return float64(busy) / float64(active)
-}
-
-// CumulativeCost returns the running Eq. (1) cost after each hour,
-// using the run's configuration implicitly through the per-hour records
-// and the supplied rates. It exists for cost-over-time plots.
-func (r Result) CumulativeCost(onDemandHourly, upfront, reservedHourly, saleIncomePerSale float64) []float64 {
-	out := make([]float64, len(r.Hours))
-	var acc float64
-	for t, h := range r.Hours {
-		acc += float64(h.OnDemand)*onDemandHourly +
-			float64(h.NewlyRes)*upfront +
-			float64(h.ActiveRes)*reservedHourly -
-			float64(h.Sold)*saleIncomePerSale
-		out[t] = acc
-	}
-	return out
-}
-
-// WriteHoursCSV writes the per-hour accounting rows (t, d_t, n_t, r_t,
-// o_t, s_t) as CSV for external plotting.
-func (r Result) WriteHoursCSV(w io.Writer) error {
+// WriteHoursCSV writes per-hour accounting rows (t, d_t, n_t, r_t, o_t,
+// s_t) as CSV for external plotting.
+func WriteHoursCSV(w io.Writer, rows []HourRecord) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"hour", "demand", "new_reserved", "active_reserved", "on_demand", "sold"}); err != nil {
 		return fmt.Errorf("simulate: csv: %w", err)
 	}
-	for t, h := range r.Hours {
+	for t, h := range rows {
 		rec := []string{
 			strconv.Itoa(t),
 			strconv.Itoa(h.Demand),

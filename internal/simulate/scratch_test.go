@@ -10,17 +10,30 @@ import (
 	"rimarket/internal/pricing"
 )
 
-// This file pins Scratch.Totals and Scratch.Replay to Run. All three
-// are the same replay kernel with different outputs, so over the
-// seeded differential corpus the totals output must carry Run's exact
-// cost bits, sale count and idle hours, and Replay's records must equal
+// This file pins Scratch.Totals, Scratch.Records and the trunk/resume
+// split to Run. Run is Totals then Records on a fresh Scratch, so over
+// the seeded differential corpus the totals must carry Run's exact
+// cost bits, sale count and idle hours, and the records must equal
 // Run's instances, even when one Scratch is reused across cases of
 // every size and policy shape. CI runs it under -race.
 
-// totalsFromRun derives the Totals a full Result implies.
-func totalsFromRun(res Result) Totals {
+// hourRows is HourRows of a Run's instances, failing t if it rejects
+// them.
+func hourRows(t testing.TB, demand, newRes []int, cfg Config, res Result) []HourRecord {
+	t.Helper()
+	rows, err := HourRows(demand, newRes, cfg.Instance.PeriodHours, res.Instances)
+	if err != nil {
+		t.Fatalf("HourRows rejected Run's instances: %v", err)
+	}
+	return rows
+}
+
+// totalsFromRun derives the Totals a Run of the inputs implies, with
+// idle hours counted from its per-hour rows.
+func totalsFromRun(t testing.TB, demand, newRes []int, cfg Config, res Result) Totals {
+	t.Helper()
 	tot := Totals{Cost: res.Cost, Sold: res.SoldCount()}
-	for _, h := range res.Hours {
+	for _, h := range hourRows(t, demand, newRes, cfg, res) {
 		served := h.Demand - h.OnDemand
 		tot.IdleHours += h.ActiveRes - served
 	}
@@ -97,7 +110,7 @@ func dirtyScratch(t *testing.T) *Scratch {
 		dirty.demand[h] = h % 11
 		dirty.newRes[h] = h % 4
 	}
-	if _, _, err := s.Replay(dirty.demand, dirty.newRes, dirty.cfg, dirty.policy); err != nil {
+	if _, err := s.Totals(dirty.demand, dirty.newRes, dirty.cfg, dirty.policy); err != nil {
 		t.Fatal(err)
 	}
 	return &s
@@ -116,27 +129,29 @@ func TestScratchTotalsMatchRun(t *testing.T) {
 		if gotErr != nil {
 			continue
 		}
-		t.Run(c.name, func(t *testing.T) { assertTotalsIdentical(t, got, totalsFromRun(want)) })
+		t.Run(c.name, func(t *testing.T) { assertTotalsIdentical(t, got, totalsFromRun(t, c.demand, c.newRes, c.cfg, want)) })
 	}
 }
 
 // TestScratchReplayMatchesRun runs the corpus through one dirty,
-// reused Scratch and holds every Replay to Run: the same totals, and
-// records DeepEqual to Run's instances, busy schedules included for the
-// half of the corpus that sets RecordSchedules.
+// reused Scratch and holds every Totals + Records replay to Run: the
+// same totals, and records DeepEqual to Run's instances, busy
+// schedules included for the half of the corpus that sets
+// RecordSchedules.
 func TestScratchReplayMatchesRun(t *testing.T) {
 	s := dirtyScratch(t)
 	for _, c := range scratchCorpus(t) {
 		want, wantErr := Run(c.demand, c.newRes, c.cfg, c.policy)
-		got, recs, gotErr := s.Replay(c.demand, c.newRes, c.cfg, c.policy)
+		got, gotErr := s.Totals(c.demand, c.newRes, c.cfg, c.policy)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Fatalf("%s: error mismatch: replay %v, Run %v", c.name, gotErr, wantErr)
 		}
 		if gotErr != nil {
 			continue
 		}
+		recs := s.Records()
 		t.Run(c.name, func(t *testing.T) {
-			assertTotalsIdentical(t, got, totalsFromRun(want))
+			assertTotalsIdentical(t, got, totalsFromRun(t, c.demand, c.newRes, c.cfg, want))
 			if !reflect.DeepEqual(recs, want.Instances) {
 				t.Fatalf("records differ from Run's instances:\n got %+v\nwant %+v", recs, want.Instances)
 			}
@@ -144,8 +159,8 @@ func TestScratchReplayMatchesRun(t *testing.T) {
 	}
 }
 
-// TestScratchTotalsErrors pins Totals and Replay to reject invalid
-// input with Run's exact error text.
+// TestScratchTotalsErrors pins Totals to reject invalid input with
+// Run's exact error text.
 func TestScratchTotalsErrors(t *testing.T) {
 	cfg := testConfig()
 	var s Scratch
@@ -165,10 +180,6 @@ func TestScratchTotalsErrors(t *testing.T) {
 		_, gotErr := s.Totals(c.demand, c.newRes, c.cfg, c.policy)
 		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Errorf("%s: totals error %v, Run error %v", c.name, gotErr, wantErr)
-		}
-		_, recs, replayErr := s.Replay(c.demand, c.newRes, c.cfg, c.policy)
-		if replayErr == nil || replayErr.Error() != wantErr.Error() || recs != nil {
-			t.Errorf("%s: replay error %v with %d records, Run error %v", c.name, replayErr, len(recs), wantErr)
 		}
 	}
 }
@@ -205,15 +216,16 @@ type namedPolicy struct {
 }
 
 // TestScratchTotalsZeroAllocs pins the point of the scratch: once warm,
-// a one-year totals or records replay allocates nothing, for every
-// allocCase policy.
+// a one-year totals replay allocates nothing, with or without reading
+// its records, for every allocCase policy.
 func TestScratchTotalsZeroAllocs(t *testing.T) {
 	demand, newRes, cfg, policies := allocCase()
 	for _, p := range policies {
 		var s Scratch
-		if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+		if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
 			t.Fatal(err)
 		}
+		s.Records()
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
 				t.Fatal(err)
@@ -223,9 +235,10 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 			t.Errorf("%s: warm totals replay made %v allocs, want 0", p.name, allocs)
 		}
 		allocs = testing.AllocsPerRun(20, func() {
-			if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+			if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
 				t.Fatal(err)
 			}
+			s.Records()
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm records replay made %v allocs, want 0", p.name, allocs)
@@ -234,19 +247,24 @@ func TestScratchTotalsZeroAllocs(t *testing.T) {
 }
 
 // TestScratchReplaySchedulesZeroAllocs extends the zero-allocation pin
-// to records that carry busy schedules: once warm, a one-year Replay
-// with RecordSchedules set reuses the Scratch's schedule buffer.
+// to records that carry busy schedules: once warm, a one-year Totals
+// with RecordSchedules set, followed by Records, reuses the Scratch's
+// schedule and record buffers.
 func TestScratchReplaySchedulesZeroAllocs(t *testing.T) {
 	demand, newRes, cfg, policies := allocCase()
 	cfg.RecordSchedules = true
 	for _, p := range policies {
 		var s Scratch
-		if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+		if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
 			t.Fatal(err)
 		}
+		s.Records()
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := s.Replay(demand, newRes, cfg, p.policy); err != nil {
+			if _, err := s.Totals(demand, newRes, cfg, p.policy); err != nil {
 				t.Fatal(err)
+			}
+			if recs := s.Records(); len(recs) > 0 && recs[0].Schedule == nil {
+				t.Fatal("records carry no schedules")
 			}
 		})
 		if allocs != 0 {
@@ -309,7 +327,7 @@ func TestScratchResumeMatchesTotals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertTotalsIdentical(t, trunk, totalsFromRun(keep))
+			assertTotalsIdentical(t, trunk, totalsFromRun(t, c.demand, c.newRes, c.cfg, keep))
 			for i := range pts {
 				if pts[i].hour != hours[i] {
 					t.Fatalf("point %d at hour %d, want %d", i, pts[i].hour, hours[i])
@@ -318,7 +336,7 @@ func TestScratchResumeMatchesTotals(t *testing.T) {
 				if err != nil {
 					t.Fatalf("resume at hour %d (fork %d): %v", hours[i], fork, err)
 				}
-				assertTotalsIdentical(t, got, totalsFromRun(want))
+				assertTotalsIdentical(t, got, totalsFromRun(t, c.demand, c.newRes, c.cfg, want))
 				if recs := s.Records(); !reflect.DeepEqual(recs, unscheduled(want.Instances)) {
 					t.Fatalf("resume at hour %d: records differ from Run's instances:\n got %+v\nwant %+v", hours[i], recs, want.Instances)
 				}

@@ -35,10 +35,10 @@ type Config struct {
 	MarketFee float64
 	// RecordSchedules makes the engine retain each instance's hour-by-
 	// hour busy schedule (needed by the offline OPT analysis) in the
-	// InstanceRecords that Run and Scratch.Replay return. Off by default
-	// because schedules are O(instances x period) memory; Replay keeps
-	// them in a Scratch-owned buffer reused by its next replay, and
-	// Scratch.Totals, which returns no records, ignores the flag.
+	// InstanceRecords that Run returns and Scratch.Records reads after
+	// Scratch.Totals. Off by default because schedules are
+	// O(instances x period) memory; a Scratch keeps them in a buffer its
+	// next replay reuses. Scratch.Trunk and Scratch.Resume ignore it.
 	RecordSchedules bool
 	// Metrics, when non-nil, receives one RecordRun per completed run
 	// (hours simulated, instances reserved, instances sold) — atomic
@@ -143,6 +143,8 @@ func (c *CostBreakdown) Add(other CostBreakdown) {
 }
 
 // HourRecord is the per-hour accounting row (d_t, n_t, r_t, o_t, s_t).
+// The engine does not write rows; HourRows derives them from a run's
+// inputs and per-instance records.
 type HourRecord struct {
 	Demand    int // d_t
 	NewlyRes  int // n_t
@@ -178,8 +180,6 @@ type Result struct {
 	// Cost is the run's cost decomposition; Cost.Total() is the paper's
 	// actual cost.
 	Cost CostBreakdown
-	// Hours has one record per simulated hour.
-	Hours []HourRecord
 	// Instances has one record per reserved instance, in reservation
 	// order.
 	Instances []InstanceRecord

@@ -171,9 +171,15 @@ type (
 )
 
 // Run replays a demand series against a reservation series under a
-// selling policy and returns the full cost accounting.
+// selling policy and returns the cost and per-instance records.
 func Run(demand, newRes []int, cfg SimConfig, policy SellingPolicy) (SimResult, error) {
 	return simulate.Run(demand, newRes, cfg, policy)
+}
+
+// HourRows derives a run's per-hour accounting rows from its inputs,
+// the reservation period and the run's Instances.
+func HourRows(demand, newRes []int, periodHours int, instances []InstanceRecord) ([]HourRecord, error) {
+	return simulate.HourRows(demand, newRes, periodHours, instances)
 }
 
 // Purchasing behaviors (Section VI.A).

@@ -46,6 +46,17 @@ func TestQuickstartFlow(t *testing.T) {
 	if res.Cost.Total() >= keep.Cost.Total() {
 		t.Errorf("selling cost %v >= keeping cost %v", res.Cost.Total(), keep.Cost.Total())
 	}
+	rows, err := rimarket.HourRows(demand, plan, it.PeriodHours, res.Instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sold := 0
+	for _, h := range rows {
+		sold += h.Sold
+	}
+	if len(rows) != len(demand) || sold != res.SoldCount() {
+		t.Errorf("%d rows with %d sales, want %d rows with %d", len(rows), sold, len(demand), res.SoldCount())
+	}
 }
 
 func TestFacadeCatalogAndRatios(t *testing.T) {

@@ -25,6 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"rimarket/internal/workload"
 )
 
 const (
@@ -241,33 +243,44 @@ func appendColumn(buf []byte, vals []int32) []byte {
 	return buf
 }
 
-// decodeOne decodes the record at the head of b, returning it and the
-// number of bytes consumed. An empty b is the caller's clean EOF,
-// never passed here.
-func decodeOne(b []byte) (*Cohort, int, error) {
+// frame is a record's validated framing: its user table and shape,
+// where its column blocks start and how long it is. Only the column
+// blocks' counts and values are still unchecked.
+type frame struct {
+	users []string
+	hours int
+	cols  int // column blocks: demand, then reservations if flagged
+	off   int // offset of the first column block
+	size  int // record length, footer included
+}
+
+// decodeFrame checks the record at the head of b up to its column
+// blocks: header, user table, CRC, config digest and unique users. An
+// empty b is the caller's clean EOF, never passed here.
+func decodeFrame(b []byte) (frame, error) {
 	if len(b) < headerLen {
-		return nil, 0, ErrTruncated
+		return frame{}, ErrTruncated
 	}
 	if [4]byte(b[:4]) != cohortMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
+		return frame{}, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
 	}
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != FormatVersion {
-		return nil, 0, fmt.Errorf("%w: record version %d, this build reads %d", ErrVersion, v, FormatVersion)
+		return frame{}, fmt.Errorf("%w: record version %d, this build reads %d", ErrVersion, v, FormatVersion)
 	}
 	flags := binary.LittleEndian.Uint16(b[6:8])
 	if bad := flags &^ uint16(flagsMask); bad != 0 {
-		return nil, 0, fmt.Errorf("%w: unknown flag bits %#04x", ErrCorrupt, bad)
+		return frame{}, fmt.Errorf("%w: unknown flag bits %#04x", ErrCorrupt, bad)
 	}
 	users := int(binary.LittleEndian.Uint32(b[8:12]))
 	hours := int(binary.LittleEndian.Uint32(b[12:16]))
 	digest := [8]byte(b[16:24])
 	switch {
 	case users == 0 || users > maxUsers:
-		return nil, 0, fmt.Errorf("%w: user count %d out of range [1, %d]", ErrCorrupt, users, maxUsers)
+		return frame{}, fmt.Errorf("%w: user count %d out of range [1, %d]", ErrCorrupt, users, maxUsers)
 	case hours > maxHours:
-		return nil, 0, fmt.Errorf("%w: hour count %d exceeds %d", ErrCorrupt, hours, maxHours)
+		return frame{}, fmt.Errorf("%w: hour count %d exceeds %d", ErrCorrupt, hours, maxHours)
 	case users*hours > maxValues:
-		return nil, 0, fmt.Errorf("%w: column of %d values exceeds cap %d", ErrCorrupt, users*hours, maxValues)
+		return frame{}, fmt.Errorf("%w: column of %d values exceeds cap %d", ErrCorrupt, users*hours, maxValues)
 	}
 	cols := 1
 	if flags&flagNewRes != 0 {
@@ -278,67 +291,135 @@ func decodeOne(b []byte) (*Cohort, int, error) {
 	// the smallest possible such record would occupy, so a hostile
 	// header cannot demand an allocation the input could never back.
 	if minTotal := headerLen + 2*users + cols*(countLen+4*nv) + footerLen; len(b) < minTotal {
-		return nil, 0, ErrTruncated
+		return frame{}, ErrTruncated
 	}
 	names := make([]string, users)
 	off := headerLen
 	for i := range names {
 		if off+2 > len(b) {
-			return nil, 0, ErrTruncated
+			return frame{}, ErrTruncated
 		}
 		n := int(binary.LittleEndian.Uint16(b[off:]))
 		off += 2
 		if n == 0 || n > maxNameLen {
-			return nil, 0, fmt.Errorf("%w: user name length %d out of range [1, %d]", ErrCorrupt, n, maxNameLen)
+			return frame{}, fmt.Errorf("%w: user name length %d out of range [1, %d]", ErrCorrupt, n, maxNameLen)
 		}
 		if off+n > len(b) {
-			return nil, 0, ErrTruncated
+			return frame{}, ErrTruncated
 		}
 		names[i] = string(b[off : off+n])
 		off += n
 	}
 	total := off + cols*(countLen+4*nv) + footerLen
 	if len(b) < total {
-		return nil, 0, ErrTruncated
+		return frame{}, ErrTruncated
 	}
 	body := b[:total-footerLen]
 	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(b[total-footerLen:total]); got != want {
-		return nil, 0, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, got, want)
+		return frame{}, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, got, want)
 	}
 	if cohortDigest(flags, hours, names) != digest {
-		return nil, 0, fmt.Errorf("%w: header says %x", ErrDigest, digest[:])
+		return frame{}, fmt.Errorf("%w: header says %x", ErrDigest, digest[:])
 	}
 	seen := make(map[string]struct{}, users)
 	for _, u := range names {
 		if _, dup := seen[u]; dup {
-			return nil, 0, fmt.Errorf("%w: %q", ErrDuplicateUser, u)
+			return frame{}, fmt.Errorf("%w: %q", ErrDuplicateUser, u)
 		}
 		seen[u] = struct{}{}
 	}
-	demand, off, err := decodeColumn(b, off, nv, "demand")
+	return frame{users: names, hours: hours, cols: cols, off: off, size: total}, nil
+}
+
+// decodeOne decodes the record at the head of b, returning it and the
+// number of bytes consumed.
+func decodeOne(b []byte) (*Cohort, int, error) {
+	f, err := decodeFrame(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	c := &Cohort{Users: names, Hours: hours, Demand: demand}
-	if cols == 2 {
-		if c.NewRes, off, err = decodeColumn(b, off, nv, "reservation"); err != nil {
+	nv := len(f.users) * f.hours
+	demand, off, err := decodeColumn(b, f.off, nv, "demand")
+	if err != nil {
+		return nil, 0, err
+	}
+	c := &Cohort{Users: f.users, Hours: f.hours, Demand: demand}
+	if f.cols == 2 {
+		if c.NewRes, _, err = decodeColumn(b, off, nv, "reservation"); err != nil {
 			return nil, 0, err
 		}
 	}
-	return c, off + footerLen, nil
+	return c, f.size, nil
+}
+
+// decodeTraces decodes the record at the head of b straight into one
+// demand trace per user, in column order, as decodeOne then
+// Cohort.Traces would, with the same errors, but without the int32
+// columns. The traces share one backing array. It returns them and the
+// number of bytes consumed.
+func decodeTraces(b []byte) ([]workload.Trace, int, error) {
+	f, err := decodeFrame(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	users, hours := len(f.users), f.hours
+	nv := users * hours
+	off, err := columnStart(b, f.off, nv, "demand")
+	if err != nil {
+		return nil, 0, err
+	}
+	demand := make([]int, nv)
+	for t := range hours {
+		for u := range users {
+			i := t*users + u
+			v := int32(binary.LittleEndian.Uint32(b[off+4*i:]))
+			if v < 0 {
+				return nil, 0, negativeValue("demand", i)
+			}
+			demand[u*hours+t] = int(v)
+		}
+	}
+	if f.cols == 2 {
+		if off, err = columnStart(b, off+4*nv, nv, "reservation"); err != nil {
+			return nil, 0, err
+		}
+		for i := range nv {
+			if int32(binary.LittleEndian.Uint32(b[off+4*i:])) < 0 {
+				return nil, 0, negativeValue("reservation", i)
+			}
+		}
+	}
+	out := make([]workload.Trace, users)
+	for u, name := range f.users {
+		out[u] = workload.Trace{User: name, Demand: demand[u*hours : (u+1)*hours : (u+1)*hours]}
+	}
+	return out, f.size, nil
+}
+
+// columnStart checks the count prefix of the column block at off and
+// returns the offset of its first value.
+func columnStart(b []byte, off, nv int, what string) (int, error) {
+	if n := int(binary.LittleEndian.Uint32(b[off:])); n != nv {
+		return 0, fmt.Errorf("%w: %s column declares %d values, header shape wants %d", ErrCorrupt, what, n, nv)
+	}
+	return off + countLen, nil
+}
+
+func negativeValue(what string, i int) error {
+	return fmt.Errorf("%w: negative %s value at column index %d", ErrCorrupt, what, i)
 }
 
 func decodeColumn(b []byte, off, nv int, what string) ([]int32, int, error) {
-	if n := int(binary.LittleEndian.Uint32(b[off:])); n != nv {
-		return nil, 0, fmt.Errorf("%w: %s column declares %d values, header shape wants %d", ErrCorrupt, what, n, nv)
+	off, err := columnStart(b, off, nv, what)
+	if err != nil {
+		return nil, 0, err
 	}
-	off += countLen
 	vals := make([]int32, nv)
 	for i := range vals {
 		v := int32(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if v < 0 {
-			return nil, 0, fmt.Errorf("%w: negative %s value at column index %d", ErrCorrupt, what, i)
+			return nil, 0, negativeValue(what, i)
 		}
 		vals[i] = v
 	}
@@ -351,14 +432,28 @@ func decodeColumn(b []byte, off, nv int, what string) ([]int32, int, error) {
 // cleanly).
 func DecodeAll(data []byte) ([]*Cohort, int64, error) {
 	var out []*Cohort
+	off, err := scan(data, func(b []byte) (int, error) {
+		c, n, err := decodeOne(b)
+		if err == nil {
+			out = append(out, c)
+		}
+		return n, err
+	})
+	return out, off, err
+}
+
+// scan decodes data's records in order with decode, which returns each
+// one's length, and returns the longest valid prefix's byte length and
+// the *CohortError that stopped the scan (nil when the whole store
+// decoded cleanly).
+func scan(data []byte, decode func([]byte) (int, error)) (int64, error) {
 	var off int64
 	for int(off) < len(data) {
-		c, n, err := decodeOne(data[off:])
+		n, err := decode(data[off:])
 		if err != nil {
-			return out, off, &CohortError{Offset: off, Err: err}
+			return off, &CohortError{Offset: off, Err: err}
 		}
-		out = append(out, c)
 		off += int64(n)
 	}
-	return out, off, nil
+	return off, nil
 }

@@ -93,18 +93,28 @@ func (c *Cohort) Traces() []workload.Trace {
 // files) into one trace list, rejecting a user id that appears in more
 // than one cohort.
 func MergeTraces(cohorts ...*Cohort) ([]workload.Trace, error) {
-	seen := make(map[string]struct{})
 	var out []workload.Trace
 	for _, c := range cohorts {
-		for _, tr := range c.Traces() {
-			if _, dup := seen[tr.User]; dup {
-				return nil, fmt.Errorf("%w: %q appears in more than one cohort", ErrDuplicateUser, tr.User)
-			}
-			seen[tr.User] = struct{}{}
-			out = append(out, tr)
-		}
+		out = append(out, c.Traces()...)
+	}
+	if err := UniqueUsers(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// UniqueUsers rejects a merged trace list that names a user twice, with
+// the ErrDuplicateUser error MergeTraces returns; a record never names
+// a user twice, so a duplicate comes from two cohorts.
+func UniqueUsers(traces []workload.Trace) error {
+	seen := make(map[string]struct{}, len(traces))
+	for _, tr := range traces {
+		if _, dup := seen[tr.User]; dup {
+			return fmt.Errorf("%w: %q appears in more than one cohort", ErrDuplicateUser, tr.User)
+		}
+		seen[tr.User] = struct{}{}
+	}
+	return nil
 }
 
 // WriteFile encodes the cohorts as one framed store at path.
@@ -144,14 +154,37 @@ func ReadFS(fsys fs.FS, name string) ([]*Cohort, error) {
 	return decodeStrict(data, name)
 }
 
+// ReadTraces decodes every record of the store at path straight into
+// one demand trace per user: the traces MergeTraces builds from
+// ReadFile's cohorts, in the same order, without materializing the
+// int32 columns, so a load holds only the file's bytes and the traces.
+// It does not check for a user named by two records; a caller merging
+// stores runs UniqueUsers over the merged list. As with ReadFile, a
+// partial store is an error returned with its valid prefix's traces.
+func ReadTraces(path string) ([]workload.Trace, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("coltrace: read store: %w", err)
+	}
+	var out []workload.Trace
+	_, err = scan(data, func(b []byte) (int, error) {
+		trs, n, err := decodeTraces(b)
+		out = append(out, trs...)
+		return n, err
+	})
+	return out, withPath(err, path)
+}
+
 func decodeStrict(data []byte, path string) ([]*Cohort, error) {
 	cs, _, err := DecodeAll(data)
-	if err != nil {
-		var ce *CohortError
-		if errors.As(err, &ce) {
-			ce.Path = path
-		}
-		return cs, err
+	return cs, withPath(err, path)
+}
+
+// withPath records path in a *CohortError.
+func withPath(err error, path string) error {
+	var ce *CohortError
+	if errors.As(err, &ce) {
+		ce.Path = path
 	}
-	return cs, nil
+	return err
 }

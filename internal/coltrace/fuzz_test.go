@@ -5,14 +5,19 @@ package coltrace
 // counts — must produce classified errors, never panics, unbounded
 // allocations, or silently wrong cohorts; and whatever decodes must
 // re-encode byte-exactly (decode ∘ encode is the identity on the valid
-// prefix). Seed corpus entries cover each committed failure class; CI
+// prefix); and the trace decoder must agree with the cohort decoder
+// then Cohort.Traces. Seed corpus entries cover each committed failure class; CI
 // runs a short -fuzztime pass alongside the gtrace and gridstore
 // targets.
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
+
+	"rimarket/internal/workload"
 )
 
 func FuzzColtraceDecode(f *testing.F) {
@@ -85,6 +90,23 @@ func FuzzColtraceDecode(f *testing.F) {
 				!errors.Is(err, ErrDigest) && !errors.Is(err, ErrDuplicateUser) {
 				t.Fatalf("decode error %v wraps no classification sentinel", err)
 			}
+		}
+		// The trace decoder ReadTraces runs reads the same prefix into
+		// the traces Cohort.Traces builds, and stops at the same error.
+		var got, want []workload.Trace
+		gotLen, gotErr := scan(data, func(b []byte) (int, error) {
+			trs, n, err := decodeTraces(b)
+			got = append(got, trs...)
+			return n, err
+		})
+		for _, c := range cs {
+			want = append(want, c.Traces()...)
+		}
+		if gotLen != validLen || fmt.Sprint(gotErr) != fmt.Sprint(err) {
+			t.Fatalf("trace decode: prefix %d, err %v; cohort decode: prefix %d, err %v", gotLen, gotErr, validLen, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace decode differs from Cohort.Traces:\n got %+v\nwant %+v", got, want)
 		}
 		// Whatever decoded must be internally consistent and byte-exactly
 		// re-encodable: decode ∘ encode must be the identity on the valid

@@ -167,26 +167,25 @@ func LoadColtDir(dir string, opts LoadOptions) ([]workload.Trace, *LoadReport, e
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("no %s cohort stores (convert traces with: ritrace convert)", coltrace.Ext)
 	}
-	stores := make([][]*coltrace.Cohort, len(names))
+	stores := make([][]workload.Trace, len(names))
 	errs := decodeFiles(len(names), opts.Policy, func() func(int) error {
 		return func(i int) (err error) {
-			stores[i], err = coltrace.ReadFile(filepath.Join(dir, names[i]))
+			stores[i], err = coltrace.ReadTraces(filepath.Join(dir, names[i]))
 			return err
 		}
 	})
-	var cohorts []*coltrace.Cohort
+	var traces []workload.Trace
 	report, err := applyPolicy(names, errs, opts, "", func(i int) error {
-		cohorts = append(cohorts, stores[i]...)
+		traces = append(traces, stores[i]...)
 		return nil
 	})
 	if err != nil {
 		return nil, report, err
 	}
-	if len(cohorts) == 0 {
+	if len(traces) == 0 {
 		return nil, report, fmt.Errorf("all %d cohort stores skipped", len(names))
 	}
-	traces, err := coltrace.MergeTraces(cohorts...)
-	if err != nil {
+	if err := coltrace.UniqueUsers(traces); err != nil {
 		return nil, report, err
 	}
 	return traces, report, nil

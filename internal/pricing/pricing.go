@@ -14,6 +14,7 @@ package pricing
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // PaymentOption enumerates Amazon's reserved-instance payment options
@@ -86,12 +87,15 @@ type InstanceType struct {
 }
 
 // Validate reports whether the price card is internally consistent:
-// positive rates, a reserved rate strictly below on-demand, and a
-// positive period.
+// finite, positive rates, a reserved rate strictly below on-demand, and
+// a positive period.
 func (it InstanceType) Validate() error {
 	switch {
 	case it.Name == "":
 		return errors.New("pricing: instance type has no name")
+	case !finite(it.OnDemandHourly) || !finite(it.Upfront) || !finite(it.ReservedHourly):
+		return fmt.Errorf("pricing: %s: prices must be finite (on-demand %v, upfront %v, reserved %v)",
+			it.Name, it.OnDemandHourly, it.Upfront, it.ReservedHourly)
 	case it.OnDemandHourly <= 0:
 		return fmt.Errorf("pricing: %s: on-demand rate %v must be positive", it.Name, it.OnDemandHourly)
 	case it.Upfront <= 0:
@@ -106,6 +110,8 @@ func (it InstanceType) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Alpha returns the reservation discount alpha = reserved hourly rate /
 // on-demand hourly rate, the paper's key per-type constant.

@@ -52,6 +52,10 @@ func TestInstanceTypeValidate(t *testing.T) {
 		{name: "negative reserved", mutate: func(it *InstanceType) { it.ReservedHourly = -0.1 }},
 		{name: "reserved not cheaper", mutate: func(it *InstanceType) { it.ReservedHourly = it.OnDemandHourly }},
 		{name: "zero period", mutate: func(it *InstanceType) { it.PeriodHours = 0 }},
+		{name: "infinite on-demand", mutate: func(it *InstanceType) { it.OnDemandHourly = math.Inf(1) }},
+		{name: "NaN on-demand", mutate: func(it *InstanceType) { it.OnDemandHourly = math.NaN() }},
+		{name: "infinite upfront", mutate: func(it *InstanceType) { it.Upfront = math.Inf(1) }},
+		{name: "NaN reserved", mutate: func(it *InstanceType) { it.ReservedHourly = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

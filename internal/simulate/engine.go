@@ -89,7 +89,8 @@ type event struct{ hour, j int }
 func byHour(a, b event) int { return cmp.Compare(a.hour, b.hour) }
 
 // Scratch is the replay engine's reusable working memory: the batch
-// list, the checkpoint event list, the active list, the instance slab,
+// list, the checkpoint event list, the active list (whose allocation
+// also holds the segment counters), the instance slab,
 // the per-instance age backing, and the instance records and busy
 // schedules Records returns, which Run allocates afresh for every
 // replay. Every buffer is sized by the instances replayed,
@@ -144,7 +145,7 @@ func grow[T any](buf []T, n int) []T {
 // replay begins — the interface requires it to be deterministic in
 // (start, batchIndex), so the hoisting is unobservable.
 //
-// The engine exploits two structural invariants to stay out of the
+// The engine exploits three structural invariants to stay out of the
 // per-hour hot path's way. First, because PeriodHours is constant, the
 // active list stays in working-sequence order by construction: expiring
 // instances are always a prefix (head-trim) and each hour's new batch
@@ -153,10 +154,19 @@ func grow[T any](buf []T, n int) []T {
 // activation time, so consultations are listed up front, sorted by
 // hour, instead of scanning the active list every hour. The hour loop
 // walks the batch list and the event list with one cursor each, so the
-// set-up is proportional to the instances, not the horizon. The whole
-// replay makes O(1) heap allocations: instance state, batches,
-// checkpoint events and (optionally) schedules live in pre-sized
-// slabs. Run is Scratch.Totals then Scratch.Records on a fresh
+// set-up is proportional to the instances, not the horizon. Third,
+// between two event hours (an activation, an expiry, a checkpoint) the
+// active window does not change, and the instance at window position p
+// serves exactly the hours with d_t > p. So the loop handles events
+// only at event hours and serves each segment between them with one
+// compare and one counter bump per hour, plus the hour's reserved-fee
+// add and, when demand overflows the window, its on-demand add; at the
+// segment's end every window instance is credited its working hours by
+// position, before any checkpoint can read them. The skipped adds are
+// all +0, so the float results are those of one add per term per hour,
+// bit for bit. The whole replay makes O(1) heap allocations: instance
+// state, batches, checkpoint events and (optionally) schedules live in
+// pre-sized slabs. Run is Scratch.Totals then Scratch.Records on a fresh
 // Scratch, so the Result it returns owns its records and schedules;
 // Scratch.Totals, Scratch.Trunk and Scratch.Resume are the same replay
 // on a caller-owned one.
@@ -349,8 +359,11 @@ func ForkHour(forkAge, firstRes, horizon int) int {
 }
 
 // replay is the engine kernel behind Run, Totals, Trunk and Resume:
-// one hour loop, started at hour 0 or, with from set, at from's hour
-// on the state from holds. Inputs must have passed validateRun. With
+// one event-segment loop, started at hour 0 or, with from set, at
+// from's hour on the state from holds. Each pass handles one event
+// hour's captures, expiries, activation and checkpoints in the hourly
+// order, then serves the hours up to the next event hour on the window
+// they leave (serve). Inputs must have passed validateRun. With
 // cfg.RecordSchedules set each instance's busy schedule is recorded
 // into s.scheds, one period-long window per instance. Each capture
 // point, whose hour is preset, is filled just before its hour. On
@@ -472,9 +485,13 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 	}
 
 	// The totals accumulate in scalar locals, which the compiler keeps
-	// in registers across the hourly loop; a struct field would be a
+	// in registers across the hour loop; a struct field would be a
 	// memory round trip per add. The adds and their order are Eq. (1)'s,
-	// so the float results are unchanged.
+	// less the adds of +0 (an hour with no on-demand overflow, no
+	// reservation or no checkpoint): each accumulator starts at +0 and
+	// only ever adds finite non-negative terms, so adding +0 leaves it
+	// unchanged and skipping the add keeps every float result bit for
+	// bit.
 	var onDemandCost, upfrontCost, reservedCost, saleIncome float64
 	var sold int
 	// active holds the currently active (unexpired, unsold) instances'
@@ -483,11 +500,13 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 	// period ⇒ expiry order = start order), so head advances instead of
 	// reslicing; sales splice the window in place on the rare hours a
 	// sale happens. Every instance is appended at most once, so
-	// capacity total is never outgrown.
-	if cap(s.active) < total {
-		s.active = make([]int, 0, total)
-	}
-	active := s.active[:0]
+	// capacity total is never outgrown. serve's per-demand hour
+	// counters, one per window position, are carved from the same
+	// allocation and start zeroed.
+	s.active = grow(s.active, 2*total)
+	active := s.active[:0:total]
+	cnt := s.active[total:]
+	clear(cnt)
 	head := 0
 	bi := 0 // next batch to activate
 	if from != nil {
@@ -510,7 +529,11 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		nextCapture = capture[0].hour
 	}
 
-	for t := t0; t < horizon; t++ {
+	// The window changes only at event hours: a capture, an expiry, an
+	// activation or a checkpoint. Each pass of the loop handles hour t's
+	// events in the hourly order, then serves the segment [t, end) up
+	// to the next event hour on the window they leave.
+	for t := t0; t < horizon; {
 		for t == nextCapture {
 			capture[ci].capture(demand, newRes, it, onDemandCost, upfrontCost, reservedCost, head, batches, bi, slab)
 			ci++
@@ -535,44 +558,41 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 			for j := b.hi - 1; j >= b.lo; j-- {
 				active = append(active, j)
 			}
+			upfrontCost += float64(newRes[t]) * it.Upfront
 		}
 
 		// 2. Selling checkpoints: only the instances scheduled for hour t.
-		var income float64
 		if ei < len(events) && events[ei].hour == t {
 			due := ei
 			for ei < len(events) && events[ei].hour == t {
 				ei++
 			}
 			var soldNow int
+			var income float64
 			active, soldNow, income = checkpoints(t, events[due:ei], slab, active, head, policy, &cfg)
 			sold += soldNow
+			saleIncome += income
 		}
 
-		// 3. Working sequence: first d_t active instances serve demand.
-		win := active[head:]
-		d := demand[t]
-		busy := d
-		if busy > len(win) {
-			busy = len(win)
+		// The segment ends at the next event hour: the window's first
+		// expiry (the head expires first), the next batch, checkpoint or
+		// capture, or the horizon.
+		end := min(horizon, nextCapture)
+		if head < len(active) {
+			end = min(end, slab[active[head]].expiry)
 		}
-		for _, j := range win[:busy] {
-			in := &slab[j]
-			in.rec.Worked++
-			if recordSchedules {
-				in.rec.Schedule[t-in.rec.Start] = true
-			}
+		if bi < len(batches) {
+			end = min(end, batches[bi].hour)
 		}
-		onDemand := d - len(win)
-		if onDemand < 0 {
-			onDemand = 0
+		if ei < len(events) {
+			end = min(end, events[ei].hour)
 		}
 
-		// 4. Book C_t per Eq. (1).
-		onDemandCost += float64(onDemand) * it.OnDemandHourly
-		upfrontCost += float64(newRes[t]) * it.Upfront
-		reservedCost += float64(len(win)) * alphaHourly
-		saleIncome += income
+		// 3. and 4. Serve the segment's demand in working sequence and
+		// book C_t per Eq. (1), on the window its first hour's events left.
+		onDemandCost, reservedCost = serve(demand[t:end], t, active[head:], cnt, slab, recordSchedules,
+			it.OnDemandHourly, alphaHourly, onDemandCost, reservedCost)
+		t = end
 	}
 	for ; ci < len(capture); ci++ {
 		capture[ci].capture(demand, newRes, it, onDemandCost, upfrontCost, reservedCost, head, batches, bi, slab)
@@ -600,6 +620,52 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		Sold:      sold,
 		IdleHours: idle,
 	}, nil
+}
+
+// serve is steps 3 and 4 of the hour loop over a segment: the hours
+// from t0 on with the given demand, on a window win that no event
+// changes within them. The instance at window position p serves
+// exactly the hours with d_t > p, so an hour only counts its demand —
+// cnt[v] the hours with d_t = v < w, full those with d_t ≥ w, for a
+// window of w — and o_t = max(0, d_t - w) on-demand instances cover
+// the overflow. At the end each position is credited its working
+// hours, so a checkpoint or capture at the next event hour reads every
+// instance's Worked as the hour-by-hour count would have left it. cnt
+// must hold at least w zeros and is left zeroed. It returns the two
+// accumulators the segment's hours add to.
+func serve(hours []int, t0 int, win, cnt []int, slab []instState, schedules bool, onDemandRate, reservedRate, onDemandCost, reservedCost float64) (float64, float64) {
+	w := len(win)
+	cnt = cnt[:w]
+	full := 0
+	for _, d := range hours {
+		if d >= w {
+			full++
+			if d > w {
+				onDemandCost += float64(d-w) * onDemandRate
+			}
+		} else {
+			cnt[d]++
+		}
+		reservedCost += float64(w) * reservedRate
+	}
+	// Credit from the tail: position p worked the hours with d_t ≥ w
+	// plus those with p < d_t < w, and its schedule is busy exactly
+	// there; a position that worked none of them keeps its cleared
+	// schedule.
+	worked := full
+	for p := w - 1; p >= 0; p-- {
+		in := &slab[win[p]]
+		in.rec.Worked += worked
+		if schedules && worked > 0 {
+			sched := in.rec.Schedule[t0-in.rec.Start:][:len(hours)]
+			for i, d := range hours {
+				sched[i] = d > p
+			}
+		}
+		worked += cnt[p]
+		cnt[p] = 0
+	}
+	return onDemandCost, reservedCost
 }
 
 // capture fills pt from a never-selling replay's state just before

@@ -13,7 +13,9 @@ import (
 // identities, (c) stays field-for-field identical to the reference
 // engine, (d) agrees bit for bit with Scratch.Totals on one Scratch
 // reused, dirty, across every input the fuzzer feeds this process, and
-// (e) agrees with a Keep-Reserved trunk resumed at the fork hour.
+// (e) agrees with a Keep-Reserved trunk resumed at the fork hour. One
+// shape bit switches to wide demand and reservation scales, so the
+// event-segment kernel meets wide windows and empty ones.
 // Seed corpus lives in testdata/fuzz/FuzzEngineRun.
 func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 7, 1}, []byte{1, 0, 2}, byte(40), byte(80), byte(12), byte(1), byte(10))
@@ -21,6 +23,8 @@ func FuzzEngineRun(f *testing.F) {
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{2, 2, 2, 2}, byte(3), byte(100), byte(99), byte(2), byte(2))
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}, []byte{1}, byte(8), byte(50), byte(0), byte(3), byte(200))
 	f.Add([]byte{4, 4, 4, 4, 4, 4}, []byte{0, 3, 0, 3}, byte(5), byte(75), byte(30), byte(10), byte(4))
+	f.Add([]byte{63, 40, 2, 17, 30, 9, 55, 0, 0, 61, 12, 33, 47, 5, 28, 63}, []byte{7, 7, 0, 6, 7}, byte(9), byte(80), byte(10), byte(17), byte(6))
+	f.Add([]byte{50, 1, 22, 39, 0, 8, 44, 63, 14, 27, 3, 60}, []byte{7, 5, 7, 7}, byte(7), byte(60), byte(0), byte(27), byte(3))
 
 	var scratch Scratch // inputs run one at a time per process
 	forkPoint := make([]ResumePoint, 1)
@@ -29,12 +33,19 @@ func FuzzEngineRun(f *testing.F) {
 		if n > 300 {
 			n = 300
 		}
+		// Shape bit 16 widens the scales: windows of 20+ instances,
+		// demand far above the window, and (with a reservation series
+		// shorter than the demand) empty-window stretches once it expires.
+		demandScale, resScale := byte(10), byte(3)
+		if shapeB&16 != 0 {
+			demandScale, resScale = 64, 8
+		}
 		demand := make([]int, n)
 		newRes := make([]int, n)
 		for i := 0; i < n; i++ {
-			demand[i] = int(demandB[i] % 10)
+			demand[i] = int(demandB[i] % demandScale)
 			if i < len(resB) {
-				newRes[i] = int(resB[i] % 3)
+				newRes[i] = int(resB[i] % resScale)
 			}
 		}
 		period := 1 + int(periodB%96)

@@ -334,7 +334,11 @@ func BenchmarkMarketSession(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.MarketSession(context.Background(), cfg, []float64{1})
+		plan, err := experiments.NewCohortPlan(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		points, err := plan.MarketSession(context.Background(), []float64{1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,6 @@ import (
 	"rimarket/internal/cli"
 	"rimarket/internal/experiments"
 	"rimarket/internal/gtrace"
-	"rimarket/internal/pricing"
 	"rimarket/internal/ridserver"
 )
 
@@ -64,12 +63,7 @@ type params struct {
 	reloadTimeout time.Duration
 	maxBody       int64
 
-	scale         string
-	perGroup      int
-	seed          int64
-	discount, fee float64
-	term, par     int
-	traceDir      string
+	cohort cli.CohortFlags
 }
 
 func run(ctx context.Context, args []string, w, stderr io.Writer) error {
@@ -82,14 +76,7 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs.DurationVar(&p.drainTimeout, "drain-timeout", ridserver.DefaultDrainTimeout, "graceful-shutdown budget: admitted requests get this long to finish before connections are cut (exit 3)")
 	fs.DurationVar(&p.reloadTimeout, "reload-timeout", ridserver.DefaultReloadTimeout, "budget for one SIGHUP snapshot rebuild; a stalled rebuild fails and the old snapshot keeps serving")
 	fs.Int64Var(&p.maxBody, "max-body", ridserver.DefaultMaxBodyBytes, "maximum request body size in `bytes`; larger bodies answer 413")
-	fs.StringVar(&p.scale, "scale", "test", "snapshot scale: test (fast) or full (paper: 300 users, 1-year horizon)")
-	fs.IntVar(&p.perGroup, "pergroup", 0, "override users per fluctuation group")
-	fs.Int64Var(&p.seed, "seed", 0, "override cohort seed")
-	fs.Float64Var(&p.discount, "a", 0, "override selling discount a in (0, 1]")
-	fs.Float64Var(&p.fee, "fee", 0, "marketplace fee in [0, 1) applied to sale income")
-	fs.IntVar(&p.term, "term", 1, "reservation term in years (1 or 3)")
-	fs.IntVar(&p.par, "parallelism", 0, "worker goroutines building the snapshot; 0 means GOMAXPROCS (the snapshot is identical at any setting)")
-	fs.StringVar(&p.traceDir, "tracedir", "", "serve real ec2-log traces (.csv/.csv.gz) from this `directory` instead of the synthetic cohort; SIGHUP re-reads it")
+	p.cohort.Register(fs)
 	var obsFlags cli.ObsFlags
 	obsFlags.RegisterBasic(fs)
 	if err := fs.Parse(args); err != nil {
@@ -107,7 +94,7 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 }
 
 func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io.Writer) error {
-	cfg, err := buildConfig(p)
+	cfg, err := p.cohort.Config()
 	if err != nil {
 		return err
 	}
@@ -117,7 +104,7 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 	}
 
 	srv, err := ridserver.New(ctx, ridserver.Config{
-		Load:           snapshotLoader(cfg, p),
+		Load:           snapshotLoader(cfg, p.cohort.TraceDir),
 		MaxInflight:    p.maxInflight,
 		RequestTimeout: p.reqTimeout,
 		MaxBodyBytes:   p.maxBody,
@@ -172,73 +159,16 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 	return nil
 }
 
-// buildConfig maps the cohort flags onto an experiments.Config with
-// the same semantics riexp uses, so a rid snapshot and a riexp run
-// from the same flags answer identically.
-func buildConfig(p params) (experiments.Config, error) {
-	var cfg experiments.Config
-	switch p.scale {
-	case "test":
-		cfg = experiments.TestScaleConfig()
-	case "full":
-		cfg = experiments.DefaultConfig()
-	default:
-		return cfg, cli.Usagef("unknown scale %q (want test or full)", p.scale)
-	}
-	switch p.term {
-	case 1:
-		// The default 1-year card is already in place.
-	case 3:
-		three, err := pricing.ThreeYearTerm(pricing.D2XLarge())
-		if err != nil {
-			return cfg, err
-		}
-		if p.scale == "test" {
-			// Apply the same 6x shrink as TestScaleConfig, preserving
-			// alpha and theta.
-			three.PeriodHours /= 6
-			three.Upfront /= 6
-		}
-		cfg.Instance = three
-		cfg.Hours = three.PeriodHours
-	default:
-		return cfg, cli.Usagef("unsupported term %d (want 1 or 3)", p.term)
-	}
-	if p.perGroup > 0 {
-		cfg.PerGroup = p.perGroup
-	}
-	if p.seed != 0 {
-		cfg.Seed = p.seed
-	}
-	if p.discount != 0 {
-		cfg.SellingDiscount = p.discount
-	}
-	cfg.MarketFee = p.fee
-	cfg.Parallelism = p.par
-	return cfg, nil
-}
-
 // snapshotLoader returns the Load closure the server calls at startup
 // and on every SIGHUP: plan the cohort (or re-read the trace
 // directory) and precompute the decision tables. Trace loading is
 // strict — a daemon must not come up, or swap to, a partial snapshot.
-func snapshotLoader(cfg experiments.Config, p params) func(context.Context) (*experiments.DecisionSet, error) {
+func snapshotLoader(cfg experiments.Config, traceDir string) func(context.Context) (*experiments.DecisionSet, error) {
 	return func(ctx context.Context) (*experiments.DecisionSet, error) {
-		plan, err := buildPlan(ctx, cfg, p)
+		plan, _, err := cli.LoadPlan(ctx, cfg, traceDir, "ec2-log", gtrace.LoadOptions{Policy: gtrace.Strict})
 		if err != nil {
 			return nil, err
 		}
 		return plan.Decisions(ctx)
 	}
-}
-
-func buildPlan(ctx context.Context, cfg experiments.Config, p params) (*experiments.CohortPlan, error) {
-	if p.traceDir == "" {
-		return experiments.NewCohortPlan(ctx, cfg)
-	}
-	traces, _, err := gtrace.LoadEC2LogFS(os.DirFS(p.traceDir), gtrace.LoadOptions{Policy: gtrace.Strict})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.traceDir, err)
-	}
-	return experiments.PlanTraces(ctx, cfg, traces)
 }

@@ -8,7 +8,9 @@
 //
 // Experiments: table1, table2, table3, fig2, fig3a, fig3b, fig3c,
 // fig4a, fig4b, fig4c, bounds, sweep-k, sweep-a, sweep-fee,
-// extensions, market, sensitivity, audit, resell, all.
+// extensions, market, sensitivity, audit, resell, all. Every one but
+// table1, bounds and audit runs on the one cohort plan the flags
+// build: the synthetic cohort, or the traces under -tracedir.
 //
 // Exit codes: 0 on success, 1 on a run error, 2 on command-line
 // misuse, 3 when the run produced usable partial results — a
@@ -35,7 +37,6 @@ import (
 	"rimarket/internal/gtrace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
-	"rimarket/internal/workload"
 )
 
 func main() {
@@ -52,16 +53,13 @@ func main() {
 // this struct so the observed part of the run (runParsed) is separable
 // from flag parsing and the obs session bracketing it.
 type params struct {
-	exp, scale         string
-	perGroup           int
-	seed               int64
-	discount, fee      float64
-	term, par          int
-	traceDir, traceErr string
-	traceFmt           string
-	traceBud           int
-	jsonOut, csvOut    string
-	spill, resume      string
+	exp             string
+	cohort          cli.CohortFlags
+	traceErr        string
+	traceFmt        string
+	traceBud        int
+	jsonOut, csvOut string
+	spill, resume   string
 }
 
 func run(ctx context.Context, args []string, w, stderr io.Writer) error {
@@ -69,19 +67,12 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var p params
 	fs.StringVar(&p.exp, "exp", "all", "experiment to run (table1|table2|table3|fig2|fig3a|fig3b|fig3c|fig4a|fig4b|fig4c|bounds|sweep-k|sweep-a|sweep-fee|extensions|market|sensitivity|audit|resell|all)")
-	fs.StringVar(&p.scale, "scale", "test", "experiment scale: test (fast) or full (paper: 300 users, 1-year horizon)")
-	fs.IntVar(&p.perGroup, "pergroup", 0, "override users per fluctuation group")
-	fs.Int64Var(&p.seed, "seed", 0, "override cohort seed")
-	fs.Float64Var(&p.discount, "a", 0, "override selling discount a in (0, 1]")
-	fs.Float64Var(&p.fee, "fee", 0, "marketplace fee in [0, 1) applied to sale income")
-	fs.IntVar(&p.term, "term", 1, "reservation term in years (1 or 3)")
-	fs.IntVar(&p.par, "parallelism", 0, "worker goroutines evaluating users and grid cells; 0 means GOMAXPROCS (results are identical at any setting)")
-	fs.StringVar(&p.traceDir, "tracedir", "", "run on real trace files from this directory instead of the synthetic cohort (see -trace-format)")
+	p.cohort.Register(fs)
 	fs.StringVar(&p.traceFmt, "trace-format", "ec2-log", "format of -tracedir files: ec2-log (.csv/.csv.gz usage logs) or colt (columnar cohort stores, .colt)")
 	fs.StringVar(&p.traceErr, "trace-errors", "strict", "error policy for -tracedir files: strict (fail on the first bad file) or best-effort (skip bad files, warn, exit 3)")
 	fs.IntVar(&p.traceBud, "trace-error-budget", 0, "max files best-effort may skip before failing anyway; 0 means unlimited")
-	fs.StringVar(&p.jsonOut, "json", "", "also write the full cohort result as JSON to this file")
-	fs.StringVar(&p.csvOut, "csv", "", "also write per-user costs as CSV to this file")
+	fs.StringVar(&p.jsonOut, "json", "", "also write the full cohort result as JSON to this file (cohort-result experiments only)")
+	fs.StringVar(&p.csvOut, "csv", "", "also write per-user costs as CSV to this file (cohort-result experiments only)")
 	fs.StringVar(&p.spill, "spill", "", "stream each completed grid cell to a resumable on-disk store under this `directory` (one subdirectory per grid); an interrupted run exits 3 and can be continued with -resume")
 	fs.StringVar(&p.resume, "resume", "", "resume an interrupted -spill run from this `directory`: valid spilled cells are loaded, only missing or invalid cells are recomputed, and new cells keep spilling there")
 	var obsFlags cli.ObsFlags
@@ -124,6 +115,46 @@ func spillOutcome(err error, p params) error {
 		err, dir, dir, cli.ErrPartial)
 }
 
+// planDrivers are the experiments that render one driver run on the
+// cohort plan (a failed run's rendering is dropped). cohortExps render
+// the plan's CohortResult, the one result -json and -csv export. The
+// rest — table1, bounds and audit — read no cohort plan.
+var planDrivers = map[string]func(context.Context, *experiments.CohortPlan) (string, error){
+	"sweep-k": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		points, err := plan.SweepFraction(ctx, []float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875})
+		return experiments.RenderSweep("Ablation — checkpoint fraction k of A_{kT}", "k", points), err
+	},
+	"sweep-a": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		points, err := plan.SweepDiscount(ctx, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
+		return experiments.RenderSweep("Ablation — selling discount a of A_{3T/4}", "a", points), err
+	},
+	"sweep-fee": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		points, err := plan.SweepMarketFee(ctx, []float64{0, 0.06, 0.12, 0.24})
+		return experiments.RenderSweep("Ablation — marketplace fee under A_{3T/4}", "fee", points), err
+	},
+	"resell": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		rows, err := plan.HourResellComparison(ctx, []float64{0.1, 0.25, 0.5, 0.75, 1.0})
+		return experiments.RenderHourResell(rows), err
+	},
+	"sensitivity": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		grid, err := plan.Sensitivity(ctx, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, []float64{0.125, 0.25, 0.5, 0.75, 0.875})
+		return experiments.RenderSensitivity(grid), err
+	},
+	"market": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		points, err := plan.MarketSession(ctx, []float64{0.05, 0.2, 1, 5})
+		return experiments.RenderMarket(points), err
+	},
+	"extensions": func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		rows, err := plan.Extensions(ctx)
+		return experiments.RenderExtensions(rows), err
+	},
+}
+
+var cohortExps = map[string]bool{
+	"table2": true, "table3": true, "fig2": true, "fig3a": true, "fig3b": true, "fig3c": true,
+	"fig4a": true, "fig4b": true, "fig4c": true, "all": true,
+}
+
 func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io.Writer) error {
 	var loadOpts gtrace.LoadOptions
 	switch p.traceErr {
@@ -144,45 +175,10 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		return cli.Usagef("unknown -trace-format %q (want ec2-log or colt)", p.traceFmt)
 	}
 
-	var cfg experiments.Config
-	switch p.scale {
-	case "test":
-		cfg = experiments.TestScaleConfig()
-	case "full":
-		cfg = experiments.DefaultConfig()
-	default:
-		return cli.Usagef("unknown scale %q (want test or full)", p.scale)
+	cfg, err := p.cohort.Config()
+	if err != nil {
+		return err
 	}
-	switch p.term {
-	case 1:
-		// The default 1-year card is already in place.
-	case 3:
-		three, err := pricing.ThreeYearTerm(pricing.D2XLarge())
-		if err != nil {
-			return err
-		}
-		if p.scale == "test" {
-			// Apply the same 6x shrink as TestScaleConfig, preserving
-			// alpha and theta.
-			three.PeriodHours /= 6
-			three.Upfront /= 6
-		}
-		cfg.Instance = three
-		cfg.Hours = three.PeriodHours
-	default:
-		return cli.Usagef("unsupported term %d (want 1 or 3)", p.term)
-	}
-	if p.perGroup > 0 {
-		cfg.PerGroup = p.perGroup
-	}
-	if p.seed != 0 {
-		cfg.Seed = p.seed
-	}
-	if p.discount != 0 {
-		cfg.SellingDiscount = p.discount
-	}
-	cfg.MarketFee = p.fee
-	cfg.Parallelism = p.par
 	if p.spill != "" && p.resume != "" {
 		return cli.Usagef("-spill and -resume are mutually exclusive: -resume already keeps spilling into its directory")
 	}
@@ -199,6 +195,18 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		mf.Config = cfg
 	}
 
+	driver := planDrivers[p.exp]
+	noCohort := p.exp == "table1" || p.exp == "bounds" || p.exp == "audit"
+	if driver == nil && !noCohort && !cohortExps[p.exp] {
+		return cli.Usagef("unknown experiment %q", p.exp)
+	}
+	if noCohort && p.cohort.TraceDir != "" {
+		return cli.Usagef("-exp %s reads no cohort, so -tracedir does not apply", p.exp)
+	}
+	if !cohortExps[p.exp] && (p.jsonOut != "" || p.csvOut != "") {
+		return cli.Usagef("-json and -csv export a cohort result, which -exp %s does not build", p.exp)
+	}
+
 	// Table I always reports the real (unscaled) price card — the test
 	// scale shrinks the period and upfront proportionally for speed, but
 	// the paper's pricing table is about the actual Jan-2018 sheet.
@@ -206,25 +214,13 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 	if err != nil {
 		table1Card = cfg.Instance
 	}
-	if p.exp == "table1" {
+	switch p.exp {
+	case "table1":
 		fmt.Fprint(w, experiments.Table1(table1Card))
 		return nil
-	}
-	if p.exp == "bounds" {
+	case "bounds":
 		return printBounds(w, cfg)
-	}
-	if sweep, ok := map[string]bool{"sweep-k": true, "sweep-a": true, "sweep-fee": true}[p.exp]; ok && sweep {
-		return printSweep(ctx, w, cfg, p.exp)
-	}
-	if p.exp == "resell" {
-		rows, err := experiments.HourResellComparison(ctx, cfg, []float64{0.1, 0.25, 0.5, 0.75, 1.0})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderHourResell(rows))
-		return nil
-	}
-	if p.exp == "audit" {
+	case "audit":
 		var results []experiments.AuditResult
 		for _, k := range []float64{core.Fraction3T4, core.FractionT2, core.FractionT4} {
 			r, err := experiments.RatioAudit(ctx, cfg, k)
@@ -236,73 +232,30 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		fmt.Fprint(w, experiments.RenderAudit(results))
 		return nil
 	}
-	if p.exp == "sensitivity" {
-		grid, err := experiments.Sensitivity(ctx, cfg,
-			[]float64{0.2, 0.4, 0.6, 0.8, 1.0},
-			[]float64{0.125, 0.25, 0.5, 0.75, 0.875})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderSensitivity(grid))
-		return nil
-	}
-	if p.exp == "market" {
-		points, err := experiments.MarketSession(ctx, cfg, []float64{0.05, 0.2, 1, 5})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderMarket(points))
-		return nil
-	}
-	if p.exp == "extensions" {
-		rows, err := experiments.Extensions(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderExtensions(rows))
-		return nil
-	}
 
-	var res *experiments.CohortResult
-	var report *gtrace.LoadReport
-	if p.traceDir != "" {
-		var traces []workload.Trace
-		var rep *gtrace.LoadReport
-		var err error
-		if p.traceFmt == "colt" {
-			traces, rep, err = gtrace.LoadColtDir(p.traceDir, loadOpts)
-		} else {
-			traces, rep, err = gtrace.LoadEC2LogDirOpts(p.traceDir, loadOpts)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.traceDir, err)
-		}
-		report = rep
-		if mf := sess.Manifest(); mf != nil {
-			mf.Trace = traceIngest(report)
-		}
-		if report.Partial() {
-			fmt.Fprintf(stderr, "riexp: warning: partial ingestion: %d of %d trace files skipped:\n",
-				len(report.Skipped), len(report.Skipped)+len(report.Loaded))
-			for _, sk := range report.Skipped {
-				fmt.Fprintf(stderr, "riexp: warning:   %s: %v\n", sk.File, sk.Err)
-			}
-		}
-		res, err = experiments.RunTraces(ctx, cfg, traces)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		res, err = experiments.RunCohort(ctx, cfg)
-		if err != nil {
-			return err
+	plan, report, err := cli.LoadPlan(ctx, cfg, p.cohort.TraceDir, p.traceFmt, loadOpts)
+	if mf := sess.Manifest(); mf != nil {
+		mf.Trace = traceIngest(report)
+	}
+	if report.Partial() {
+		fmt.Fprintf(stderr, "riexp: warning: partial ingestion: %d of %d trace files skipped:\n",
+			len(report.Skipped), len(report.Skipped)+len(report.Loaded))
+		for _, sk := range report.Skipped {
+			fmt.Fprintf(stderr, "riexp: warning:   %s: %v\n", sk.File, sk.Err)
 		}
 	}
-	if err := exportResult(res, p.jsonOut, p.csvOut); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := printExperiment(w, cfg, table1Card, res, p.exp); err != nil {
+	if driver != nil {
+		var out string
+		if out, err = driver(ctx, plan); err == nil {
+			fmt.Fprint(w, out)
+		}
+	} else {
+		err = printCohort(ctx, w, plan, table1Card, p)
+	}
+	if err != nil {
 		return err
 	}
 	if report.Partial() {
@@ -310,6 +263,19 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 			len(report.Skipped), len(report.Skipped)+len(report.Loaded), cli.ErrPartial)
 	}
 	return nil
+}
+
+// printCohort evaluates the plan's cohort, exports it as asked and
+// renders the cohort-result experiment.
+func printCohort(ctx context.Context, w io.Writer, plan *experiments.CohortPlan, table1Card pricing.InstanceType, p params) error {
+	res, err := plan.Cohort(ctx)
+	if err != nil {
+		return err
+	}
+	if err := exportResult(res, p.jsonOut, p.csvOut); err != nil {
+		return err
+	}
+	return printExperiment(w, plan.Config(), table1Card, res, p.exp)
 }
 
 // traceIngest converts a gtrace load report to the manifest's
@@ -471,30 +437,6 @@ func printBounds(w io.Writer, cfg experiments.Config) error {
 		}
 		fmt.Fprintf(w, "randomized vs A_{T/4} on its %-12s worst case (unrestricted OPT): fixed %.4f, E[randomized] %.4f\n",
 			c.name, fixedRatio, randRatio)
-	}
-	return nil
-}
-
-func printSweep(ctx context.Context, w io.Writer, cfg experiments.Config, which string) error {
-	switch which {
-	case "sweep-k":
-		points, err := experiments.SweepFraction(ctx, cfg, []float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderSweep("Ablation — checkpoint fraction k of A_{kT}", "k", points))
-	case "sweep-a":
-		points, err := experiments.SweepDiscount(ctx, cfg, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderSweep("Ablation — selling discount a of A_{3T/4}", "a", points))
-	case "sweep-fee":
-		points, err := experiments.SweepMarketFee(ctx, cfg, []float64{0, 0.06, 0.12, 0.24})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, experiments.RenderSweep("Ablation — marketplace fee under A_{3T/4}", "fee", points))
 	}
 	return nil
 }

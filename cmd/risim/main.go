@@ -80,16 +80,9 @@ func simulateCmd(w io.Writer, sess *cli.ObsSession, tracePath, synthetic string,
 	if err != nil {
 		return err
 	}
-	if tr.Len() > horizon {
-		tr = tr.Clip(horizon)
-	}
-	if tr.Len() < horizon {
-		padded := make([]int, horizon)
-		copy(padded, tr.Demand)
-		tr.Demand = padded
-	}
+	tr = tr.Fit(horizon)
 
-	planner, err := plannerFor(behavior, it, seed)
+	planner, err := purchasing.ForBehavior(behavior, it, seed)
 	if err != nil {
 		return err
 	}
@@ -230,21 +223,6 @@ func extraPolicy(name string, it pricing.InstanceType, a float64, seed int64) (n
 			return namedPolicy{}, err
 		}
 		return namedPolicy{name: p.Name(), policy: p}, nil
-	}
-}
-
-func plannerFor(behavior string, it pricing.InstanceType, seed int64) (purchasing.Policy, error) {
-	switch behavior {
-	case "all-reserved":
-		return purchasing.AllReserved{}, nil
-	case "random":
-		return purchasing.NewRandom(seed), nil
-	case "wang-online":
-		return purchasing.NewWangOnline(it), nil
-	case "wang-variant":
-		return purchasing.NewWangVariant(it), nil
-	default:
-		return nil, fmt.Errorf("unknown behavior %q", behavior)
 	}
 }
 

@@ -83,7 +83,7 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	ratios := make([][]float64, feed.Len())
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, feed.Len()+1))
 	err = feed.run(ctx, cfg.Parallelism, func(w, i int, tr workload.Trace) error {
-		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
+		planner, err := purchasing.ForBehavior(purchasing.Behaviors[i%len(purchasing.Behaviors)], cfg.Instance, cfg.Seed^int64(i))
 		if err != nil {
 			return err
 		}

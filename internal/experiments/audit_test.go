@@ -99,7 +99,7 @@ func ratioAuditSerial(ctx context.Context, cfg Config, fraction float64) (AuditR
 		if err := ctx.Err(); err != nil {
 			return AuditResult{}, err
 		}
-		planner, err := behaviorPolicy(cfg, Behaviors[i%len(Behaviors)], int64(i))
+		planner, err := purchasing.ForBehavior(purchasing.Behaviors[i%len(purchasing.Behaviors)], cfg.Instance, cfg.Seed^int64(i))
 		if err != nil {
 			return AuditResult{}, err
 		}

@@ -13,7 +13,6 @@ import (
 
 	"rimarket/internal/core"
 	"rimarket/internal/pricing"
-	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
@@ -31,10 +30,6 @@ const (
 
 // SellingPolicies lists the online algorithms in presentation order.
 var SellingPolicies = []string{PolicyA3T4, PolicyAT2, PolicyAT4}
-
-// Behaviors names the paper's four reservation-behavior imitators
-// (Section VI.A).
-var Behaviors = []string{"all-reserved", "random", "wang-online", "wang-variant"}
 
 // Config parameterizes one cohort experiment.
 type Config struct {
@@ -159,21 +154,13 @@ type CohortResult struct {
 // run per (user, selling policy). Cancelling
 // ctx drains in-flight engine runs and surfaces an error satisfying
 // errors.Is(err, context.Canceled).
+//
+// RunCohort and the other package-level drivers are NewCohortPlan plus
+// the *CohortPlan method of the same name. They stay only while the
+// perfbench suite calls them; new callers build one plan and call its
+// methods.
 func RunCohort(ctx context.Context, cfg Config) (*CohortResult, error) {
 	plan, err := NewCohortPlan(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Cohort(ctx)
-}
-
-// RunTraces evaluates externally supplied user traces — e.g. real EC2
-// usage logs loaded with gtrace.LoadEC2LogDir — through the same
-// pipeline as RunCohort. Each trace is clipped or zero-padded to
-// cfg.Hours; fluctuation groups come from the traces themselves, so
-// group sizes need not be balanced. cfg.PerGroup is ignored.
-func RunTraces(ctx context.Context, cfg Config, traces []workload.Trace) (*CohortResult, error) {
-	plan, err := PlanTraces(ctx, cfg, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -288,21 +275,6 @@ func buildPolicies(cfg Config) ([]namedPolicy, error) {
 		{name: PolicySellT2, policy: s2},
 		{name: PolicySellT4, policy: s4},
 	}, nil
-}
-
-func behaviorPolicy(cfg Config, behavior string, seed int64) (purchasing.Policy, error) {
-	switch behavior {
-	case "all-reserved":
-		return purchasing.AllReserved{}, nil
-	case "random":
-		return purchasing.NewRandom(cfg.Seed ^ seed), nil
-	case "wang-online":
-		return purchasing.NewWangOnline(cfg.Instance), nil
-	case "wang-variant":
-		return purchasing.NewWangVariant(cfg.Instance), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown behavior %q", behavior)
-	}
 }
 
 // ByGroup partitions user results by fluctuation group.

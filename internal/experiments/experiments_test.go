@@ -341,7 +341,11 @@ func TestRunTraces(t *testing.T) {
 	for i := range traces[1].Demand {
 		traces[1].Demand[i] = 1 + i%3
 	}
-	res, err := RunTraces(context.Background(), cfg, traces)
+	plan, err := PlanTraces(context.Background(), cfg, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.Cohort(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +357,11 @@ func TestRunTraces(t *testing.T) {
 			t.Errorf("user %s: %d policies", u.User, len(u.Costs))
 		}
 	}
-	if _, err := RunTraces(context.Background(), cfg, nil); err == nil {
+	if _, err := PlanTraces(context.Background(), cfg, nil); err == nil {
 		t.Error("empty traces accepted")
 	}
 	bad := []workload.Trace{{User: "", Demand: []int{1}}}
-	if _, err := RunTraces(context.Background(), cfg, bad); err == nil {
+	if _, err := PlanTraces(context.Background(), cfg, bad); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }

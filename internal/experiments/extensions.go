@@ -93,11 +93,8 @@ func (p *CohortPlan) extensionCells() ([]Cell, error) {
 	}, nil
 }
 
-// Extensions evaluates the paper's future-work directions against its
-// best fixed-checkpoint algorithm on the same cohort: the randomized
-// algorithm A_{rand} under three fraction distributions, and the
-// multi-checkpoint policy that revisits the decision at T/4, T/2 and
-// 3T/4.
+// Extensions is NewCohortPlan plus (*CohortPlan).Extensions, kept only
+// for the perfbench suite (see RunCohort).
 func Extensions(ctx context.Context, cfg Config) ([]ExtensionRow, error) {
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {

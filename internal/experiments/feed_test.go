@@ -42,8 +42,8 @@ func planSerial(t *testing.T, cfg Config, hours int) []PlannedUser {
 	}
 	users := make([]PlannedUser, len(traces))
 	for i, tr := range traces {
-		behavior := Behaviors[i%len(Behaviors)]
-		planner, err := behaviorPolicy(cfg, behavior, int64(i))
+		behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
+		planner, err := purchasing.ForBehavior(behavior, cfg.Instance, cfg.Seed^int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"rimarket/internal/purchasing"
 	"rimarket/internal/workload"
 )
 
@@ -158,7 +159,7 @@ func TestShapeBehaviorsAllPresent(t *testing.T) {
 	for _, u := range res.Users {
 		seen[u.Behavior]++
 	}
-	for _, b := range Behaviors {
+	for _, b := range purchasing.Behaviors {
 		if seen[b] == 0 {
 			t.Errorf("behavior %s never assigned", b)
 		}

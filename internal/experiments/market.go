@@ -179,9 +179,11 @@ func hashUniform(words ...uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// MarketSession collects every sell event the plan's A_{3T/4} runs
-// produce and replays them through order-book sessions at the given
-// buyer arrival rates.
+// MarketSession quantifies the paper's instant-sale assumption: Eq. (1)
+// books income the moment the algorithm decides, while a real
+// marketplace needs a buyer. It collects every sell event the plan's
+// A_{3T/4} runs produce and replays them through order-book sessions
+// at the given buyer arrival rates.
 func (p *CohortPlan) MarketSession(ctx context.Context, buyerRates []float64) ([]MarketPoint, error) {
 	cfg := p.cfg
 	policy, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
@@ -205,17 +207,6 @@ func (p *CohortPlan) MarketSession(ctx context.Context, buyerRates []float64) ([
 		points = append(points, MarketPoint{BuyerRate: rate, Stats: stats})
 	}
 	return points, nil
-}
-
-// MarketSession quantifies the paper's instant-sale assumption: Eq. (1)
-// books income the moment the algorithm decides, while a real
-// marketplace needs a buyer.
-func MarketSession(ctx context.Context, cfg Config, buyerRates []float64) ([]MarketPoint, error) {
-	plan, err := NewCohortPlan(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return plan.MarketSession(ctx, buyerRates)
 }
 
 // RenderMarket renders the market-dynamics experiment.

@@ -10,9 +10,18 @@ import (
 	"rimarket/internal/pricing"
 )
 
+// marketSession plans cfg's cohort and runs the market session on it.
+func marketSession(cfg Config, buyerRates []float64) ([]MarketPoint, error) {
+	plan, err := NewCohortPlan(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return plan.MarketSession(context.Background(), buyerRates)
+}
+
 func TestMarketSession(t *testing.T) {
 	cfg := smallConfig()
-	points, err := MarketSession(context.Background(), cfg, []float64{0.1, 10})
+	points, err := marketSession(cfg, []float64{0.1, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,18 +52,18 @@ func TestMarketSession(t *testing.T) {
 func TestMarketSessionRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PerGroup = 0
-	if _, err := MarketSession(context.Background(), cfg, []float64{1}); err == nil {
+	if _, err := marketSession(cfg, []float64{1}); err == nil {
 		t.Error("bad config accepted")
 	}
 }
 
 func TestMarketSessionDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	a, err := MarketSession(context.Background(), cfg, []float64{0.5})
+	a, err := marketSession(cfg, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MarketSession(context.Background(), cfg, []float64{0.5})
+	b, err := marketSession(cfg, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

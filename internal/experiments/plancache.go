@@ -54,6 +54,12 @@ type CohortPlan struct {
 	// so its cost is independent of the selling discount and market fee;
 	// only the instance card matters (pinned by tests in runner_test.go).
 	keeps map[pricing.InstanceType][]KeepStat
+
+	// traced marks a plan built by PlanTraces; digestOnce guards
+	// digest, its inputsDigest.
+	traced     bool
+	digestOnce sync.Once
+	digest     string
 }
 
 // NewCohortPlan synthesizes the config's cohort and plans every user's
@@ -89,16 +95,14 @@ func PlanTraces(ctx context.Context, cfg Config, traces []workload.Trace) (*Coho
 		if err := tr.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		if tr.Len() > cfg.Hours {
-			tr = tr.Clip(cfg.Hours)
-		} else if tr.Len() < cfg.Hours {
-			demand := make([]int, cfg.Hours)
-			copy(demand, tr.Demand)
-			tr = workload.Trace{User: tr.User, Demand: demand}
-		}
-		fitted[i] = tr
+		fitted[i] = tr.Fit(cfg.Hours)
 	}
-	return newPlan(ctx, cfg, filledFeed(fitted))
+	p, err := newPlan(ctx, cfg, filledFeed(fitted))
+	if err != nil {
+		return nil, err
+	}
+	p.traced = true
+	return p, nil
 }
 
 // newPlan plans every user of feed, synthesizing the cohort first if
@@ -112,8 +116,8 @@ func newPlan(ctx context.Context, cfg Config, feed *cohortFeed) (*CohortPlan, er
 		keeps: make(map[pricing.InstanceType][]KeepStat),
 	}
 	err := feed.run(ctx, cfg.Parallelism, func(_, i int, tr workload.Trace) error {
-		behavior := Behaviors[i%len(Behaviors)]
-		planner, err := behaviorPolicy(cfg, behavior, int64(i))
+		behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
+		planner, err := purchasing.ForBehavior(behavior, cfg.Instance, cfg.Seed^int64(i))
 		if err != nil {
 			return err
 		}

@@ -185,7 +185,7 @@ func TestBatchGridEquivalence(t *testing.T) {
 func TestBatchMarketSessionEquivalence(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	rates := []float64{0.05, 0.5}
-	got, err := MarketSession(context.Background(), cfg, rates)
+	got, err := marketSession(cfg, rates)
 	if err != nil {
 		t.Fatal(err)
 	}

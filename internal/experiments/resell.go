@@ -105,12 +105,10 @@ func (p *CohortPlan) resellCells() ([]Cell, error) {
 	}, nil
 }
 
-// HourResellComparison evaluates the idle-hour-reselling baseline
-// against A_{3T/4} and A_{T/4} across resale efficiencies.
+// HourResellComparison is NewCohortPlan plus
+// (*CohortPlan).HourResellComparison, kept only for the perfbench suite
+// (see RunCohort).
 func HourResellComparison(ctx context.Context, cfg Config, gammas []float64) ([]HourResellRow, error) {
-	if len(gammas) == 0 {
-		return nil, fmt.Errorf("experiments: no gamma values")
-	}
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {
 		return nil, err

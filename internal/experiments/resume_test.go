@@ -18,6 +18,7 @@ import (
 
 	"rimarket/internal/core"
 	"rimarket/internal/simulate"
+	"rimarket/internal/workload"
 )
 
 // resumeCells builds the same three-cell threshold grid for any plan,
@@ -241,12 +242,48 @@ func TestGridSpecConfigHashPinned(t *testing.T) {
 		{Name: "k=0.5", Engine: eng},
 		{Name: "k=0.75", Engine: eng},
 	}
-	spec, err := gridSpec(cfg, "sweep-k", cells, 90)
+	spec, err := gridSpec(cfg, "sweep-k", cells, 90, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "056b36f42bfabad322cf4b97a141bb6aac8ad80584427f4824b9601efdf886c4"
 	if spec.ConfigHash != want {
 		t.Fatalf("ConfigHash = %s, want %s: spill stores written by earlier releases would no longer resume", spec.ConfigHash, want)
+	}
+}
+
+// TestInputsDigest: a trace-backed plan's digest follows its users'
+// names and demand, so equal-sized trace sets never share a spill
+// store; a synthetic cohort has none, which keeps its pinned hash.
+func TestInputsDigest(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	synth, err := NewCohortPlan(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := synth.inputsDigest(); d != "" {
+		t.Errorf("synthetic plan digest = %q, want none", d)
+	}
+	digest := func(users ...workload.Trace) string {
+		t.Helper()
+		plan, err := PlanTraces(ctx, cfg, users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.inputsDigest()
+	}
+	base := digest(workload.Trace{User: "u", Demand: []int{1, 2}}, workload.Trace{User: "v", Demand: []int{3}})
+	if base == "" || base != digest(workload.Trace{User: "u", Demand: []int{1, 2}}, workload.Trace{User: "v", Demand: []int{3}}) {
+		t.Fatalf("digest %q is empty or not reproducible", base)
+	}
+	for name, users := range map[string][]workload.Trace{
+		"demand": {{User: "u", Demand: []int{1, 3}}, {User: "v", Demand: []int{3}}},
+		"name":   {{User: "w", Demand: []int{1, 2}}, {User: "v", Demand: []int{3}}},
+		"order":  {{User: "v", Demand: []int{3}}, {User: "u", Demand: []int{1, 2}}},
+	} {
+		if digest(users...) == base {
+			t.Errorf("changing the %s kept the digest", name)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestDriversParallelismInvariant(t *testing.T) {
 			return HourResellComparison(context.Background(), c, []float64{0.25, 0.75})
 		}},
 		{name: "MarketSession", run: func(c Config) (any, error) {
-			return MarketSession(context.Background(), c, []float64{0.2, 2})
+			return marketSession(c, []float64{0.2, 2})
 		}},
 	}
 	for _, d := range drivers {

@@ -74,13 +74,9 @@ func (p *CohortPlan) sensitivityCells(discounts, fractions []float64) ([]Cell, e
 	return cells, nil
 }
 
-// Sensitivity runs the full a-by-k grid on one cohort. Reservation
-// plans are computed once (they do not depend on a or k); each cell
-// replays the cohort's selling runs.
+// Sensitivity is NewCohortPlan plus (*CohortPlan).Sensitivity, kept
+// only for the perfbench suite (see RunCohort).
 func Sensitivity(ctx context.Context, cfg Config, discounts, fractions []float64) (SensitivityGrid, error) {
-	if len(discounts) == 0 || len(fractions) == 0 {
-		return SensitivityGrid{}, fmt.Errorf("experiments: empty sensitivity axes")
-	}
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {
 		return SensitivityGrid{}, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -32,7 +33,10 @@ type gridIdentity struct {
 	Hours    int                  `json:"hours"`
 	Seed     int64                `json:"seed"`
 	Users    int                  `json:"users"`
-	Cells    []gridCellIdentity   `json:"cells"`
+	// Inputs digests a trace-backed plan's users; empty, and absent
+	// from the hash, for a synthetic cohort (see inputsDigest).
+	Inputs string             `json:"inputs,omitempty"`
+	Cells  []gridCellIdentity `json:"cells"`
 }
 
 // gridCellIdentity is one cell's semantic engine parameters. The
@@ -47,9 +51,9 @@ type gridCellIdentity struct {
 }
 
 // gridSpec derives the gridstore spec binding a spill directory to
-// this exact grid: config hash over the grid's identity, the cohort
-// seed, and the result shape.
-func gridSpec(cfg Config, name string, cells []Cell, users int) (gridstore.Spec, error) {
+// this exact grid: config hash over the grid's identity (inputs is the
+// plan's inputsDigest), the cohort seed, and the result shape.
+func gridSpec(cfg Config, name string, cells []Cell, users int, inputs string) (gridstore.Spec, error) {
 	id := gridIdentity{
 		Grid:     name,
 		Instance: cfg.Instance,
@@ -57,6 +61,7 @@ func gridSpec(cfg Config, name string, cells []Cell, users int) (gridstore.Spec,
 		Hours:    cfg.Hours,
 		Seed:     cfg.Seed,
 		Users:    users,
+		Inputs:   inputs,
 		Cells:    make([]gridCellIdentity, 0, len(cells)),
 	}
 	names := make([]string, 0, len(cells))
@@ -81,6 +86,32 @@ func gridSpec(cfg Config, name string, cells []Cell, users int) (gridstore.Spec,
 		Cells:      names,
 		Users:      users,
 	}, nil
+}
+
+// inputsDigest is a SHA-256 over a trace-backed plan's users, each
+// user's name and fitted demand in plan order, so a spill store never
+// resumes against different traces of the same size. It is "" for a
+// synthetic cohort, which Seed, PerGroup and Hours already pin. Only
+// spilling grids ask for it, once per plan.
+func (p *CohortPlan) inputsDigest() string {
+	if !p.traced {
+		return ""
+	}
+	p.digestOnce.Do(func() {
+		h := sha256.New()
+		var buf []byte
+		for _, u := range p.users {
+			buf = binary.AppendUvarint(buf[:0], uint64(len(u.Trace.User)))
+			buf = append(buf, u.Trace.User...)
+			buf = binary.AppendUvarint(buf, uint64(len(u.Trace.Demand)))
+			for _, d := range u.Trace.Demand {
+				buf = binary.AppendUvarint(buf, uint64(d))
+			}
+			h.Write(buf)
+		}
+		p.digest = hex.EncodeToString(h.Sum(nil))
+	})
+	return p.digest
 }
 
 // spillDirName maps a grid label to its subdirectory under
@@ -116,7 +147,7 @@ type gridSpill struct {
 // checksum failures, duplicates — leave their cells pending, so they
 // are recomputed, never merged.
 func (p *CohortPlan) openSpill(name string, cells []Cell, users int, out []CellResult, tracker *obs.GridTracker) (*gridSpill, error) {
-	spec, err := gridSpec(p.cfg, name, cells, users)
+	spec, err := gridSpec(p.cfg, name, cells, users, p.inputsDigest())
 	if err != nil {
 		return nil, err
 	}

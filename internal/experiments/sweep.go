@@ -88,7 +88,8 @@ func (p *CohortPlan) feeCells(fees []float64) ([]Cell, error) {
 }
 
 // SweepFraction evaluates the generalized A_{kT} across checkpoint
-// fractions on the plan's cohort.
+// fractions on the plan's cohort — the paper's future-work direction
+// of selling at an arbitrary time spot.
 func (p *CohortPlan) SweepFraction(ctx context.Context, fractions []float64) ([]SweepPoint, error) {
 	cells, err := p.fractionCells(fractions)
 	if err != nil {
@@ -117,9 +118,8 @@ func (p *CohortPlan) SweepMarketFee(ctx context.Context, fees []float64) ([]Swee
 	return p.sweepCells(ctx, "sweep-fee", fees, cells)
 }
 
-// SweepFraction evaluates the generalized A_{kT} across checkpoint
-// fractions — the paper's future-work direction of selling at an
-// arbitrary time spot.
+// SweepFraction is NewCohortPlan plus (*CohortPlan).SweepFraction,
+// kept only for the perfbench suite (see RunCohort).
 func SweepFraction(ctx context.Context, cfg Config, fractions []float64) ([]SweepPoint, error) {
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {
@@ -128,7 +128,8 @@ func SweepFraction(ctx context.Context, cfg Config, fractions []float64) ([]Swee
 	return plan.SweepFraction(ctx, fractions)
 }
 
-// SweepDiscount evaluates A_{3T/4} across selling discounts a.
+// SweepDiscount is NewCohortPlan plus (*CohortPlan).SweepDiscount,
+// kept only for the perfbench suite (see RunCohort).
 func SweepDiscount(ctx context.Context, cfg Config, discounts []float64) ([]SweepPoint, error) {
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {
@@ -137,7 +138,8 @@ func SweepDiscount(ctx context.Context, cfg Config, discounts []float64) ([]Swee
 	return plan.SweepDiscount(ctx, discounts)
 }
 
-// SweepMarketFee evaluates A_{3T/4} across marketplace fees.
+// SweepMarketFee is NewCohortPlan plus (*CohortPlan).SweepMarketFee,
+// kept only for the perfbench suite (see RunCohort).
 func SweepMarketFee(ctx context.Context, cfg Config, fees []float64) ([]SweepPoint, error) {
 	plan, err := NewCohortPlan(ctx, cfg)
 	if err != nil {

@@ -64,6 +64,27 @@ func PlanReservations(demand []int, periodHours int, p Policy) ([]int, error) {
 	return newRes, nil
 }
 
+// Behaviors names the paper's four reservation-behavior imitators
+// (Section VI.A) in presentation order.
+var Behaviors = []string{"all-reserved", "random", "wang-online", "wang-variant"}
+
+// ForBehavior returns the purchaser a behavior name selects for the
+// instance card; seed seeds the random behavior.
+func ForBehavior(name string, it pricing.InstanceType, seed int64) (Policy, error) {
+	switch name {
+	case "all-reserved":
+		return AllReserved{}, nil
+	case "random":
+		return NewRandom(seed), nil
+	case "wang-online":
+		return NewWangOnline(it), nil
+	case "wang-variant":
+		return NewWangVariant(it), nil
+	default:
+		return nil, fmt.Errorf("purchasing: unknown behavior %q", name)
+	}
+}
+
 // AllReserved reserves enough instances at every hour to cover all
 // demand with reservations — the paper's stand-in for users whose
 // demands are stable enough that they reserve everything.

@@ -88,6 +88,21 @@ func (tr Trace) Clip(hours int) Trace {
 	return Trace{User: tr.User, Demand: append([]int(nil), tr.Demand[:hours]...)}
 }
 
+// Fit returns the trace fitted to exactly hours entries: clipped when
+// longer, zero-padded when shorter — each a fresh copy — and tr itself
+// when it already fits. tr is never mutated.
+func (tr Trace) Fit(hours int) Trace {
+	switch {
+	case tr.Len() > hours:
+		return tr.Clip(hours)
+	case tr.Len() < hours:
+		demand := make([]int, hours)
+		copy(demand, tr.Demand)
+		return Trace{User: tr.User, Demand: demand}
+	}
+	return tr
+}
+
 // Group is the paper's demand-fluctuation band (Fig. 2).
 type Group int
 

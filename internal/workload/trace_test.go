@@ -105,6 +105,41 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestTraceFit: Fit clips a longer trace, zero-pads a shorter one and
+// returns an exact fit as is, never touching the input; each fitted
+// copy is the one allocation PlanTraces paid before Fit existed.
+func TestTraceFit(t *testing.T) {
+	tests := []struct {
+		name   string
+		hours  int
+		want   []int
+		allocs float64
+	}{
+		{name: "longer", hours: 2, want: []int{1, 2}, allocs: 1},
+		{name: "shorter", hours: 6, want: []int{1, 2, 3, 4, 0, 0}, allocs: 1},
+		{name: "equal", hours: 4, want: []int{1, 2, 3, 4}, allocs: 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := Trace{User: "u", Demand: []int{1, 2, 3, 4}}
+			got := tr.Fit(tt.hours)
+			if got.User != "u" || fmt.Sprint(got.Demand) != fmt.Sprint(tt.want) {
+				t.Fatalf("Fit(%d) = %+v, want demand %v", tt.hours, got, tt.want)
+			}
+			got.Demand[0] = 99
+			if tt.hours != tr.Len() && tr.Demand[0] != 1 {
+				t.Error("Fit aliased the input's demand when it had to copy")
+			}
+			if fmt.Sprint(tr.Demand[1:]) != "[2 3 4]" || tr.Len() != 4 {
+				t.Errorf("Fit mutated its input: %v", tr.Demand)
+			}
+			if n := testing.AllocsPerRun(20, func() { _ = tr.Fit(tt.hours) }); n != tt.allocs {
+				t.Errorf("Fit(%d) made %v allocations, want %v", tt.hours, n, tt.allocs)
+			}
+		})
+	}
+}
+
 // TestClassifyZeroAllocs pins the cohort builder's rejection test at
 // zero allocations: the ratio reads Demand in place.
 func TestClassifyZeroAllocs(t *testing.T) {

@@ -392,12 +392,16 @@ func RunCohortContext(ctx context.Context, cfg ExperimentConfig) (*CohortResult,
 // traces (e.g. real usage logs loaded with LoadEC2LogDir).
 func RunTraces(cfg ExperimentConfig, traces []Trace) (*CohortResult, error) {
 	//rilint:allow ctxrule -- documented back-compat facade for pre-PR3 callers; the cancellable form is RunTracesContext.
-	return experiments.RunTraces(context.Background(), cfg, traces)
+	return RunTracesContext(context.Background(), cfg, traces)
 }
 
 // RunTracesContext is RunTraces with cancellation.
 func RunTracesContext(ctx context.Context, cfg ExperimentConfig, traces []Trace) (*CohortResult, error) {
-	return experiments.RunTraces(ctx, cfg, traces)
+	plan, err := experiments.PlanTraces(ctx, cfg, traces)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Cohort(ctx)
 }
 
 // LoadEC2LogDir reads every EC2-usage-log file (.csv/.csv.gz) in a

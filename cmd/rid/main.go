@@ -7,7 +7,7 @@
 //
 //	rid                                  # test-scale synthetic cohort on localhost:8377
 //	rid -addr :9000 -scale full          # paper-scale cohort
-//	rid -tracedir traces/                # real ec2-log traces instead of the cohort
+//	rid -tracedir traces/                # real traces (.csv, .csv.gz, .colt) instead of the cohort
 //
 // Endpoints: POST /v1/recommend evaluates one typed Query; GET
 // /v1/info describes the served snapshot; /healthz and /readyz are
@@ -165,7 +165,7 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 // strict — a daemon must not come up, or swap to, a partial snapshot.
 func snapshotLoader(cfg experiments.Config, traceDir string) func(context.Context) (*experiments.DecisionSet, error) {
 	return func(ctx context.Context) (*experiments.DecisionSet, error) {
-		plan, _, err := cli.LoadPlan(ctx, cfg, traceDir, "ec2-log", gtrace.LoadOptions{Policy: gtrace.Strict})
+		plan, _, err := cli.LoadPlan(ctx, cfg, traceDir, gtrace.LoadOptions{Policy: gtrace.Strict})
 		if err != nil {
 			return nil, err
 		}

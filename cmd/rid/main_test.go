@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -19,7 +21,10 @@ import (
 	"time"
 
 	"rimarket/internal/cli"
+	"rimarket/internal/coltrace"
 	"rimarket/internal/experiments"
+	"rimarket/internal/gtrace"
+	"rimarket/internal/workload"
 )
 
 // TestRunUsageErrors pins the exit-code vocabulary at the flag layer:
@@ -66,6 +71,53 @@ func offlineSet(t testing.TB) *experiments.DecisionSet {
 		t.Fatal(err)
 	}
 	return set
+}
+
+// TestSnapshotFromStore checks that rid serves a directory of .colt
+// stores as it serves the usage logs they were converted from: the
+// converter groups users by trace length, and the loader puts them
+// back in name order, so both snapshots are the same.
+func TestSnapshotFromStore(t *testing.T) {
+	traces, err := workload.NewCohort(workload.CohortConfig{PerGroup: 2, Hours: 1500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDir, coltDir := t.TempDir(), t.TempDir()
+	for _, tr := range traces {
+		var b bytes.Buffer
+		if err := gtrace.WriteEC2Log(&b, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(logDir, tr.User+".csv"), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, _, err := gtrace.LoadFS(os.DirFS(logDir), gtrace.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cohorts, err := coltrace.GroupTraces(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cohorts) < 2 {
+		t.Fatalf("logs grouped into %d cohort, want a ragged directory", len(cohorts))
+	}
+	if err := coltrace.WriteFile(filepath.Join(coltDir, "cohort"+coltrace.Ext), cohorts...); err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.TestScaleConfig()
+	fromLogs, err := snapshotLoader(cfg, logDir)(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStore, err := snapshotLoader(cfg, coltDir)(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromStore, fromLogs) {
+		t.Fatal("snapshot from the .colt store differs from the logs'")
+	}
 }
 
 // offlineQueries is the bit-identity corpus: request bodies paired

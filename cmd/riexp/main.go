@@ -56,7 +56,6 @@ type params struct {
 	exp             string
 	cohort          cli.CohortFlags
 	traceErr        string
-	traceFmt        string
 	traceBud        int
 	jsonOut, csvOut string
 	spill, resume   string
@@ -68,7 +67,6 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 	var p params
 	fs.StringVar(&p.exp, "exp", "all", "experiment to run (table1|table2|table3|fig2|fig3a|fig3b|fig3c|fig4a|fig4b|fig4c|bounds|sweep-k|sweep-a|sweep-fee|extensions|market|sensitivity|audit|resell|all)")
 	p.cohort.Register(fs)
-	fs.StringVar(&p.traceFmt, "trace-format", "ec2-log", "format of -tracedir files: ec2-log (.csv/.csv.gz usage logs) or colt (columnar cohort stores, .colt)")
 	fs.StringVar(&p.traceErr, "trace-errors", "strict", "error policy for -tracedir files: strict (fail on the first bad file) or best-effort (skip bad files, warn, exit 3)")
 	fs.IntVar(&p.traceBud, "trace-error-budget", 0, "max files best-effort may skip before failing anyway; 0 means unlimited")
 	fs.StringVar(&p.jsonOut, "json", "", "also write the full cohort result as JSON to this file (cohort-result experiments only)")
@@ -169,11 +167,6 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		return cli.Usagef("-trace-error-budget %d must be non-negative", p.traceBud)
 	}
 	loadOpts.FailureBudget = p.traceBud
-	switch p.traceFmt {
-	case "ec2-log", "colt":
-	default:
-		return cli.Usagef("unknown -trace-format %q (want ec2-log or colt)", p.traceFmt)
-	}
 
 	cfg, err := p.cohort.Config()
 	if err != nil {
@@ -233,7 +226,7 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 		return nil
 	}
 
-	plan, report, err := cli.LoadPlan(ctx, cfg, p.cohort.TraceDir, p.traceFmt, loadOpts)
+	plan, report, err := cli.LoadPlan(ctx, cfg, p.cohort.TraceDir, loadOpts)
 	if mf := sess.Manifest(); mf != nil {
 		mf.Trace = traceIngest(report)
 	}

@@ -54,7 +54,7 @@ func TestOnePlanSweepOnTraces(t *testing.T) {
 	got := runStdout(t, "-exp", "sweep-k", "-tracedir", dir)
 
 	ctx := context.Background()
-	traces, _, err := gtrace.LoadEC2LogDir(dir)
+	traces, _, err := gtrace.LoadFS(os.DirFS(dir), gtrace.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

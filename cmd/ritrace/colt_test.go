@@ -63,7 +63,7 @@ func TestConvertEC2LogToColtRoundTrip(t *testing.T) {
 		t.Errorf("convert output: %s", out.String())
 	}
 
-	want, _, err := gtrace.LoadEC2LogDir(logs)
+	want, _, err := gtrace.LoadFS(os.DirFS(logs), gtrace.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestConvertRaggedTracesToColt(t *testing.T) {
 		t.Errorf("convert output: %s", out.String())
 	}
 
-	want, _, err := gtrace.LoadEC2LogDir(logs)
+	want, _, err := gtrace.LoadFS(os.DirFS(logs), gtrace.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

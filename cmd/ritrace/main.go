@@ -216,7 +216,7 @@ func convert(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	in := fs.String("in", "", "input: task-events CSV (-from task-events) or EC2-log directory (-from ec2-log)")
 	out := fs.String("out", ".", "output: directory for per-user EC2 logs (-to ec2-log) or columnar store path (-to colt)")
-	from := fs.String("from", "task-events", "input format: task-events (Google-style CSV) or ec2-log (directory of .csv/.csv.gz usage logs)")
+	from := fs.String("from", "task-events", "input format: task-events (Google-style CSV) or ec2-log (trace directory: .csv/.csv.gz usage logs and .colt stores)")
 	to := fs.String("to", "ec2-log", "output format: ec2-log (per-user CSV files) or colt (one columnar cohort store)")
 	cpu := fs.Float64("cpu", gtrace.DefaultCapacity.CPU, "per-instance CPU capacity")
 	mem := fs.Float64("mem", gtrace.DefaultCapacity.Memory, "per-instance memory capacity")
@@ -260,12 +260,11 @@ func convert(args []string, w, stderr io.Writer) error {
 			}
 			source = fmt.Sprintf("%d events", len(events))
 		case "ec2-log":
-			var err error
-			traces, _, err = gtrace.LoadEC2LogDir(*in)
+			loaded, report, err := gtrace.LoadFS(os.DirFS(*in), gtrace.LoadOptions{})
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", *in, err)
 			}
-			source = fmt.Sprintf("%d log files", len(traces))
+			traces, source = loaded, fmt.Sprintf("%d trace files", len(report.Loaded))
 		}
 		switch *to {
 		case "ec2-log":

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 
 	"rimarket/internal/experiments"
 	"rimarket/internal/gtrace"
@@ -82,21 +83,17 @@ func (f CohortFlags) Config() (experiments.Config, error) {
 }
 
 // LoadPlan builds the cohort plan the flags name: the synthetic cohort
-// when dir is empty, otherwise the traces in dir — ec2-log files or,
-// with format "colt", columnar cohort stores — loaded under opts and
-// planned with experiments.PlanTraces. The load report is returned
-// once the load succeeds, even if planning then fails; a load failure
-// returns neither plan nor report.
-func LoadPlan(ctx context.Context, cfg experiments.Config, dir, format string, opts gtrace.LoadOptions) (*experiments.CohortPlan, *gtrace.LoadReport, error) {
+// when dir is empty, otherwise the trace files in dir (EC2 usage logs
+// and columnar cohort stores alike) loaded by gtrace.LoadFS under opts
+// and planned with experiments.PlanTraces in user-name order. The load
+// report is returned once the load succeeds, even if planning then
+// fails; a load failure returns neither plan nor report.
+func LoadPlan(ctx context.Context, cfg experiments.Config, dir string, opts gtrace.LoadOptions) (*experiments.CohortPlan, *gtrace.LoadReport, error) {
 	if dir == "" {
 		plan, err := experiments.NewCohortPlan(ctx, cfg)
 		return plan, nil, err
 	}
-	load := gtrace.LoadEC2LogDirOpts
-	if format == "colt" {
-		load = gtrace.LoadColtDir
-	}
-	traces, report, err := load(dir, opts)
+	traces, report, err := gtrace.LoadFS(os.DirFS(dir), opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", dir, err)
 	}

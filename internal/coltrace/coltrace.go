@@ -116,18 +116,6 @@ type Cohort struct {
 	NewRes []int32
 }
 
-// DemandAt returns user u's demand at hour t.
-func (c *Cohort) DemandAt(u, t int) int { return int(c.Demand[t*len(c.Users)+u]) }
-
-// NewResAt returns user u's new reservations at hour t, or 0 when the
-// cohort carries no reservation block.
-func (c *Cohort) NewResAt(u, t int) int {
-	if c.NewRes == nil {
-		return 0
-	}
-	return int(c.NewRes[t*len(c.Users)+u])
-}
-
 // validate rejects cohorts the format could not round-trip.
 func (c *Cohort) validate() error {
 	switch {

@@ -9,9 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/fstest"
 
-	"rimarket/internal/faultfs"
 	"rimarket/internal/workload"
 )
 
@@ -69,8 +67,8 @@ func TestRoundTrip(t *testing.T) {
 
 func TestHourMajorLayout(t *testing.T) {
 	c := testCohort(t)
-	if got := c.DemandAt(1, 2); got != 1 {
-		t.Fatalf("DemandAt(user-b, hour 2) = %d, want 1", got)
+	if got := c.Demand[2*len(c.Users)+1]; got != 1 {
+		t.Fatalf("demand of user-b at hour 2 = %d, want 1", got)
 	}
 	// Hour stripe t=0 is all users' hour-0 demand, contiguous.
 	if want := []int32{0, 3, 5}; !reflect.DeepEqual(c.Demand[:3], want) {
@@ -296,40 +294,4 @@ func TestReadFileErrors(t *testing.T) {
 	if len(cs) != 0 {
 		t.Fatalf("torn single-record file yielded %d cohorts", len(cs))
 	}
-}
-
-// TestReadFSFaults drives the reader through faultfs: injected open
-// and read errors must surface as classified I/O errors, and injected
-// truncation as ErrTruncated — never a silent partial load.
-func TestReadFSFaults(t *testing.T) {
-	buf := encode(t, testCohort(t))
-	inner := fstest.MapFS{"cohort.colt": {Data: buf}}
-
-	t.Run("clean", func(t *testing.T) {
-		cs, err := ReadFS(faultfs.New(inner), "cohort.colt")
-		if err != nil || len(cs) != 1 {
-			t.Fatalf("clean read: %d cohorts, err %v", len(cs), err)
-		}
-	})
-	t.Run("open error", func(t *testing.T) {
-		fsys := faultfs.New(inner)
-		fsys.Inject("cohort.colt", faultfs.KindOpenError)
-		if _, err := ReadFS(fsys, "cohort.colt"); !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("err = %v, want ErrInjected", err)
-		}
-	})
-	t.Run("read error", func(t *testing.T) {
-		fsys := faultfs.New(inner)
-		fsys.Inject("cohort.colt", faultfs.KindReadError)
-		if _, err := ReadFS(fsys, "cohort.colt"); !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("err = %v, want ErrInjected", err)
-		}
-	})
-	t.Run("truncate", func(t *testing.T) {
-		fsys := faultfs.New(inner)
-		fsys.Inject("cohort.colt", faultfs.KindTruncate)
-		if _, err := ReadFS(fsys, "cohort.colt"); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("err = %v, want ErrTruncated", err)
-		}
-	})
 }

@@ -3,7 +3,6 @@ package coltrace
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
 
@@ -91,30 +90,21 @@ func (c *Cohort) Traces() []workload.Trace {
 
 // MergeTraces flattens several cohorts (e.g. a directory of .colt
 // files) into one trace list, rejecting a user id that appears in more
-// than one cohort.
+// than one cohort; a record never names a user twice, so a duplicate
+// comes from two cohorts.
 func MergeTraces(cohorts ...*Cohort) ([]workload.Trace, error) {
 	var out []workload.Trace
+	seen := make(map[string]struct{})
 	for _, c := range cohorts {
-		out = append(out, c.Traces()...)
-	}
-	if err := UniqueUsers(out); err != nil {
-		return nil, err
+		for _, tr := range c.Traces() {
+			if _, dup := seen[tr.User]; dup {
+				return nil, fmt.Errorf("%w: %q appears in more than one cohort", ErrDuplicateUser, tr.User)
+			}
+			seen[tr.User] = struct{}{}
+			out = append(out, tr)
+		}
 	}
 	return out, nil
-}
-
-// UniqueUsers rejects a merged trace list that names a user twice, with
-// the ErrDuplicateUser error MergeTraces returns; a record never names
-// a user twice, so a duplicate comes from two cohorts.
-func UniqueUsers(traces []workload.Trace) error {
-	seen := make(map[string]struct{}, len(traces))
-	for _, tr := range traces {
-		if _, dup := seen[tr.User]; dup {
-			return fmt.Errorf("%w: %q appears in more than one cohort", ErrDuplicateUser, tr.User)
-		}
-		seen[tr.User] = struct{}{}
-	}
-	return nil
 }
 
 // WriteFile encodes the cohorts as one framed store at path.
@@ -144,35 +134,21 @@ func ReadFile(path string) ([]*Cohort, error) {
 	return decodeStrict(data, path)
 }
 
-// ReadFS is ReadFile over an fs.FS, for fault-injection tests and
-// embedded stores.
-func ReadFS(fsys fs.FS, name string) ([]*Cohort, error) {
-	data, err := fs.ReadFile(fsys, name)
-	if err != nil {
-		return nil, fmt.Errorf("coltrace: read store: %w", err)
-	}
-	return decodeStrict(data, name)
-}
-
-// ReadTraces decodes every record of the store at path straight into
+// DecodeTraces decodes every record of a store's bytes straight into
 // one demand trace per user: the traces MergeTraces builds from
 // ReadFile's cohorts, in the same order, without materializing the
-// int32 columns, so a load holds only the file's bytes and the traces.
-// It does not check for a user named by two records; a caller merging
-// stores runs UniqueUsers over the merged list. As with ReadFile, a
-// partial store is an error returned with its valid prefix's traces.
-func ReadTraces(path string) ([]workload.Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("coltrace: read store: %w", err)
-	}
+// int32 columns, so a load holds only the store's bytes and the
+// traces. It does not check for a user named by two records; a caller
+// merging stores checks the merged list. As with ReadFile, a partial
+// store is an error returned with its valid prefix's traces.
+func DecodeTraces(data []byte) ([]workload.Trace, error) {
 	var out []workload.Trace
-	_, err = scan(data, func(b []byte) (int, error) {
+	_, err := scan(data, func(b []byte) (int, error) {
 		trs, n, err := decodeTraces(b)
 		out = append(out, trs...)
 		return n, err
 	})
-	return out, withPath(err, path)
+	return out, err
 }
 
 func decodeStrict(data []byte, path string) ([]*Cohort, error) {

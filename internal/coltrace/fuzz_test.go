@@ -91,7 +91,7 @@ func FuzzColtraceDecode(f *testing.F) {
 				t.Fatalf("decode error %v wraps no classification sentinel", err)
 			}
 		}
-		// The trace decoder ReadTraces runs reads the same prefix into
+		// The trace decoder DecodeTraces runs reads the same prefix into
 		// the traces Cohort.Traces builds, and stops at the same error.
 		var got, want []workload.Trace
 		gotLen, gotErr := scan(data, func(b []byte) (int, error) {

@@ -8,7 +8,6 @@ import (
 	"rimarket/internal/analysis"
 	"rimarket/internal/core"
 	"rimarket/internal/obs"
-	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
@@ -83,15 +82,11 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	ratios := make([][]float64, feed.Len())
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, feed.Len()+1))
 	err = feed.run(ctx, cfg.Parallelism, func(w, i int, tr workload.Trace) error {
-		planner, err := purchasing.ForBehavior(purchasing.Behaviors[i%len(purchasing.Behaviors)], cfg.Instance, cfg.Seed^int64(i))
+		u, err := planUser(cfg, i, tr)
 		if err != nil {
 			return err
 		}
-		newRes, err := purchasing.PlanReservations(tr.Demand, period, planner)
-		if err != nil {
-			return err
-		}
-		if _, err := obsTotals(m, &scratch[w], tr.Demand, newRes, engCfg, core.KeepReserved{}); err != nil {
+		if _, err := obsTotals(m, &scratch[w], tr.Demand, u.NewRes, engCfg, core.KeepReserved{}); err != nil {
 			return err
 		}
 		var rs []float64

@@ -120,7 +120,7 @@ func TestDecisionsDifferentialTraceDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	traces, _, err := gtrace.LoadEC2LogDir(dir)
+	traces, _, err := gtrace.LoadFS(os.DirFS(dir), gtrace.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,30 +115,38 @@ func newPlan(ctx context.Context, cfg Config, feed *cohortFeed) (*CohortPlan, er
 		users: make([]PlannedUser, feed.Len()),
 		keeps: make(map[pricing.InstanceType][]KeepStat),
 	}
-	err := feed.run(ctx, cfg.Parallelism, func(_, i int, tr workload.Trace) error {
-		behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
-		planner, err := purchasing.ForBehavior(behavior, cfg.Instance, cfg.Seed^int64(i))
-		if err != nil {
-			return err
-		}
-		newRes, err := purchasing.PlanReservations(tr.Demand, cfg.Instance.PeriodHours, planner)
-		if err != nil {
-			return fmt.Errorf("experiments: user %s: %w", tr.User, err)
-		}
-		reserved, firstRes := 0, -1
-		for t, n := range newRes {
-			if n > 0 && firstRes < 0 {
-				firstRes = t
-			}
-			reserved += n
-		}
-		p.users[i] = PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved, firstRes: firstRes}
-		return nil
+	err := feed.run(ctx, cfg.Parallelism, func(_, i int, tr workload.Trace) (err error) {
+		p.users[i], err = planUser(cfg, i, tr)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// planUser plans the reservations of the cohort's i-th user. The
+// purchasing behavior and its seed come from i alone, so a cohort's
+// plans depend on the order of its users: synthesis fixes that order,
+// and the trace loader sorts real users by name.
+func planUser(cfg Config, i int, tr workload.Trace) (PlannedUser, error) {
+	behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
+	planner, err := purchasing.ForBehavior(behavior, cfg.Instance, cfg.Seed^int64(i))
+	if err != nil {
+		return PlannedUser{}, err
+	}
+	newRes, err := purchasing.PlanReservations(tr.Demand, cfg.Instance.PeriodHours, planner)
+	if err != nil {
+		return PlannedUser{}, fmt.Errorf("experiments: user %s: %w", tr.User, err)
+	}
+	reserved, firstRes := 0, -1
+	for t, n := range newRes {
+		if n > 0 && firstRes < 0 {
+			firstRes = t
+		}
+		reserved += n
+	}
+	return PlannedUser{Trace: tr, Behavior: behavior, NewRes: newRes, Reserved: reserved, firstRes: firstRes}, nil
 }
 
 // Config returns the plan's experiment configuration.

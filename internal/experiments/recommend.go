@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"rimarket/internal/obs"
 	"rimarket/internal/simulate"
@@ -141,9 +140,10 @@ type userSkeleton struct {
 // Decisions resolves the plan's full decision tables: every (selling
 // policy, user) replay, the Keep-Reserved baselines, and the
 // per-instance checkpoint ages. A replay is the Keep-Reserved replay
-// until its policy's first checkpoint, so each user's Keep-Reserved
-// trunk runs once, capturing a resume point at every distinct fork age
-// of the selling policies (and filling the plan's KeepStats cache),
+// until its policy's first checkpoint, so the selling policies run as
+// one grid's cells: each user's Keep-Reserved trunk runs once,
+// capturing a resume point at every distinct fork age of the policies
+// (and filling the plan's KeepStats cache),
 // and each (policy, user) table is read from the records of a replay
 // resumed at its fork hour. The fan-out honors Config.Parallelism and
 // cancelling ctx drains it; metrics on ctx observe the runs like any
@@ -164,38 +164,33 @@ func (p *CohortPlan) Decisions(ctx context.Context) (*DecisionSet, error) {
 	}
 	s, replayed := p.newDecisionSet(policies)
 
-	// One fork age per distinct first checkpoint, in capture order.
-	period := p.cfg.Instance.PeriodHours
-	var ages []int
-	forkAge := make([]int, len(replayed))
+	// Each selling policy is a cell of a grid at the plan's own
+	// parameters, so its trunks and fork ages resolve as any grid's do.
+	cells := make([]Cell, len(replayed))
+	engs := make([]simulate.Config, len(replayed))
+	pending := make([]int, len(replayed))
 	for k, np := range replayed {
-		forkAge[k] = simulate.ForkAge(np.policy, period)
-		if !slices.Contains(ages, forkAge[k]) {
-			ages = append(ages, forkAge[k])
-		}
+		cells[k] = Cell{Name: np.name, Policy: np.policy, Engine: engCfg}
+		engs[k], pending[k] = engCfg, k
 	}
-	slices.SortFunc(ages, forkAgeOrder)
-	for k := range forkAge {
-		forkAge[k] = slices.Index(ages, forkAge[k])
-	}
-
 	users := len(p.users)
 	jobs := len(replayed) * users
 	scratch := make([]simulate.Scratch, workerCount(p.cfg.Parallelism, max(jobs, users)))
-	keeps, points, err := p.runTrunks(ctx, []simulate.Config{engCfg}, [][]int{ages}, scratch)
+	trunks, err := p.runGridTrunks(ctx, cells, engs, pending, scratch)
 	if err != nil {
 		return nil, err
 	}
-	s.setKeeps(keeps[0])
+	s.setKeeps(trunks.keeps[0]) // one card: the plan's
 
 	// Fan the (policy, user) resumes out over the worker pool, each
 	// worker on its own Scratch; each job copies what it keeps out of
 	// the scratch's records and writes a distinct table slot, so
 	// results are identical at any parallelism.
+	period := p.cfg.Instance.PeriodHours
 	_, err = runPool(ctx, p.cfg.Parallelism, jobs, func(w, k int) error {
 		pi, ui := k/users, k%users
 		np := replayed[pi]
-		pt := &points[0][ui*len(ages)+forkAge[pi]]
+		pt, _ := trunks.point(pi, ui)
 		tot, _, err := obsResume(m, &scratch[w], ui, pt, engCfg, np.policy)
 		if err != nil {
 			return fmt.Errorf("experiments: policy %s: user %s: %w", np.name, p.users[ui].Trace.User, err)

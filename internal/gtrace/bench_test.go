@@ -55,7 +55,7 @@ func BenchmarkLoadEC2LogDir(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		traces, _, err := LoadEC2LogDir(dir)
+		traces, _, err := LoadFS(os.DirFS(dir), LoadOptions{})
 		if err != nil || len(traces) != 300 {
 			b.Fatalf("loaded %d traces: %v", len(traces), err)
 		}
@@ -63,13 +63,13 @@ func BenchmarkLoadEC2LogDir(b *testing.B) {
 }
 
 // BenchmarkLoadColtDir loads the same cohort from one .colt store per
-// user, the columnar side of riexp -tracedir.
+// user through the same loader.
 func BenchmarkLoadColtDir(b *testing.B) {
 	_, dir := writeBenchDirs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		traces, _, err := LoadColtDir(dir, LoadOptions{})
+		traces, _, err := LoadFS(os.DirFS(dir), LoadOptions{})
 		if err != nil || len(traces) != 300 {
 			b.Fatalf("loaded %d traces: %v", len(traces), err)
 		}

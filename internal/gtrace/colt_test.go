@@ -1,10 +1,8 @@
 package gtrace
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,35 +10,11 @@ import (
 	"rimarket/internal/workload"
 )
 
-// loadColtOracle is LoadColtDir as a decode-then-flatten: ReadFile over
-// each store in name order, then MergeTraces over every cohort read.
-func loadColtOracle(dir string, policy ErrorPolicy) ([]workload.Trace, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := fileNames(entries, coltrace.Ext)
-	var cohorts []*coltrace.Cohort
-	for _, name := range names {
-		cs, err := coltrace.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			if policy == BestEffort {
-				continue
-			}
-			return nil, err
-		}
-		cohorts = append(cohorts, cs...)
-	}
-	if len(cohorts) == 0 {
-		return nil, fmt.Errorf("all %d cohort stores skipped", len(names))
-	}
-	return coltrace.MergeTraces(cohorts...)
-}
-
-// TestLoadColtDirMatchesReadFile pins LoadColtDir, which decodes each
-// store straight into traces, to ReadFile + MergeTraces: the same
-// traces in the same order, and the same error text, under both error
-// policies.
+// TestLoadColtDirMatchesReadFile pins LoadFS on directories of cohort
+// stores, which it decodes straight into traces, to the serial oracle,
+// which decodes each store into cohorts and flattens them: the same
+// traces in the same order, the same report and the same error text,
+// under both error policies.
 func TestLoadColtDirMatchesReadFile(t *testing.T) {
 	cohort := func(newRes bool, trs ...workload.Trace) *coltrace.Cohort {
 		c, err := coltrace.FromTraces(trs)
@@ -105,16 +79,14 @@ func TestLoadColtDirMatchesReadFile(t *testing.T) {
 		}
 		for _, policy := range []ErrorPolicy{Strict, BestEffort} {
 			t.Run(c.name+"/"+strings.ToLower(policy.String()), func(t *testing.T) {
-				want, wantErr := loadColtOracle(dir, policy)
-				got, _, err := LoadColtDir(dir, LoadOptions{Policy: policy})
-				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("err = %v, want %v", err, wantErr)
+				opts := LoadOptions{Policy: policy}
+				got, rep, err := LoadFS(os.DirFS(dir), opts)
+				want, wantRep, wantErr := loadEC2LogFSOracle(os.DirFS(dir), opts)
+				if d := sameLoad(got, rep, err, want, wantRep, wantErr); d != "" {
+					t.Fatal(d)
 				}
 				if policy == Strict && (err != nil) != c.wantErr {
 					t.Fatalf("strict load err = %v, want error %v", err, c.wantErr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("traces differ:\n got %+v\nwant %+v", got, want)
 				}
 			})
 		}

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,14 +16,13 @@ import (
 	"rimarket/internal/workload"
 )
 
-// ErrorPolicy selects how the directory loaders react to a file that
+// ErrorPolicy selects how the directory loader reacts to a file that
 // cannot be read or parsed.
 type ErrorPolicy int
 
 const (
 	// Strict fails the whole load on the first unreadable or malformed
-	// file — the right posture for curated datasets, and the historical
-	// behavior of LoadEC2LogDir.
+	// file — the right posture for curated datasets.
 	Strict ErrorPolicy = iota
 	// BestEffort skips unreadable, corrupt or truncated files (up to
 	// LoadOptions.FailureBudget) and records them in the LoadReport, so
@@ -74,71 +72,68 @@ type LoadReport struct {
 // Partial reports whether any file was skipped.
 func (r *LoadReport) Partial() bool { return r != nil && len(r.Skipped) > 0 }
 
-// LoadEC2LogDir reads every EC2-usage-log file (.csv or .csv.gz) in a
-// directory into demand traces, sorted by file name, under the Strict
-// policy. Users can point the experiment harness at a directory of
-// real usage logs — like the 36 EC2 log files the paper cites —
-// instead of the synthetic cohort.
-//
-// The LoadReport is returned even when err is non-nil: a strict load
-// that fails midway still reports which files had loaded cleanly, so
-// legacy callers see the same ingestion picture as LoadEC2LogDirOpts
-// instead of having the report dropped on the floor.
-func LoadEC2LogDir(dir string) ([]workload.Trace, *LoadReport, error) {
-	return LoadEC2LogDirOpts(dir, LoadOptions{})
-}
-
-// LoadEC2LogDirOpts is LoadEC2LogDir with an explicit error policy,
-// returning the load report alongside the traces.
-func LoadEC2LogDirOpts(dir string, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
-	if _, err := os.Stat(dir); err != nil {
-		return nil, nil, fmt.Errorf("gtrace: %w", err)
-	}
-	return LoadEC2LogFS(os.DirFS(dir), opts)
-}
-
-// LoadEC2LogFS loads every EC2-usage-log file in the root of fsys.
-// Taking an fs.FS keeps the degradation paths testable: the faultfs
-// package wraps a real or in-memory filesystem with injected open
-// errors, short reads and corrupt rows, and this loader must turn each
-// of them into a Strict failure or a BestEffort skip — never a crash
-// or a silent half-read trace.
+// LoadFS reads every trace file in the root of fsys — EC2 usage logs
+// (.csv, .csv.gz) and columnar cohort stores (.colt), the decoder
+// picked by each file's suffix — into demand traces sorted by user
+// name. The order is the users', not the files': a plan assigns each
+// user's purchasing behavior and seed by its index, so how the users
+// were stored must not change it. Taking an fs.FS keeps the
+// degradation paths testable: the faultfs package wraps a real or
+// in-memory filesystem with injected open errors, short reads and
+// corrupt rows, and this loader must turn each of them into a Strict
+// failure or a BestEffort skip — never a crash or a silent half-read
+// trace.
 //
 // Directory-level problems are never skippable: an unreadable root
 // returns its error, a root with no trace files returns ErrNoTraces,
-// and two files resolving to the same user return *DuplicateUserError
-// under either policy. Per-file failures are wrapped in *ParseError
-// naming the file (and row, when the parser got that far).
+// and two files (or two records of one store) naming the same user
+// return *DuplicateUserError under either policy. Per-file failures
+// are wrapped in *ParseError naming the file (and row, when the log
+// parser got that far). The report is returned even when err is
+// non-nil, once the directory was read, so a load that fails midway
+// still tells which files had loaded cleanly.
 //
 // Files are decoded on GOMAXPROCS workers; the policy is applied
-// afterwards in name order, so the traces, the report and the error
-// are those of a one-file-at-a-time load.
-func LoadEC2LogFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
+// afterwards in file-name order, so the traces, the report and the
+// error are those of a one-file-at-a-time load.
+func LoadFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
 	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
 		return nil, nil, fmt.Errorf("gtrace: %w", err)
 	}
-	names := fileNames(entries, ".csv", ".csv.gz")
+	names := fileNames(entries, ".csv", ".csv.gz", coltrace.Ext)
 	if len(names) == 0 {
 		return nil, nil, ErrNoTraces
 	}
-	decoded := make([]workload.Trace, len(names))
+	// A log decodes into its own slot of logs, and decoded[i] views
+	// it, so a directory of logs costs no allocation per file.
+	logs := make([]workload.Trace, len(names))
+	decoded := make([][]workload.Trace, len(names))
 	errs := decodeFiles(len(names), opts.Policy, func() func(int) error {
-		s := logScratch{line: make([]byte, bufio.MaxScanTokenSize)}
+		var s *logScratch // made at the worker's first log: stores need none
 		return func(i int) (err error) {
-			decoded[i], err = s.loadOne(fsys, names[i])
+			if strings.HasSuffix(names[i], coltrace.Ext) {
+				decoded[i], err = loadStore(fsys, names[i])
+				return err
+			}
+			if s == nil {
+				s = &logScratch{line: make([]byte, bufio.MaxScanTokenSize)}
+			}
+			logs[i], err = s.loadOne(fsys, names[i])
+			decoded[i] = logs[i : i+1 : i+1]
 			return err
 		}
 	})
 	traces := make([]workload.Trace, 0, len(names))
 	owners := make(map[string]string, len(names)) // user -> file that claimed it
-	report, err := applyPolicy(names, errs, opts, "gtrace: ", func(i int) error {
-		tr := decoded[i]
-		if prev, dup := owners[tr.User]; dup {
-			return &DuplicateUserError{User: tr.User, Files: [2]string{prev, names[i]}}
+	report, err := applyPolicy(names, errs, opts, func(i int) error {
+		for _, tr := range decoded[i] {
+			if prev, dup := owners[tr.User]; dup {
+				return &DuplicateUserError{User: tr.User, Files: [2]string{prev, names[i]}}
+			}
+			owners[tr.User] = names[i]
 		}
-		owners[tr.User] = names[i]
-		traces = append(traces, tr)
+		traces = append(traces, decoded[i]...)
 		return nil
 	})
 	if err != nil {
@@ -147,48 +142,14 @@ func LoadEC2LogFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, 
 	if len(traces) == 0 {
 		return nil, report, fmt.Errorf("all %d trace files skipped: %w", len(names), ErrNoTraces)
 	}
+	slices.SortFunc(traces, func(a, b workload.Trace) int { return strings.Compare(a.User, b.User) })
 	return traces, report, nil
 }
 
-// LoadColtDir reads every columnar cohort store (.colt) in a directory
-// into traces, sorted by file name, under the same error policy as the
-// EC2-log loader: Strict fails on the first undecodable store,
-// BestEffort skips it (within the failure budget) and records it in
-// the report. A user id found in two stores fails under either policy,
-// with coltrace.ErrDuplicateUser — the cohort would be ambiguous, not
-// merely smaller. As with LoadEC2LogDir, the report is returned even
-// when err is non-nil.
-func LoadColtDir(dir string, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := fileNames(entries, coltrace.Ext)
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("no %s cohort stores (convert traces with: ritrace convert)", coltrace.Ext)
-	}
-	stores := make([][]workload.Trace, len(names))
-	errs := decodeFiles(len(names), opts.Policy, func() func(int) error {
-		return func(i int) (err error) {
-			stores[i], err = coltrace.ReadTraces(filepath.Join(dir, names[i]))
-			return err
-		}
-	})
-	var traces []workload.Trace
-	report, err := applyPolicy(names, errs, opts, "", func(i int) error {
-		traces = append(traces, stores[i]...)
-		return nil
-	})
-	if err != nil {
-		return nil, report, err
-	}
-	if len(traces) == 0 {
-		return nil, report, fmt.Errorf("all %d cohort stores skipped", len(names))
-	}
-	if err := coltrace.UniqueUsers(traces); err != nil {
-		return nil, report, err
-	}
-	return traces, report, nil
+// LoadEC2LogFS is LoadFS, kept only for the perfbench harness, which
+// calls it by this name.
+func LoadEC2LogFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
+	return LoadFS(fsys, opts)
 }
 
 // fileNames returns the sorted names of the regular entries with one
@@ -277,17 +238,16 @@ func decodeFiles(n int, policy ErrorPolicy, newDecoder func() func(int) error) [
 // order and applies opts: a failed file fails the load under Strict
 // and is skipped under BestEffort, until more than FailureBudget files
 // are skipped. accept takes each decoded file in order; its error
-// fails the load under either policy. prefix starts the budget error's
-// text. The report lists what was loaded and skipped so far, also on
-// failure.
-func applyPolicy(names []string, errs []error, opts LoadOptions, prefix string, accept func(i int) error) (*LoadReport, error) {
+// fails the load under either policy. The report lists what was
+// loaded and skipped so far, also on failure.
+func applyPolicy(names []string, errs []error, opts LoadOptions, accept func(i int) error) (*LoadReport, error) {
 	report := &LoadReport{}
 	for i, name := range names {
 		if err := errs[i]; err != nil {
 			if opts.Policy == BestEffort {
 				report.Skipped = append(report.Skipped, SkippedFile{File: name, Err: err})
 				if opts.FailureBudget > 0 && len(report.Skipped) > opts.FailureBudget {
-					return report, fmt.Errorf("%sfailure budget of %d exceeded: %w", prefix, opts.FailureBudget, err)
+					return report, fmt.Errorf("gtrace: failure budget of %d exceeded: %w", opts.FailureBudget, err)
 				}
 				continue
 			}
@@ -301,7 +261,21 @@ func applyPolicy(names []string, errs []error, opts LoadOptions, prefix string, 
 	return report, nil
 }
 
-// loadOne reads one trace file on s's buffers, wrapping any failure —
+// loadStore reads one cohort store through fsys and decodes it into
+// one trace per user, wrapping any failure in a *ParseError naming the
+// file. A partial store is a failure: none of its traces are kept.
+func loadStore(fsys fs.FS, name string) ([]workload.Trace, error) {
+	data, err := fs.ReadFile(fsys, name)
+	if err == nil {
+		var trs []workload.Trace
+		if trs, err = coltrace.DecodeTraces(data); err == nil {
+			return trs, nil
+		}
+	}
+	return nil, &ParseError{File: name, Err: err}
+}
+
+// loadOne reads one EC2 log file on s's buffers, wrapping any failure —
 // open, read, gunzip or parse — in a *ParseError naming the file.
 func (s *logScratch) loadOne(fsys fs.FS, name string) (workload.Trace, error) {
 	f, err := fsys.Open(name)

@@ -3,10 +3,13 @@ package gtrace
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"rimarket/internal/coltrace"
 	"rimarket/internal/workload"
 )
 
@@ -31,10 +34,20 @@ func writeTraceFile(t *testing.T, path string, tr workload.Trace, compress bool)
 	}
 }
 
+// TestLoadEC2LogDir loads logs and a cohort store from one directory:
+// every trace file is read whatever its format, the report lists the
+// files in name order, and the traces come back in user-name order.
 func TestLoadEC2LogDir(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceFile(t, filepath.Join(dir, "b.csv"), workload.Trace{User: "bob", Demand: []int{1, 2}}, false)
-	writeTraceFile(t, filepath.Join(dir, "a.csv.gz"), workload.Trace{User: "alice", Demand: []int{3}}, true)
+	writeTraceFile(t, filepath.Join(dir, "a.csv.gz"), workload.Trace{User: "zoe", Demand: []int{3}}, true)
+	store, err := coltrace.FromTraces([]workload.Trace{{User: "carol", Demand: []int{4}}, {User: "amy", Demand: []int{5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coltrace.WriteFile(filepath.Join(dir, "c"+coltrace.Ext), store); err != nil {
+		t.Fatal(err)
+	}
 	// Non-trace files and subdirectories are ignored.
 	if err := os.WriteFile(filepath.Join(dir, "README.md"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -43,19 +56,19 @@ func TestLoadEC2LogDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traces, report, err := LoadEC2LogDir(dir)
+	traces, report, err := LoadFS(os.DirFS(dir), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Loaded) != 2 {
-		t.Errorf("report.Loaded = %v, want both files", report.Loaded)
+	if want := []string{"a.csv.gz", "b.csv", "c.colt"}; !reflect.DeepEqual(report.Loaded, want) {
+		t.Errorf("report.Loaded = %v, want %v", report.Loaded, want)
 	}
-	if len(traces) != 2 {
-		t.Fatalf("traces = %d, want 2", len(traces))
+	var users []string
+	for _, tr := range traces {
+		users = append(users, tr.User)
 	}
-	// Sorted by file name: a.csv.gz first.
-	if traces[0].User != "alice" || traces[1].User != "bob" {
-		t.Errorf("order = %s, %s", traces[0].User, traces[1].User)
+	if want := []string{"amy", "bob", "carol", "zoe"}; !reflect.DeepEqual(users, want) {
+		t.Errorf("users = %v, want %v (sorted by user, not by file)", users, want)
 	}
 }
 
@@ -65,7 +78,7 @@ func TestLoadEC2LogDirNamesAnonymousTraces(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "webapp.csv"), []byte("0,3\n1,4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	traces, _, err := LoadEC2LogDir(dir)
+	traces, _, err := LoadFS(os.DirFS(dir), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,18 +87,17 @@ func TestLoadEC2LogDirNamesAnonymousTraces(t *testing.T) {
 	}
 }
 
-// TestLoadEC2LogDirReportSurvives is the regression test for the
-// legacy wrapper dropping the LoadReport on the floor: the non-Opts
-// path must surface the same ingestion report as LoadEC2LogDirOpts —
-// including on a strict failure, where the report names the files
-// that had loaded cleanly before the bad one.
+// TestLoadEC2LogDirReportSurvives checks that a strict failure still
+// returns the ingestion report, naming the files that had loaded
+// cleanly before the bad one, and that a best-effort load of the same
+// directory reports the bad file as skipped.
 func TestLoadEC2LogDirReportSurvives(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceFile(t, filepath.Join(dir, "a-good.csv"), workload.Trace{User: "alice", Demand: []int{1, 2}}, false)
 	if err := os.WriteFile(filepath.Join(dir, "z-corrupt.csv"), []byte("not,a,trace\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	traces, report, err := LoadEC2LogDir(dir)
+	traces, report, err := LoadFS(os.DirFS(dir), LoadOptions{})
 	if err == nil {
 		t.Fatal("strict load over a corrupt file succeeded")
 	}
@@ -93,14 +105,13 @@ func TestLoadEC2LogDirReportSurvives(t *testing.T) {
 		t.Errorf("strict failure returned traces: %v", traces)
 	}
 	if report == nil {
-		t.Fatal("legacy wrapper dropped the LoadReport")
+		t.Fatal("strict failure dropped the LoadReport")
 	}
 	if len(report.Loaded) != 1 || report.Loaded[0] != "a-good.csv" {
 		t.Errorf("report.Loaded = %v, want [a-good.csv]", report.Loaded)
 	}
 
-	// The report must match the Opts path exactly, warnings included.
-	optTraces, optReport, optErr := LoadEC2LogDirOpts(dir, LoadOptions{Policy: BestEffort})
+	optTraces, optReport, optErr := LoadFS(os.DirFS(dir), LoadOptions{Policy: BestEffort})
 	if optErr != nil {
 		t.Fatal(optErr)
 	}
@@ -113,18 +124,17 @@ func TestLoadEC2LogDirReportSurvives(t *testing.T) {
 }
 
 func TestLoadEC2LogDirErrors(t *testing.T) {
-	if _, _, err := LoadEC2LogDir("/nonexistent-dir"); err == nil {
+	if _, _, err := LoadFS(os.DirFS("/nonexistent-dir"), LoadOptions{}); err == nil {
 		t.Error("missing dir accepted")
 	}
-	empty := t.TempDir()
-	if _, _, err := LoadEC2LogDir(empty); err == nil {
-		t.Error("empty dir accepted")
+	if _, _, err := LoadFS(os.DirFS(t.TempDir()), LoadOptions{}); !errors.Is(err, ErrNoTraces) {
+		t.Errorf("empty dir: err = %v, want ErrNoTraces", err)
 	}
 	bad := t.TempDir()
 	if err := os.WriteFile(filepath.Join(bad, "x.csv"), []byte("not,a,trace\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadEC2LogDir(bad); err == nil {
+	if _, _, err := LoadFS(os.DirFS(bad), LoadOptions{}); err == nil {
 		t.Error("malformed trace accepted")
 	}
 }

@@ -5,14 +5,14 @@ import (
 	"fmt"
 )
 
-// ErrNoTraces is returned by the directory loaders when a directory
-// holds no .csv or .csv.gz trace files, or when best-effort loading
+// ErrNoTraces is returned by LoadFS when a directory holds no .csv,
+// .csv.gz or .colt trace files, or when best-effort loading
 // skipped every file it found. Callers branch with errors.Is instead of
 // matching the message.
-var ErrNoTraces = errors.New("gtrace: no .csv or .csv.gz trace files")
+var ErrNoTraces = errors.New("gtrace: no .csv, .csv.gz or .colt trace files")
 
 // ParseError locates a failure inside one trace file. Every per-file
-// load failure the directory loaders see is wrapped in a ParseError so
+// load failure the directory loader sees is wrapped in a ParseError so
 // callers — the best-effort policy above all — can branch with
 // errors.As and report the offending file without string matching.
 type ParseError struct {
@@ -42,14 +42,16 @@ func (e *ParseError) Error() string {
 func (e *ParseError) Unwrap() error { return e.Err }
 
 // DuplicateUserError reports two trace files resolving to the same
-// user name — either a plain and a compressed copy of one log (x.csv
-// beside x.csv.gz) or a "# user:" header colliding with another file's
-// name. Loading both would silently double one user's demand in the
-// cohort, so the loaders refuse in every error-policy mode.
+// user name — a plain and a compressed copy of one log (x.csv beside
+// x.csv.gz), a "# user:" header colliding with another file's name, a
+// cohort store beside the logs it was converted from, or two records
+// of one store. Loading both would silently double one user's demand
+// in the cohort, so the loader refuses in every error-policy mode.
 type DuplicateUserError struct {
 	// User is the colliding trace name.
 	User string
-	// Files are the two files that both claim it, in directory order.
+	// Files are the two files that both claim it, in directory order
+	// (the same file twice for two records of one store).
 	Files [2]string
 }
 

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"testing/fstest"
+
+	"rimarket/internal/coltrace"
 )
 
 // gzipped compresses s so seeds can exercise the auto-gunzip path.
@@ -120,11 +122,13 @@ func FuzzReadTaskEvents(f *testing.F) {
 }
 
 // FuzzLoadEC2LogFS drives the directory loader — the layer riexp
-// -tracedir sits on — with one arbitrary file under both error
-// policies. Whatever the bytes, the loader must return a coherent
-// (traces, report, err) triple: strict either loads the file or fails,
-// best-effort either loads it or records exactly one skip and reports
-// ErrNoTraces; nothing panics.
+// -tracedir sits on — with one arbitrary file, read once as a log and
+// once as a cohort store, under both error policies. Whatever the
+// bytes, the loader must return a coherent (traces, report, err)
+// triple: strict either loads the file or fails, best-effort either
+// loads it or records exactly one skip and reports ErrNoTraces (or a
+// store naming one user twice); a log yields one trace, a store's
+// traces come back sorted by user; nothing panics.
 func FuzzLoadEC2LogFS(f *testing.F) {
 	valid := "# user: app-7\nhour,instances\n0,12\n1,14\n5,3\n"
 	f.Add([]byte(valid))
@@ -133,21 +137,33 @@ func FuzzLoadEC2LogFS(f *testing.F) {
 	gz := gzipped(f, valid)
 	f.Add(gz[:len(gz)-6]) // truncated gzip stream
 	f.Add([]byte(""))     // empty file
+	store := storeBytes(f, []string{"b", "a", "c"}, []string{"ab"})
+	f.Add(store)                                       // two ragged records, users out of order
+	f.Add(store[:len(store)-3])                        // truncated store
+	f.Add(storeBytes(f, []string{"a"}, []string{"a"})) // a user in two records
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fsys := fstest.MapFS{"f.csv": &fstest.MapFile{Data: data}}
-		for _, policy := range []ErrorPolicy{Strict, BestEffort} {
-			traces, report, err := LoadEC2LogFS(fsys, LoadOptions{Policy: policy})
-			if err != nil {
-				if len(traces) != 0 {
-					t.Errorf("%v: error %v alongside %d traces", policy, err, len(traces))
+		for _, name := range []string{"f.csv", "f" + coltrace.Ext} {
+			fsys := fstest.MapFS{name: &fstest.MapFile{Data: data}}
+			for _, policy := range []ErrorPolicy{Strict, BestEffort} {
+				traces, report, err := LoadFS(fsys, LoadOptions{Policy: policy})
+				if err != nil {
+					if len(traces) != 0 {
+						t.Errorf("%s %v: error %v alongside %d traces", name, policy, err, len(traces))
+					}
+					var dup *DuplicateUserError
+					if policy == BestEffort && !errors.Is(err, ErrNoTraces) && !errors.As(err, &dup) {
+						t.Errorf("%s: best-effort single-file load failed with %v, want ErrNoTraces chain", name, err)
+					}
+					continue
 				}
-				if policy == BestEffort && !errors.Is(err, ErrNoTraces) {
-					t.Errorf("best-effort single-file load failed with %v, want ErrNoTraces chain", err)
+				if len(report.Loaded) != 1 || report.Partial() || (name == "f.csv" && len(traces) != 1) {
+					t.Errorf("%s %v: clean load returned %d traces, report %+v", name, policy, len(traces), report)
 				}
-				continue
-			}
-			if len(traces) != 1 || len(report.Loaded) != 1 || report.Partial() {
-				t.Errorf("%v: clean load returned %d traces, report %+v", policy, len(traces), report)
+				for i := 1; i < len(traces); i++ {
+					if traces[i-1].User >= traces[i].User {
+						t.Errorf("%s %v: users %q, %q out of order", name, policy, traces[i-1].User, traces[i].User)
+					}
+				}
 			}
 		}
 	})

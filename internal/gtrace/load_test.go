@@ -62,7 +62,7 @@ func TestLoadBestEffortSkipsInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traces, report, err := LoadEC2LogFS(ffs, LoadOptions{Policy: BestEffort})
+	traces, report, err := LoadFS(ffs, LoadOptions{Policy: BestEffort})
 	if err != nil {
 		t.Fatalf("best-effort load failed: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestLoadStrictFailsOnFirstInjectedFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traces, _, err := LoadEC2LogFS(ffs, LoadOptions{Policy: Strict})
+	traces, _, err := LoadFS(ffs, LoadOptions{Policy: Strict})
 	if err == nil {
 		t.Fatal("strict load of a faulted corpus succeeded")
 	}
@@ -137,7 +137,7 @@ func TestLoadFailureBudget(t *testing.T) {
 	}
 
 	// Budget below the fault count: the load fails once exceeded.
-	_, report, err := LoadEC2LogFS(ffs, LoadOptions{Policy: BestEffort, FailureBudget: 2})
+	_, report, err := LoadFS(ffs, LoadOptions{Policy: BestEffort, FailureBudget: 2})
 	if err == nil {
 		t.Fatal("load with 3 faults passed a budget of 2")
 	}
@@ -149,12 +149,12 @@ func TestLoadFailureBudget(t *testing.T) {
 	}
 
 	// Budget at the fault count: the load completes.
-	if _, _, err := LoadEC2LogFS(ffs, LoadOptions{Policy: BestEffort, FailureBudget: 3}); err != nil {
+	if _, _, err := LoadFS(ffs, LoadOptions{Policy: BestEffort, FailureBudget: 3}); err != nil {
 		t.Errorf("load with 3 faults failed a budget of 3: %v", err)
 	}
 
 	// Zero budget means unlimited.
-	traces, report, err := LoadEC2LogFS(ffs, LoadOptions{Policy: BestEffort})
+	traces, report, err := LoadFS(ffs, LoadOptions{Policy: BestEffort})
 	if err != nil {
 		t.Fatalf("unlimited budget: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestLoadFailureBudget(t *testing.T) {
 func TestLoadErrNoTraces(t *testing.T) {
 	// No trace files at all.
 	empty := fstest.MapFS{"README.md": &fstest.MapFile{Data: []byte("x")}}
-	if _, _, err := LoadEC2LogFS(empty, LoadOptions{}); !errors.Is(err, ErrNoTraces) {
+	if _, _, err := LoadFS(empty, LoadOptions{}); !errors.Is(err, ErrNoTraces) {
 		t.Errorf("empty dir: err = %v, want ErrNoTraces", err)
 	}
 
@@ -176,7 +176,7 @@ func TestLoadErrNoTraces(t *testing.T) {
 	if _, err := ffs.InjectN(1, 3, faultfs.KindTruncate); err != nil {
 		t.Fatal(err)
 	}
-	_, report, err := LoadEC2LogFS(ffs, LoadOptions{Policy: BestEffort})
+	_, report, err := LoadFS(ffs, LoadOptions{Policy: BestEffort})
 	if !errors.Is(err, ErrNoTraces) {
 		t.Errorf("all-skipped: err = %v, want ErrNoTraces in chain", err)
 	}
@@ -201,7 +201,7 @@ func TestLoadDuplicateUser(t *testing.T) {
 		"x.csv.gz": &fstest.MapFile{Data: gz.Bytes()},
 	}
 	for _, policy := range []ErrorPolicy{Strict, BestEffort} {
-		_, _, err := LoadEC2LogFS(twin, LoadOptions{Policy: policy})
+		_, _, err := LoadFS(twin, LoadOptions{Policy: policy})
 		var dup *DuplicateUserError
 		if !errors.As(err, &dup) {
 			t.Fatalf("%v: err = %v, want *DuplicateUserError", policy, err)
@@ -221,7 +221,7 @@ func TestLoadDuplicateUser(t *testing.T) {
 		"a.csv": &fstest.MapFile{Data: []byte("# user: shared\nhour,instances\n0,1\n")},
 		"b.csv": &fstest.MapFile{Data: []byte("# user: shared\nhour,instances\n0,2\n")},
 	}
-	_, _, err := LoadEC2LogFS(headers, LoadOptions{Policy: BestEffort})
+	_, _, err := LoadFS(headers, LoadOptions{Policy: BestEffort})
 	var dup *DuplicateUserError
 	if !errors.As(err, &dup) {
 		t.Fatalf("header collision: err = %v, want *DuplicateUserError", err)
@@ -249,7 +249,7 @@ func TestParseErrorRowAndFile(t *testing.T) {
 	corpus := fstest.MapFS{
 		"bad.csv": &fstest.MapFile{Data: []byte("hour,instances\n0,5\nnot-a-row\n")},
 	}
-	_, _, err = LoadEC2LogFS(corpus, LoadOptions{})
+	_, _, err = LoadFS(corpus, LoadOptions{})
 	if !errors.As(err, &perr) {
 		t.Fatalf("dir load err = %v, want *ParseError", err)
 	}

@@ -4,7 +4,8 @@ package gtrace
 // directory loader the production code replaced, kept as oracles: the
 // in-place parser must return the same trace or the same error text on
 // any input (FuzzReadEC2Log), and the parallel loader the same traces,
-// report and error on any faulted directory (TestLoadDifferential).
+// report and error on any faulted directory of logs and cohort stores
+// (TestLoadDifferential, TestLoadColtDirMatchesReadFile).
 
 import (
 	"bufio"
@@ -22,6 +23,7 @@ import (
 	"testing/fstest"
 	"time"
 
+	"rimarket/internal/coltrace"
 	"rimarket/internal/faultfs"
 	"rimarket/internal/workload"
 )
@@ -101,7 +103,9 @@ func readEC2LogAutoOracle(r io.Reader) (workload.Trace, error) {
 }
 
 // loadEC2LogFSOracle is the reference directory loader: one file at a
-// time in name order, the policy applied as each file is read.
+// time in name order, the policy applied as each file is read, a
+// cohort store decoded into cohorts and flattened, and the traces
+// sorted by user name at the end.
 func loadEC2LogFSOracle(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error) {
 	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
@@ -113,7 +117,7 @@ func loadEC2LogFSOracle(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadRe
 			continue
 		}
 		name := e.Name()
-		if strings.HasSuffix(name, ".csv") || strings.HasSuffix(name, ".csv.gz") {
+		if strings.HasSuffix(name, ".csv") || strings.HasSuffix(name, ".csv.gz") || strings.HasSuffix(name, ".colt") {
 			names = append(names, name)
 		}
 	}
@@ -126,7 +130,15 @@ func loadEC2LogFSOracle(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadRe
 	traces := make([]workload.Trace, 0, len(names))
 	owners := make(map[string]string, len(names))
 	for _, name := range names {
-		tr, err := loadOneLogOracle(fsys, name)
+		var trs []workload.Trace
+		var err error
+		if strings.HasSuffix(name, ".colt") {
+			trs, err = loadStoreOracle(fsys, name)
+		} else {
+			var tr workload.Trace
+			tr, err = loadOneLogOracle(fsys, name)
+			trs = []workload.Trace{tr}
+		}
 		if err != nil {
 			if opts.Policy == BestEffort {
 				report.Skipped = append(report.Skipped, SkippedFile{File: name, Err: err})
@@ -137,17 +149,38 @@ func loadEC2LogFSOracle(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadRe
 			}
 			return nil, report, err
 		}
-		if prev, dup := owners[tr.User]; dup {
-			return nil, report, &DuplicateUserError{User: tr.User, Files: [2]string{prev, name}}
+		for _, tr := range trs {
+			if prev, dup := owners[tr.User]; dup {
+				return nil, report, &DuplicateUserError{User: tr.User, Files: [2]string{prev, name}}
+			}
+			owners[tr.User] = name
 		}
-		owners[tr.User] = name
 		report.Loaded = append(report.Loaded, name)
-		traces = append(traces, tr)
+		traces = append(traces, trs...)
 	}
 	if len(traces) == 0 {
 		return nil, report, fmt.Errorf("all %d trace files skipped: %w", len(names), ErrNoTraces)
 	}
+	sort.Slice(traces, func(i, j int) bool { return traces[i].User < traces[j].User })
 	return traces, report, nil
+}
+
+// loadStoreOracle decodes a cohort store into cohorts, then flattens
+// their columns into traces.
+func loadStoreOracle(fsys fs.FS, name string) ([]workload.Trace, error) {
+	data, err := fs.ReadFile(fsys, name)
+	if err != nil {
+		return nil, &ParseError{File: name, Err: err}
+	}
+	cs, _, err := coltrace.DecodeAll(data)
+	if err != nil {
+		return nil, &ParseError{File: name, Err: err}
+	}
+	var trs []workload.Trace
+	for _, c := range cs {
+		trs = append(trs, c.Traces()...)
+	}
+	return trs, nil
 }
 
 func loadOneLogOracle(fsys fs.FS, name string) (workload.Trace, error) {
@@ -255,11 +288,37 @@ func differentialCorpus(t *testing.T) fstest.MapFS {
 	return m
 }
 
+// storeBytes encodes one cohort store holding a record per user list,
+// the records of different lengths.
+func storeBytes(t testing.TB, records ...[]string) []byte {
+	t.Helper()
+	var buf []byte
+	for r, users := range records {
+		trs := make([]workload.Trace, len(users))
+		for u, user := range users {
+			d := make([]int, 60+40*r)
+			for h := range d {
+				d[h] = (h*7 + u*3 + r) % 11
+			}
+			trs[u] = workload.Trace{User: user, Demand: d}
+		}
+		c, err := coltrace.FromTraces(trs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = coltrace.AppendCohort(buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
 // TestLoadDifferential pins the parallel directory loader to the serial
 // reference over faultfs: every fault kind at several seeded
 // placements, a plain log beside its gzipped twin, a colliding
-// "# user:" header, rows at the scanner's token limit, both policies
-// and failure budgets 0, 1 and 2, at
+// "# user:" header, rows at the scanner's token limit, a cohort store
+// beside the logs (clean, under every fault kind, and naming a log's
+// user), both policies and failure budgets 0, 1 and 2, at
 // GOMAXPROCS 1 and 4. Run under -race it also checks the decode
 // workers' hand-off.
 func TestLoadDifferential(t *testing.T) {
@@ -296,6 +355,30 @@ func TestLoadDifferential(t *testing.T) {
 	}
 	collide["zz.csv"] = &fstest.MapFile{Data: []byte("# user: app-01\nhour,instances\n0,2\n")}
 	scenarios = append(scenarios, scenario{"collide", collide}, scenario{"collide/faults", faulted(collide, 11, 4)})
+	// A cohort store beside the logs: its users sort in among theirs,
+	// and a fault of every kind lands on its bytes.
+	mixed := fstest.MapFS{}
+	for k, v := range base {
+		mixed[k] = v
+	}
+	mixed["store.colt"] = &fstest.MapFile{Data: storeBytes(t, []string{"aaa", "app-03a", "zzz"}, []string{"app-10x", "app-99"})}
+	scenarios = append(scenarios, scenario{"store", mixed})
+	for _, kind := range kinds {
+		ffs := faultfs.New(mixed)
+		ffs.SetSleep(func(time.Duration) {})
+		ffs.Inject("store.colt", kind)
+		scenarios = append(scenarios, scenario{"store/" + kind.String(), ffs})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		scenarios = append(scenarios, scenario{fmt.Sprintf("store/faults=4/seed=%d", seed), faulted(mixed, seed, 4)})
+	}
+	// A store whose user is also a log's: a duplicate across formats.
+	storeCollide := fstest.MapFS{}
+	for k, v := range base {
+		storeCollide[k] = v
+	}
+	storeCollide["store.colt"] = &fstest.MapFile{Data: storeBytes(t, []string{"app-05", "app-50"})}
+	scenarios = append(scenarios, scenario{"store/collide", storeCollide}, scenario{"store/collide/faults", faulted(storeCollide, 13, 3)})
 	// Rows at bufio's 64 KB token limit: the loader's preallocated
 	// scanner buffer must accept and refuse exactly the lines the
 	// default, growing one does.
@@ -314,7 +397,7 @@ func TestLoadDifferential(t *testing.T) {
 			for _, policy := range []ErrorPolicy{Strict, BestEffort} {
 				for budget := 0; budget <= 2; budget++ {
 					opts := LoadOptions{Policy: policy, FailureBudget: budget}
-					traces, rep, err := LoadEC2LogFS(sc.fsys, opts)
+					traces, rep, err := LoadFS(sc.fsys, opts)
 					wantTraces, wantRep, wantErr := loadEC2LogFSOracle(sc.fsys, opts)
 					if d := sameLoad(traces, rep, err, wantTraces, wantRep, wantErr); d != "" {
 						t.Errorf("GOMAXPROCS=%d %s %v budget=%d: %s", procs, sc.name, policy, budget, d)
@@ -348,6 +431,6 @@ func TestLoadPanicReachesCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want the decoder's panic", p)
 		}
 	}()
-	LoadEC2LogFS(fsys, LoadOptions{Policy: BestEffort})
+	LoadFS(fsys, LoadOptions{Policy: BestEffort})
 	t.Fatal("load returned instead of re-raising the panic")
 }

@@ -247,9 +247,9 @@ func TestReloadStallKeepsOldSnapshot(t *testing.T) {
 		var traces []workload.Trace
 		var err error
 		if st {
-			traces, _, err = gtrace.LoadEC2LogFS(stalled, gtrace.LoadOptions{Policy: gtrace.Strict})
+			traces, _, err = gtrace.LoadFS(stalled, gtrace.LoadOptions{Policy: gtrace.Strict})
 		} else {
-			traces, _, err = gtrace.LoadEC2LogFS(clean, gtrace.LoadOptions{Policy: gtrace.Strict})
+			traces, _, err = gtrace.LoadFS(clean, gtrace.LoadOptions{Policy: gtrace.Strict})
 		}
 		if err != nil {
 			return nil, err

@@ -40,6 +40,8 @@ package rimarket
 
 import (
 	"context"
+	"fmt"
+	"os"
 
 	"rimarket/internal/analysis"
 	"rimarket/internal/core"
@@ -404,10 +406,18 @@ func RunTracesContext(ctx context.Context, cfg ExperimentConfig, traces []Trace)
 	return plan.Cohort(ctx)
 }
 
-// LoadEC2LogDir reads every EC2-usage-log file (.csv/.csv.gz) in a
-// directory into demand traces. The report names the files that loaded
-// cleanly and is returned even alongside an error.
-func LoadEC2LogDir(dir string) ([]Trace, *LoadReport, error) { return gtrace.LoadEC2LogDir(dir) }
+// LoadEC2LogDir reads every trace file in a directory — EC2 usage logs
+// (.csv/.csv.gz) and columnar cohort stores (.colt) — into demand
+// traces sorted by user name, failing on the first bad file. The
+// report names the files that loaded cleanly and is returned even
+// alongside an error.
+func LoadEC2LogDir(dir string) ([]Trace, *LoadReport, error) {
+	traces, report, err := gtrace.LoadFS(os.DirFS(dir), gtrace.LoadOptions{})
+	if err != nil {
+		return nil, report, fmt.Errorf("%s: %w", dir, err)
+	}
+	return traces, report, nil
+}
 
 // Table3 computes the paper's Table III rows.
 func Table3(r *CohortResult) []Table3Row { return experiments.Table3(r) }

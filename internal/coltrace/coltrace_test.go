@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/fstest"
 
+	"rimarket/internal/faultfs"
 	"rimarket/internal/workload"
 )
 
@@ -294,4 +297,57 @@ func TestReadFileErrors(t *testing.T) {
 	if len(cs) != 0 {
 		t.Fatalf("torn single-record file yielded %d cohorts", len(cs))
 	}
+}
+
+// TestReadFSFaults drives a store read through faultfs into the byte
+// decoders, as the directory loader reads it: injected open and read
+// errors must surface from the read, and injected truncation as
+// ErrTruncated from both DecodeTraces and DecodeAll — never a silent
+// partial load.
+func TestReadFSFaults(t *testing.T) {
+	c := testCohort(t)
+	inner := fstest.MapFS{"cohort.colt": {Data: encode(t, c)}}
+	readFS := func(fsys fs.FS) ([]workload.Trace, error) {
+		data, err := fs.ReadFile(fsys, "cohort.colt")
+		if err != nil {
+			return nil, err
+		}
+		return DecodeTraces(data)
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		trs, err := readFS(faultfs.New(inner))
+		if err != nil || !reflect.DeepEqual(trs, c.Traces()) {
+			t.Fatalf("clean read: %+v, err %v", trs, err)
+		}
+	})
+	t.Run("open error", func(t *testing.T) {
+		fsys := faultfs.New(inner)
+		fsys.Inject("cohort.colt", faultfs.KindOpenError)
+		if _, err := readFS(fsys); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("err = %v, want ErrInjected", err)
+		}
+	})
+	t.Run("read error", func(t *testing.T) {
+		fsys := faultfs.New(inner)
+		fsys.Inject("cohort.colt", faultfs.KindReadError)
+		if _, err := readFS(fsys); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("err = %v, want ErrInjected", err)
+		}
+	})
+	t.Run("truncate", func(t *testing.T) {
+		fsys := faultfs.New(inner)
+		fsys.Inject("cohort.colt", faultfs.KindTruncate)
+		trs, err := readFS(fsys)
+		if !errors.Is(err, ErrTruncated) || len(trs) != 0 {
+			t.Fatalf("DecodeTraces: %d traces, err %v, want none and ErrTruncated", len(trs), err)
+		}
+		data, err := fs.ReadFile(fsys, "cohort.colt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs, _, err := DecodeAll(data); !errors.Is(err, ErrTruncated) || len(cs) != 0 {
+			t.Fatalf("DecodeAll: %d cohorts, err %v, want none and ErrTruncated", len(cs), err)
+		}
+	})
 }

@@ -22,9 +22,24 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files and fixtures with current output")
 
+// decodeStore decodes the store at path into its traces, as the trace
+// loader does.
+func decodeStore(t *testing.T, path string) []workload.Trace {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs, err := coltrace.DecodeTraces(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trs
+}
+
 // assertSameTraces compares two trace sets user by user. Packing into
-// a store groups traces by length, so the merged order differs from
-// the loader's file-name order; what must survive exactly is the set
+// a store groups traces by length, so the decoded order differs from
+// the loader's user-name order; what must survive exactly is the set
 // of users and every user's full demand vector.
 func assertSameTraces(t *testing.T, got, want []workload.Trace) {
 	t.Helper()
@@ -67,14 +82,7 @@ func TestConvertEC2LogToColtRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cohorts, err := coltrace.ReadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coltrace.MergeTraces(cohorts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decodeStore(t, store)
 	assertSameTraces(t, got, want)
 
 	// The store must also inspect cleanly.
@@ -121,15 +129,7 @@ func TestConvertRaggedTracesToColt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cohorts, err := coltrace.ReadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := coltrace.MergeTraces(cohorts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTraces(t, merged, want)
+	assertSameTraces(t, decodeStore(t, store), want)
 }
 
 // TestInspectColtGolden pins the inspect rendering of a committed

@@ -115,18 +115,6 @@ func TestFromTracesErrors(t *testing.T) {
 	}
 }
 
-func TestMergeTracesRejectsCrossCohortDuplicates(t *testing.T) {
-	a := testCohort(t)
-	b := testCohort(t)
-	if _, err := MergeTraces(a, b); !errors.Is(err, ErrDuplicateUser) {
-		t.Fatalf("err = %v, want ErrDuplicateUser", err)
-	}
-	merged, err := MergeTraces(a)
-	if err != nil || len(merged) != 3 {
-		t.Fatalf("merge of one cohort: %d traces, err %v", len(merged), err)
-	}
-}
-
 // TestDecodeClassification exercises each sentinel class and checks the
 // valid-prefix contract: the error offset equals the prefix length.
 func TestDecodeClassification(t *testing.T) {
@@ -230,7 +218,7 @@ func TestLongestValidPrefix(t *testing.T) {
 
 	cs, n, err := DecodeAll(two)
 	// Two identical records in one store decode fine at this layer;
-	// cross-record duplicate users are MergeTraces' concern.
+	// cross-record duplicate users are the loader's concern (gtrace.LoadFS).
 	if err != nil || len(cs) != 2 || n != int64(len(two)) {
 		t.Fatalf("two records: %d decoded, prefix %d, err %v", len(cs), n, err)
 	}

@@ -49,7 +49,7 @@ func FromTraces(traces []workload.Trace) (*Cohort, error) {
 // preserving trace order within each cohort. It is the converter's
 // padding-free answer to ragged EC2-log directories: nothing is
 // clipped or zero-filled, the store just carries one record per
-// length, and MergeTraces flattens them back in the same grouping.
+// length, and DecodeTraces flattens them back in the same grouping.
 func GroupTraces(traces []workload.Trace) ([]*Cohort, error) {
 	if len(traces) == 0 {
 		return nil, errors.New("coltrace: no traces to encode")
@@ -88,25 +88,6 @@ func (c *Cohort) Traces() []workload.Trace {
 	return out
 }
 
-// MergeTraces flattens several cohorts (e.g. a directory of .colt
-// files) into one trace list, rejecting a user id that appears in more
-// than one cohort; a record never names a user twice, so a duplicate
-// comes from two cohorts.
-func MergeTraces(cohorts ...*Cohort) ([]workload.Trace, error) {
-	var out []workload.Trace
-	seen := make(map[string]struct{})
-	for _, c := range cohorts {
-		for _, tr := range c.Traces() {
-			if _, dup := seen[tr.User]; dup {
-				return nil, fmt.Errorf("%w: %q appears in more than one cohort", ErrDuplicateUser, tr.User)
-			}
-			seen[tr.User] = struct{}{}
-			out = append(out, tr)
-		}
-	}
-	return out, nil
-}
-
 // WriteFile encodes the cohorts as one framed store at path.
 func WriteFile(path string, cohorts ...*Cohort) error {
 	var buf []byte
@@ -135,11 +116,12 @@ func ReadFile(path string) ([]*Cohort, error) {
 }
 
 // DecodeTraces decodes every record of a store's bytes straight into
-// one demand trace per user: the traces MergeTraces builds from
-// ReadFile's cohorts, in the same order, without materializing the
-// int32 columns, so a load holds only the store's bytes and the
-// traces. It does not check for a user named by two records; a caller
-// merging stores checks the merged list. As with ReadFile, a partial
+// one demand trace per user: the traces of ReadFile's cohorts
+// (Cohort.Traces, record after record), in the same order, without
+// materializing the int32 columns, so a load holds only the store's
+// bytes and the traces. It does not check for a user named by two
+// records; a caller merging stores (gtrace.LoadFS) checks the merged
+// list. As with ReadFile, a partial
 // store is an error returned with its valid prefix's traces.
 func DecodeTraces(data []byte) ([]workload.Trace, error) {
 	var out []workload.Trace

@@ -8,6 +8,7 @@ import (
 	"rimarket/internal/analysis"
 	"rimarket/internal/core"
 	"rimarket/internal/obs"
+	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
@@ -42,9 +43,9 @@ type AuditResult struct {
 // contract: the result is identical at any worker count, a failure
 // reports the lowest-index failing user's error, and cancelling ctx
 // stops synthesis at the next user, drains the in-flight users and
-// returns the context's error. Each worker replays on its own Scratch,
-// so a user's instance records and busy schedules live in that
-// worker's buffers until its next user.
+// returns the context's error. Each worker plans and replays on its
+// own auditWorker, so a user's plan, instance records and busy
+// schedules live in that worker's buffers until its next user.
 func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -77,20 +78,24 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	// Fan out one job per user: plan, replay with schedules, and verify
 	// every full-period instance, keeping only the ratios. The plan dies
 	// with its job and the schedules are overwritten by the worker's next
-	// replay, so the fan-out never holds more than one user's replay per
-	// worker.
+	// replay, so the fan-out never holds more than one user's plan and
+	// replay per worker.
 	ratios := make([][]float64, feed.Len())
-	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, feed.Len()+1))
+	workers := make([]auditWorker, workerCount(cfg.Parallelism, feed.Len()+1))
 	err = feed.run(ctx, cfg.Parallelism, func(w, i int, tr workload.Trace) error {
-		u, err := planUser(cfg, i, tr)
+		aw := &workers[w]
+		if cap(aw.newRes) < tr.Len() {
+			aw.newRes = make([]int, tr.Len())
+		}
+		u, err := planUser(cfg, i, tr, &aw.planners, aw.newRes[:tr.Len()])
 		if err != nil {
 			return err
 		}
-		if _, err := obsTotals(m, &scratch[w], tr.Demand, u.NewRes, engCfg, core.KeepReserved{}); err != nil {
+		if _, err := obsTotals(m, &aw.replay, tr.Demand, u.NewRes, engCfg, core.KeepReserved{}); err != nil {
 			return err
 		}
 		var rs []float64
-		for _, inst := range scratch[w].Records() {
+		for _, inst := range aw.replay.Records() {
 			if inst.Start+period > tr.Len() {
 				continue // truncated lifetime: schedule incomplete
 			}
@@ -131,6 +136,15 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	res.MeanMeasured = sum / float64(res.Audited)
 	res.AtBoundFraction = float64(nearBound) / float64(res.Audited)
 	return res, nil
+}
+
+// auditWorker is one audit worker's memory, reused from one user to
+// the next: the purchasers, the user's reservation series and the
+// replay scratch.
+type auditWorker struct {
+	planners purchasing.Planners
+	newRes   []int
+	replay   simulate.Scratch
 }
 
 // RenderAudit renders audits for the paper's three fractions.

@@ -115,8 +115,11 @@ func newPlan(ctx context.Context, cfg Config, feed *cohortFeed) (*CohortPlan, er
 		users: make([]PlannedUser, feed.Len()),
 		keeps: make(map[pricing.InstanceType][]KeepStat),
 	}
-	err := feed.run(ctx, cfg.Parallelism, func(_, i int, tr workload.Trace) (err error) {
-		p.users[i], err = planUser(cfg, i, tr)
+	// Each worker plans on its own purchasers, which die with the
+	// fan-out; every user's plan is its own, for the plan keeps it.
+	planners := make([]purchasing.Planners, workerCount(cfg.Parallelism, feed.Len()+1))
+	err := feed.run(ctx, cfg.Parallelism, func(w, i int, tr workload.Trace) (err error) {
+		p.users[i], err = planUser(cfg, i, tr, &planners[w], make([]int, tr.Len()))
 		return err
 	})
 	if err != nil {
@@ -125,18 +128,20 @@ func newPlan(ctx context.Context, cfg Config, feed *cohortFeed) (*CohortPlan, er
 	return p, nil
 }
 
-// planUser plans the reservations of the cohort's i-th user. The
+// planUser plans the reservations of the cohort's i-th user on a
+// fan-out worker's planners, writing the schedule into newRes, which
+// is as long as the trace and becomes the user's NewRes. The
 // purchasing behavior and its seed come from i alone, so a cohort's
 // plans depend on the order of its users: synthesis fixes that order,
-// and the trace loader sorts real users by name.
-func planUser(cfg Config, i int, tr workload.Trace) (PlannedUser, error) {
+// and the trace loader sorts real users by name. The planners' state
+// left by the worker's previous user never reaches the plan.
+func planUser(cfg Config, i int, tr workload.Trace, planners *purchasing.Planners, newRes []int) (PlannedUser, error) {
 	behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
-	planner, err := purchasing.ForBehavior(behavior, cfg.Instance, cfg.Seed^int64(i))
+	planner, err := planners.For(behavior, cfg.Instance, cfg.Seed^int64(i))
 	if err != nil {
 		return PlannedUser{}, err
 	}
-	newRes, err := purchasing.PlanReservations(tr.Demand, cfg.Instance.PeriodHours, planner)
-	if err != nil {
+	if err := purchasing.PlanReservationsInto(newRes, tr.Demand, cfg.Instance.PeriodHours, planner); err != nil {
 		return PlannedUser{}, fmt.Errorf("experiments: user %s: %w", tr.User, err)
 	}
 	reserved, firstRes := 0, -1

@@ -52,6 +52,9 @@ func TestLoadColtDirMatchesReadFile(t *testing.T) {
 			{name: "a.colt", cohorts: []*coltrace.Cohort{short}},
 			{name: "e.colt", raw: ""},
 		}},
+		{name: "only an empty store", wantErr: true, stores: []store{
+			{name: "a.colt", raw: ""},
+		}},
 		{name: "duplicate across stores", wantErr: true, stores: []store{
 			{name: "a.colt", cohorts: []*coltrace.Cohort{wide}},
 			{name: "c.colt", cohorts: []*coltrace.Cohort{dup}},

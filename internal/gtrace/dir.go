@@ -140,10 +140,20 @@ func LoadFS(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadReport, error)
 		return nil, report, err
 	}
 	if len(traces) == 0 {
-		return nil, report, fmt.Errorf("all %d trace files skipped: %w", len(names), ErrNoTraces)
+		return nil, report, noUsersError(len(names), report)
 	}
 	slices.SortFunc(traces, func(a, b workload.Trace) int { return strings.Compare(a.User, b.User) })
 	return traces, report, nil
+}
+
+// noUsersError explains a load of n trace files that found no user,
+// wrapping ErrNoTraces: either every file was skipped, or the files
+// that loaded (empty cohort stores) hold no users.
+func noUsersError(n int, report *LoadReport) error {
+	if len(report.Loaded) > 0 {
+		return fmt.Errorf("%d of %d trace files loaded but hold no users: %w", len(report.Loaded), n, ErrNoTraces)
+	}
+	return fmt.Errorf("all %d trace files skipped: %w", n, ErrNoTraces)
 }
 
 // LoadEC2LogFS is LoadFS, kept only for the perfbench harness, which

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rimarket/internal/coltrace"
@@ -120,6 +121,28 @@ func TestLoadEC2LogDirReportSurvives(t *testing.T) {
 	}
 	if optReport.Skipped[0].File != "z-corrupt.csv" {
 		t.Errorf("skipped = %v, want z-corrupt.csv", optReport.Skipped)
+	}
+}
+
+// TestLoadFSEmptyStore: a directory whose only trace file is an empty
+// cohort store loads that store and finds no users, and says so rather
+// than reporting the store skipped.
+func TestLoadFSEmptyStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "a.colt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []ErrorPolicy{Strict, BestEffort} {
+		_, rep, err := LoadFS(os.DirFS(dir), LoadOptions{Policy: policy})
+		if !errors.Is(err, ErrNoTraces) {
+			t.Fatalf("%v: err = %v, want ErrNoTraces", policy, err)
+		}
+		if want := "1 of 1 trace files loaded but hold no users"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %q, want it to say %q", policy, err, want)
+		}
+		if rep == nil || len(rep.Loaded) != 1 || rep.Loaded[0] != "a.colt" || len(rep.Skipped) != 0 {
+			t.Errorf("%v: report = %+v, want a.colt loaded and nothing skipped", policy, rep)
+		}
 	}
 }
 

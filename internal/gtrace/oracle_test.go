@@ -158,6 +158,9 @@ func loadEC2LogFSOracle(fsys fs.FS, opts LoadOptions) ([]workload.Trace, *LoadRe
 		report.Loaded = append(report.Loaded, name)
 		traces = append(traces, trs...)
 	}
+	if len(traces) == 0 && len(report.Loaded) > 0 {
+		return nil, report, fmt.Errorf("%d of %d trace files loaded but hold no users: %w", len(report.Loaded), len(names), ErrNoTraces)
+	}
 	if len(traces) == 0 {
 		return nil, report, fmt.Errorf("all %d trace files skipped: %w", len(names), ErrNoTraces)
 	}

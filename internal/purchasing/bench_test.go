@@ -43,6 +43,40 @@ func TestWangPlanAllocs(t *testing.T) {
 	}
 }
 
+// TestWangReusedPlanAllocs: a Wang planner that Planners.For hands out
+// again, for a user no taller than the planners' tallest so far,
+// allocates only the plan's result, under either break-even scale.
+func TestWangReusedPlanAllocs(t *testing.T) {
+	it := pricing.D2XLarge()
+	users := cohortDemand(t)
+	var ps Planners
+	for _, name := range []string{"wang-online", "wang-variant"} {
+		for _, demand := range users { // grow the levels to every user's peak
+			w, err := ps.For(name, it, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := PlanReservations(demand, it.PeriodHours, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, demand := range users {
+			allocs := testing.AllocsPerRun(20, func() {
+				w, err := ps.For(name, it, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := PlanReservations(demand, it.PeriodHours, w); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("%s, user %d: reused Wang plan made %v allocations, want 1 (the result)", name, i, allocs)
+			}
+		}
+	}
+}
+
 // BenchmarkPlanReservations times the cold plan's Wang step: one op
 // plans the three year-long cohort users (stable, moderate, volatile)
 // at d2.xlarge. scripts/bench.sh gates its allocs/op exactly.

@@ -39,29 +39,43 @@ type Policy interface {
 // periodHours hours from the hour they are made; no selling occurs at
 // this stage, matching the paper's dataset-preparation step.
 func PlanReservations(demand []int, periodHours int, p Policy) ([]int, error) {
+	newRes := make([]int, len(demand))
+	if err := PlanReservationsInto(newRes, demand, periodHours, p); err != nil {
+		return nil, err
+	}
+	return newRes, nil
+}
+
+// PlanReservationsInto is PlanReservations writing n_t into newRes,
+// which must be as long as demand, instead of a new slice: every hour
+// is written before it is read, so newRes may hold anything. On error
+// newRes holds a partial plan.
+func PlanReservationsInto(newRes, demand []int, periodHours int, p Policy) error {
 	if periodHours <= 0 {
-		return nil, fmt.Errorf("purchasing: period %d must be positive", periodHours)
+		return fmt.Errorf("purchasing: period %d must be positive", periodHours)
 	}
 	if p == nil {
-		return nil, fmt.Errorf("purchasing: nil policy")
+		return fmt.Errorf("purchasing: nil policy")
 	}
-	newRes := make([]int, len(demand))
+	if len(newRes) != len(demand) {
+		return fmt.Errorf("purchasing: plan buffer holds %d hours, demand %d", len(newRes), len(demand))
+	}
 	active := 0
 	for t, d := range demand {
 		if d < 0 {
-			return nil, fmt.Errorf("purchasing: negative demand %d at hour %d", d, t)
+			return fmt.Errorf("purchasing: negative demand %d at hour %d", d, t)
 		}
 		if t >= periodHours { // reservations made at t-periodHours lapse
 			active -= newRes[t-periodHours]
 		}
 		n := p.Reserve(t, d, active)
 		if n < 0 {
-			return nil, fmt.Errorf("purchasing: policy returned negative count %d at hour %d", n, t)
+			return fmt.Errorf("purchasing: policy returned negative count %d at hour %d", n, t)
 		}
 		newRes[t] = n
 		active += n
 	}
-	return newRes, nil
+	return nil
 }
 
 // Behaviors names the paper's four reservation-behavior imitators
@@ -69,17 +83,39 @@ func PlanReservations(demand []int, periodHours int, p Policy) ([]int, error) {
 var Behaviors = []string{"all-reserved", "random", "wang-online", "wang-variant"}
 
 // ForBehavior returns the purchaser a behavior name selects for the
-// instance card; seed seeds the random behavior.
+// instance card; seed seeds the random behavior. It is Planners.For on
+// planners of its own.
 func ForBehavior(name string, it pricing.InstanceType, seed int64) (Policy, error) {
+	return new(Planners).For(name, it, seed)
+}
+
+// Planners is one planning worker's purchasers, reused from one user
+// to the next: a Wang planner keeps the window memory its largest plan
+// grew, and the random behavior re-seeds one source. The zero value is
+// ready. Planners are not safe for concurrent use.
+type Planners struct {
+	wang   WangOnline
+	random Random
+}
+
+// For returns the purchaser a behavior name selects for the instance
+// card, seeded with seed, ready to plan a new demand series: it plans
+// exactly as ForBehavior's would. The purchaser stays valid until the
+// next call to For.
+func (ps *Planners) For(name string, it pricing.InstanceType, seed int64) (Policy, error) {
 	switch name {
 	case "all-reserved":
 		return AllReserved{}, nil
 	case "random":
-		return NewRandom(seed), nil
-	case "wang-online":
-		return NewWangOnline(it), nil
-	case "wang-variant":
-		return NewWangVariant(it), nil
+		ps.random.seed(seed)
+		return &ps.random, nil
+	case "wang-online", "wang-variant":
+		ps.wang.Instance, ps.wang.BreakEvenScale = it, 1
+		if name == "wang-variant" {
+			ps.wang.BreakEvenScale = 0.5
+		}
+		ps.wang.reset()
+		return &ps.wang, nil
 	default:
 		return nil, fmt.Errorf("purchasing: unknown behavior %q", name)
 	}
@@ -107,7 +143,19 @@ type Random struct {
 
 // NewRandom returns a Random policy seeded for reproducibility.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	r := new(Random)
+	r.seed(seed)
+	return r
+}
+
+// seed resets r's source to seed's stream: Seed replaces a source's
+// whole state, so a re-seeded source draws what a new one would.
+func (r *Random) seed(seed int64) {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(seed))
+		return
+	}
+	r.rng.Seed(seed)
 }
 
 // Reserve implements Policy.
@@ -141,7 +189,8 @@ func (r *Random) Reserve(_, demand, active int) int {
 // the levels it charged that have not restarted since. The active count
 // is the one PlanReservations passes, so plan with the card's own
 // PeriodHours. A WangOnline plans one demand series, on a card that
-// passes InstanceType.Validate.
+// passes InstanceType.Validate; Planners.For readies a reused one for
+// the next.
 type WangOnline struct {
 	// Instance supplies R, p, alpha and the window length PeriodHours.
 	Instance pricing.InstanceType
@@ -183,18 +232,33 @@ func (w *WangOnline) breakEvenHours() float64 {
 	return scale * it.Upfront / (it.OnDemandHourly * (1 - it.Alpha()))
 }
 
+// reset readies w to plan a new demand series on its Instance and
+// BreakEvenScale, keeping the memory an earlier plan grew. The span
+// ring is not cleared: Reserve reads the slot of hour t-period only
+// once that hour belongs to the current plan.
+func (w *WangOnline) reset() {
+	w.beta = w.breakEvenHours()
+	if p := w.Instance.PeriodHours; cap(w.spans) >= p {
+		w.spans = w.spans[:p]
+	} else {
+		w.spans = make([]span, p)
+	}
+	w.levels = w.levels[:0]
+}
+
 // Reserve implements Policy.
 func (w *WangOnline) Reserve(t, demand, active int) int {
 	if w.spans == nil {
-		w.beta = w.breakEvenHours()
-		w.spans = make([]span, w.Instance.PeriodHours)
+		w.reset()
 	}
-	// Hour t-period leaves the window; its slot, empty during the first
-	// period, becomes hour t's.
-	sp := &w.spans[t%len(w.spans)]
-	for j := sp.lo; j < sp.hi; j++ {
-		if lv := &w.levels[j]; lv.since <= t-len(w.spans) {
-			lv.count--
+	// Hour t-period leaves the window; its slot becomes hour t's.
+	period := len(w.spans)
+	sp := &w.spans[t%period]
+	if t >= period {
+		for j := sp.lo; j < sp.hi; j++ {
+			if lv := &w.levels[j]; lv.since <= t-period {
+				lv.count--
+			}
 		}
 	}
 	for len(w.levels) < demand {

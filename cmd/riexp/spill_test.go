@@ -14,11 +14,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"rimarket/internal/cli"
+	"rimarket/internal/experiments"
 	"rimarket/internal/obs"
 )
 
@@ -100,9 +102,6 @@ func TestResumeConfigMismatch(t *testing.T) {
 // invocation must print stdout byte-identical to a never-interrupted
 // run while the manifest records the resumed-vs-recomputed split.
 func TestSpillInterruptAndResume(t *testing.T) {
-	// A larger cohort than the other spill tests, on one grid worker so
-	// a core stays free for the watcher goroutine and the signal path:
-	// the run must outlive the signal, or there is nothing to resume.
 	interruptArgs := func(extra ...string) []string {
 		return append([]string{"-exp", "sensitivity", "-pergroup", "12", "-parallelism", "1", "-seed", "11"}, extra...)
 	}
@@ -114,30 +113,36 @@ func TestSpillInterruptAndResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	// Pull the trigger as soon as the run has spilled its first cell:
+	// The interrupted run's driver reads time from a clock that every
+	// engine call consults. Once the run has spilled its first cell —
 	// early enough to leave work undone, late enough that the partial
-	// store is non-trivial.
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			shards, _ := filepath.Glob(filepath.Join(dir, "sensitivity", "shard-*.grid"))
-			for _, sh := range shards {
-				if info, err := os.Stat(sh); err == nil && info.Size() > 0 {
-					_ = syscall.Kill(os.Getpid(), syscall.SIGINT)
-					return
+	// store is non-trivial — the clock raises SIGINT and holds the grid
+	// worker until the signal has cancelled the run, so the run cannot
+	// finish before the signal is handled.
+	driver := planDrivers["sensitivity"]
+	planDrivers["sensitivity"] = func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+		var raised atomic.Bool
+		clock := func() time.Time {
+			if !raised.Load() && spilledCell(filepath.Join(dir, "sensitivity")) && raised.CompareAndSwap(false, true) {
+				if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+					t.Errorf("raising SIGINT: %v", err)
+				}
+				select {
+				case <-ctx.Done():
+				case <-time.After(30 * time.Second):
+					t.Error("SIGINT did not cancel the run within 30s")
 				}
 			}
-			time.Sleep(200 * time.Microsecond)
+			return obs.SystemClock()
 		}
-	}()
+		return driver(obs.WithMetrics(ctx, obs.New(clock)), plan)
+	}
 	var out, errw bytes.Buffer
 	err = run(ctx, interruptArgs("-spill", dir), &out, &errw)
 	stop()
-	<-watcherDone
+	planDrivers["sensitivity"] = driver
 	if err == nil {
-		t.Skip("run finished before the signal landed; nothing to resume")
+		t.Fatal("run finished although SIGINT landed mid-grid")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled in chain", err)
@@ -168,6 +173,18 @@ func TestSpillInterruptAndResume(t *testing.T) {
 		t.Errorf("resumed %d + recomputed %d != total %d: the manifest split must account for every cell",
 			mf.Metrics.CellsResumed, mf.Metrics.CellsDone, mf.Metrics.CellsTotal)
 	}
+}
+
+// spilledCell reports whether the spill store under dir holds a shard
+// with at least one cell.
+func spilledCell(dir string) bool {
+	shards, _ := filepath.Glob(filepath.Join(dir, "shard-*.grid"))
+	for _, sh := range shards {
+		if info, err := os.Stat(sh); err == nil && info.Size() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func readManifest(t *testing.T, path string) obs.Manifest {

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"rimarket/internal/core"
+	"rimarket/internal/marketplace"
 	"rimarket/internal/pricing"
 	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
@@ -194,6 +195,34 @@ func BenchmarkRatioAuditCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RatioAudit(context.Background(), DefaultConfig(), core.Fraction3T4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMarketScenario measures one paper-scale market session in
+// perfbench's market-session shape: d2.xlarge, m4.large and c4.large
+// on one-year terms, 300 users per group, the cohort synthesized as
+// job 0 of the one fan-out that plans and replays it for every card,
+// then the hour loop over one order book, at GOMAXPROCS workers.
+// scripts/bench.sh gates it at -cpu 2; its allocs/op are not exact,
+// because how far each worker's buffers grow depends on scheduling.
+func BenchmarkMarketScenario(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PerGroup = 300
+	cfg.MarketFee = marketplace.AmazonFee
+	cfg.Seed = 7
+	sc := MarketScenario{Base: cfg}
+	for _, name := range []string{"d2.xlarge", "m4.large", "c4.large"} {
+		it, err := pricing.StandardLinuxUSEast().Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc.Cards = append(sc.Cards, it)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunMarketScenario(context.Background(), sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,26 +50,10 @@ type sellEvent struct {
 
 // sellEvents collects every sell event the plan's runs produce under
 // the given selling policy — fanned out over the plan's worker pool,
-// with per-user event slices concatenated in cohort order so the
-// stream is deterministic at any parallelism.
+// each worker replaying on its own Scratch and keeping only the
+// events, with per-user event slices concatenated in cohort order so
+// the stream is deterministic at any parallelism.
 func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPolicy) ([]sellEvent, error) {
-	perUser, err := p.sellEventsPerUser(ctx, func(int) simulate.SellingPolicy { return policy })
-	if err != nil {
-		return nil, err
-	}
-	var events []sellEvent
-	for _, evs := range perUser {
-		events = append(events, evs...)
-	}
-	return events, nil
-}
-
-// sellEventsPerUser is sellEvents before concatenation, with user i
-// replayed once under policyFor(i): element i holds user i's sell
-// events in decision order. Each worker replays on its own Scratch and
-// keeps only the events, so no per-hour rows or per-user instance
-// slabs are allocated.
-func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policyFor func(i int) simulate.SellingPolicy) ([][]sellEvent, error) {
 	cfg := p.cfg
 	m := obs.FromContext(ctx)
 	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
@@ -77,25 +62,29 @@ func (p *CohortPlan) sellEventsPerUser(ctx context.Context, policyFor func(i int
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
 	_, err := runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
 		u := &p.users[i]
-		if _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policyFor(i)); err != nil {
+		if _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policy); err != nil {
 			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
 		}
-		for _, inst := range scratch[w].Records() {
-			if inst.SoldAt < 0 {
-				continue
-			}
-			perUser[i] = append(perUser[i], sellEvent{
-				hour:      inst.SoldAt,
-				seller:    u.Trace.User,
-				remaining: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
-			})
-		}
+		perUser[i] = soldEvents(scratch[w].Records(), u.Trace.User, cfg.Instance.PeriodHours)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return perUser, nil
+	return slices.Concat(perUser...), nil
+}
+
+// soldEvents returns the sell events among one replay's instance
+// records, in decision order: every reservation the seller sold, with
+// its unexpired share of the card's period.
+func soldEvents(recs []simulate.InstanceRecord, seller string, periodHours int) []sellEvent {
+	var evs []sellEvent
+	for _, inst := range recs {
+		if inst.SoldAt >= 0 {
+			evs = append(evs, sellEvent{hour: inst.SoldAt, seller: seller, remaining: inst.Start + periodHours - inst.SoldAt})
+		}
+	}
+	return evs
 }
 
 // replayMarket replays one card's sell events through an order book

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,21 +11,23 @@ import (
 	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
+	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
 
 // MarketScenario parameterizes a two-sided market session: one shared
 // cohort configuration and the set of price cards traded on the book.
-// Per card, the cohort is re-planned (reservation behaviors depend on
-// the card); each user's sell decisions under one of the paper's three
-// online algorithms — assigned round-robin across the cohort, so
-// listings arrive from T/4 onward instead of all at 3T/4 — become the
-// seller side, while the planned reservation schedules become the
-// buyer side: every new reservation a behavior would buy fresh first
-// shops the order book for a cheaper-per-hour used listing. No
-// exogenous sale probability or buyer arrival rate enters anywhere:
-// fills emerge from the two sides meeting on the book.
+// Reservation behaviors depend on the card, so each user is planned
+// against every card, once per distinct plan. Each user's sell
+// decisions under one of the paper's three online algorithms —
+// assigned round-robin across the cohort, so listings arrive from T/4
+// onward instead of all at 3T/4 — become the seller side, while the
+// planned reservation schedules become the buyer side: every new
+// reservation a behavior would buy fresh first shops the order book
+// for a cheaper-per-hour used listing. No exogenous sale probability
+// or buyer arrival rate enters anywhere: fills emerge from the two
+// sides meeting on the book.
 type MarketScenario struct {
 	// Base is the shared cohort configuration. Base.Instance is ignored
 	// (Cards supplies the traded types); Base.MarketFee is the book's
@@ -134,97 +137,112 @@ type cardStream struct {
 	buyers []int
 }
 
-// newCardStream plans the cohort's traces against cfg's card and
-// precomputes the card's seller stream and buy-order index. The first
-// card's plan synthesizes the cohort as it goes; later cards plan from
-// the feed's finished traces. The plan itself is dropped, so only one
-// card's plan is live at a time.
-func newCardStream(ctx context.Context, cfg Config, feed *cohortFeed) (*cardStream, error) {
-	plan, err := newPlan(ctx, cfg, feed)
-	if err != nil {
-		return nil, err
-	}
-	events, err := mixedSellEvents(ctx, plan, cfg.Instance, cfg.SellingDiscount)
-	if err != nil {
-		return nil, err
-	}
-	st := &cardStream{card: cfg.Instance, events: events}
-	st.buyOff, st.buyers = indexBuyOrders(plan.Users(), cfg.Hours)
-	return st, nil
+// buyOrder is a nonzero hour of one user's plan on one card.
+type buyOrder struct{ hour, units int }
+
+// sessionWorker is one session worker's memory, reused from one user
+// to the next: purchasers, one plan buffer per card, replay scratch.
+type sessionWorker struct {
+	planners purchasing.Planners
+	newRes   [][]int
+	replay   simulate.Scratch
 }
 
-// indexBuyOrders lays the users' planned reservations out by hour in
-// compressed-row form: off[h]..off[h+1] index buyers for hour h, which
-// repeats each user's index once per unit it reserves at h, users in
-// cohort order. A count pass sizes the rows and a fill pass walks each
-// user's schedule sequentially.
-func indexBuyOrders(users []PlannedUser, horizon int) (off, buyers []int) {
-	off = make([]int, horizon+1)
-	for _, u := range users {
-		for h, n := range u.NewRes[:min(len(u.NewRes), horizon)] {
-			off[h+1] += n
-		}
+// sessionStreams synthesizes the cohort, which every card shares, and
+// builds every card's stream in one cohortFeed fan-out, the plan span:
+// job 0 draws the traces, and job i+1 takes user i through the cards in
+// order on its worker's sessionWorker. Per card it plans the user,
+// unless an earlier card plans alike (purchasing.SamePlan is an
+// equivalence, so the first such card holds the plan); replays the
+// plan once under SellingPolicies[i mod 3] for the sell events; and
+// keeps its buy orders. A serial pass then stable-sorts each card's
+// events, merged in cohort order, by hour and lays its buy orders out
+// by hour, users in cohort order.
+func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []workload.Trace, error) {
+	sp := obs.StartSpan(ctx, "plan")
+	defer sp.End()
+	feed, err := synthFeed(sc.Base, sc.Base.Hours)
+	if err != nil {
+		return nil, nil, err
 	}
-	for h := 1; h <= horizon; h++ {
-		off[h] += off[h-1]
+	cards, n, m := sc.Cards, feed.Len(), obs.FromContext(ctx)
+	events, buys := make([][][]sellEvent, len(cards)), make([][][]buyOrder, len(cards))
+	for ci := range cards {
+		events[ci], buys[ci] = make([][]sellEvent, n), make([][]buyOrder, n)
 	}
-	buyers = make([]int, off[horizon])
-	next := append([]int(nil), off[:horizon]...)
-	for ui, u := range users {
-		for h, n := range u.NewRes[:min(len(u.NewRes), horizon)] {
-			for ; n > 0; n-- {
-				buyers[next[h]] = ui
-				next[h]++
+	workers := make([]sessionWorker, workerCount(sc.Base.Parallelism, n+1))
+	err = feed.run(ctx, sc.Base.Parallelism, func(w, i int, tr workload.Trace) error {
+		sw := &workers[w]
+		sw.newRes = slices.Grow(sw.newRes[:0], len(cards))[:len(cards)]
+		behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
+		for ci, card := range cards {
+			cfg := sc.Base
+			cfg.Instance = card
+			src := slices.IndexFunc(cards, func(c pricing.InstanceType) bool { return purchasing.SamePlan(behavior, c, card) })
+			if src == ci {
+				sw.newRes[ci] = slices.Grow(sw.newRes[ci][:0], tr.Len())[:tr.Len()]
+				if _, err := planUser(cfg, i, tr, &sw.planners, sw.newRes[ci]); err != nil {
+					return err
+				}
+			}
+			policy, err := core.NewThreshold(card, cfg.SellingDiscount, []float64{core.Fraction3T4, core.FractionT2, core.FractionT4}[i%3])
+			if err != nil {
+				return err
+			}
+			engCfg := simulate.Config{Instance: card, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
+			if _, err := obsTotals(m, &sw.replay, tr.Demand, sw.newRes[src], engCfg, policy); err != nil {
+				return fmt.Errorf("experiments: user %s: %w", tr.User, err)
+			}
+			events[ci][i] = soldEvents(sw.replay.Records(), tr.User, card.PeriodHours)
+			for h, units := range sw.newRes[src] {
+				if units > 0 {
+					buys[ci][i] = append(buys[ci][i], buyOrder{h, units})
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return off, buyers
+
+	streams := make([]*cardStream, len(cards))
+	for ci, card := range cards {
+		st := &cardStream{card: card, events: slices.Concat(events[ci]...), buyOff: make([]int, sc.Base.Hours+1)}
+		sort.SliceStable(st.events, func(i, j int) bool { return st.events[i].hour < st.events[j].hour })
+		// Counting sort: buyOff[h] sums the units of hours up to h, and
+		// each row fills back to front, last user first.
+		for _, orders := range buys[ci] {
+			for _, o := range orders {
+				st.buyOff[o.hour] += o.units
+			}
+		}
+		for h := 1; h <= sc.Base.Hours; h++ {
+			st.buyOff[h] += st.buyOff[h-1]
+		}
+		st.buyers = make([]int, st.buyOff[sc.Base.Hours])
+		for ui := n - 1; ui >= 0; ui-- {
+			for _, o := range buys[ci][ui] {
+				for range o.units {
+					st.buyOff[o.hour]--
+					st.buyers[st.buyOff[o.hour]] = ui
+				}
+			}
+		}
+		streams[ci] = st
+	}
+	return streams, feed.traces, nil
 }
 
-// mixedSellEvents builds one card's seller stream: user i sells under
-// SellingPolicies[i mod 3], so the three online algorithms coexist in
-// one market and listings arrive throughout the horizon. Each user is
-// replayed once, under its own policy. Events are merged in cohort
-// order, then stable-sorted by hour, so listing order — and hence
-// equal-ask fill priority — is deterministic. The work is timed as the
-// sell_events span.
-func mixedSellEvents(ctx context.Context, plan *CohortPlan, card pricing.InstanceType, discount float64) ([]sellEvent, error) {
-	sp := obs.StartSpan(ctx, "sell_events")
-	defer sp.End()
-	a3, err := core.NewA3T4(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	a2, err := core.NewAT2(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	a4, err := core.NewAT4(card, discount)
-	if err != nil {
-		return nil, err
-	}
-	policies := []simulate.SellingPolicy{a3, a2, a4}
-	perUser, err := plan.sellEventsPerUser(ctx, func(i int) simulate.SellingPolicy { return policies[i%len(policies)] })
-	if err != nil {
-		return nil, err
-	}
-	var events []sellEvent
-	for _, evs := range perUser {
-		events = append(events, evs...)
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].hour < events[j].hour })
-	return events, nil
-}
-
-// RunMarketScenario synthesizes the scenario's cohort once, while
-// planning it against the first card, and plans it against each later
-// card, then replays all cards through a single
-// hour-stepped order book: each hour ages the book (expiring and
-// repricing listings), lists the hour's sell decisions, and routes the
-// hour's planned reservations through the book before falling back to
-// fresh purchases. The session loop is sequential, and its inputs are
-// concatenated in cohort order by deterministic fan-outs, so the
-// result is byte-identical at any Parallelism.
+// RunMarketScenario synthesizes the scenario's cohort once and, in the
+// same fan-out, plans each user against every card, replays its sell
+// decisions and keeps its buy orders (sessionStreams); then it replays
+// all cards through a single hour-stepped order book: each hour ages
+// the book (expiring and repricing listings), lists the hour's sell
+// decisions, and routes the hour's planned reservations through the
+// book before falling back to fresh purchases. The session loop is
+// sequential, and its inputs are merged in cohort order after the
+// fan-out, so the result is byte-identical at any Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the
@@ -236,21 +254,10 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	sp := obs.StartSpan(ctx, "market-session")
 	defer sp.End()
 
-	// The cohort depends only on PerGroup, Hours and Seed, which every
-	// card shares; only the plans differ per card.
-	feed, err := synthFeed(sc.Base, sc.Base.Hours)
+	streams, traces, err := sessionStreams(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	streams := make([]*cardStream, len(sc.Cards))
-	for ci, card := range sc.Cards {
-		cfg := sc.Base
-		cfg.Instance = card
-		if streams[ci], err = newCardStream(ctx, cfg, feed); err != nil {
-			return nil, err
-		}
-	}
-	traces := feed.traces
 
 	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
 	if err != nil {
@@ -261,8 +268,7 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 		return nil, err
 	}
 
-	horizon := sc.Base.Hours
-	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
+	res := &MarketResult{Horizon: sc.Base.Hours, Outcomes: make([]MarketOutcome, len(sc.Cards))}
 	for ci, st := range streams {
 		t := &tallies[ci]
 		// Per-card conservation: fee+proceeds recomposes the price paid
@@ -271,30 +277,20 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 			return nil, fmt.Errorf("experiments: market session conservation broken for %s: buyers paid %v, sellers+fees received %v",
 				st.card.Name, t.paid, t.split)
 		}
-		var saleProb, meanWait, fillRate float64
-		if t.listed > 0 {
-			saleProb = float64(t.sold) / float64(t.listed)
-		}
-		if t.sold > 0 {
-			meanWait = float64(t.hoursToSale) / float64(t.sold)
-		}
-		if t.demand > 0 {
-			fillRate = float64(t.used) / float64(t.demand)
-		}
 		res.Outcomes[ci] = MarketOutcome{
 			Type:            st.card.Name,
 			Listed:          t.listed,
 			Sold:            t.sold,
 			Expired:         t.expired,
 			OpenAtEnd:       book.Depth(st.card.Name).Open,
-			SaleProbability: saleProb,
-			MeanHoursToSale: meanWait,
+			SaleProbability: ratio(t.sold, t.listed),
+			MeanHoursToSale: ratio(t.hoursToSale, t.sold),
 			BuyerDemand:     t.demand,
 			UsedFills:       t.used,
 			FreshBuys:       t.fresh,
-			FillRate:        fillRate,
+			FillRate:        ratio(t.used, t.demand),
 			PeakDepth:       t.peakDepth,
-			MeanDepth:       float64(t.depthSum) / float64(horizon),
+			MeanDepth:       float64(t.depthSum) / float64(sc.Base.Hours),
 			BuyerPaid:       t.paid,
 			SellerProceeds:  t.proceeds,
 			Fees:            t.fees,
@@ -323,6 +319,14 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	return res, nil
 }
 
+// ratio is num/den, or 0 when den is 0.
+func ratio(num, den int) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
 // sessionLoop is the session's hour loop over the prepared streams,
 // timed as the session_loop span; buyers are named by their cohort
 // traces. It returns one tally per card, in card order.
@@ -338,8 +342,7 @@ func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.Order
 	}
 	for hour := 0; hour < sc.Base.Hours; hour++ {
 		if hour > 0 {
-			res := book.Step()
-			for _, lst := range res.Expired {
+			for _, lst := range book.Step().Expired {
 				byName[lst.Instance.Name].expired++
 				if m != nil {
 					m.MarketExpiries.Add(1)
@@ -405,12 +408,9 @@ func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.Order
 		}
 
 		for ci, st := range streams {
-			d := book.Depth(st.card.Name)
-			t := &tallies[ci]
-			t.depthSum += int64(d.Open)
-			if d.Open > t.peakDepth {
-				t.peakDepth = d.Open
-			}
+			open, t := book.Depth(st.card.Name).Open, &tallies[ci]
+			t.depthSum += int64(open)
+			t.peakDepth = max(t.peakDepth, open)
 		}
 	}
 	return tallies, nil

@@ -163,14 +163,14 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 	if sold > 0 && mk.HoursToSale < 0 {
 		t.Errorf("hours-to-sale total %d negative", mk.HoursToSale)
 	}
-	// Spans split the pass: one cohort synthesis, one plan and one
-	// sell-event replay per card inside the session, then one hour loop.
+	// Spans split the pass: one plan fan-out over every card, with the
+	// cohort's synthesis inside it, then one hour loop.
 	spans := map[string]int64{}
 	for _, sp := range snap.Spans {
 		spans[sp.Name] = sp.Count
 	}
 	cards := int64(len(sc.Cards))
-	for name, want := range map[string]int64{"market-session": 1, "synth": 1, "plan": cards, "sell_events": cards, "session_loop": 1} {
+	for name, want := range map[string]int64{"market-session": 1, "synth": 1, "plan": 1, "sell_events": 0, "session_loop": 1} {
 		if spans[name] != want {
 			t.Errorf("span %q recorded %d times, want %d (spans %+v)", name, spans[name], want, snap.Spans)
 		}
@@ -182,7 +182,9 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 
 // TestMarketScenarioReplayError: a seller replay that fails aborts the
 // session with the lowest failing user's error, wrapped with its name,
-// at any parallelism.
+// at any parallelism. Each user runs through every card in one job, so
+// a user failing only on a later card outranks a higher-index user
+// failing on an earlier one.
 func TestMarketScenarioReplayError(t *testing.T) {
 	sc := marketScenario(t, 1)
 	traces, err := workload.NewCohort(workload.CohortConfig{PerGroup: sc.Base.PerGroup, Hours: sc.Base.Hours, Seed: sc.Base.Seed})
@@ -190,21 +192,33 @@ func TestMarketScenarioReplayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected engine failure")
-	orig := simulateTotals
-	simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-		if slices.Equal(demand, traces[5].Demand) || slices.Equal(demand, traces[9].Demand) {
-			return simulate.Totals{}, injected
+	// user reports whether user u's replay on card fails.
+	user := func(u int, demand []int) bool { return slices.Equal(demand, traces[u].Demand) }
+	for _, c := range []struct {
+		name  string
+		fails func(demand []int, card string) bool
+		want  int
+	}{
+		{"every card", func(demand []int, _ string) bool { return user(5, demand) || user(9, demand) }, 5},
+		{"later card, lower user", func(demand []int, card string) bool {
+			return user(9, demand) && card == sc.Cards[0].Name || user(5, demand) && card == sc.Cards[1].Name
+		}, 5},
+	} {
+		orig := simulateTotals
+		simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+			if c.fails(demand, ec.Instance.Name) {
+				return simulate.Totals{}, injected
+			}
+			return orig(s, demand, newRes, ec, pol)
 		}
-		return orig(s, demand, newRes, ec, pol)
-	}
-	defer func() { simulateTotals = orig }()
-
-	want := fmt.Sprintf("experiments: user %s: %v", traces[5].User, injected)
-	for _, par := range []int{1, 4, runtime.NumCPU()} {
-		_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
-		if !errors.Is(err, injected) || err.Error() != want {
-			t.Errorf("parallelism=%d: err = %v, want %q", par, err, want)
+		want := fmt.Sprintf("experiments: user %s: %v", traces[c.want].User, injected)
+		for _, par := range []int{1, 4, runtime.NumCPU()} {
+			_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
+			if !errors.Is(err, injected) || err.Error() != want {
+				t.Errorf("%s, parallelism=%d: err = %v, want %q", c.name, par, err, want)
+			}
 		}
+		simulateTotals = orig
 	}
 }
 

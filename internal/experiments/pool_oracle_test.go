@@ -25,6 +25,7 @@ import (
 	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
+	"rimarket/internal/purchasing"
 	"rimarket/internal/simulate"
 	"rimarket/internal/workload"
 )
@@ -338,30 +339,79 @@ func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
 	return out
 }
 
-// TestMarketScenarioPoolOracle: the session built in one pass — one
-// cohort, one replay per seller on per-worker scratch, buy orders
-// indexed by hour — equals the naive serial build outcome for outcome,
-// at parallelism 1, 4 and NumCPU.
-func TestMarketScenarioPoolOracle(t *testing.T) {
-	want := oracleMarketScenario(t, marketScenario(t, 1))
-	var traded bool
-	for _, o := range want {
-		traded = traded || o.Sold > 0
-	}
-	if !traded {
-		t.Fatal("oracle session traded nothing; the comparison is vacuous")
-	}
-	for _, par := range []int{1, 4, runtime.NumCPU()} {
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			got, err := RunMarketScenario(context.Background(), marketScenario(t, par))
-			if err != nil {
+// reuseScenario is a session whose cards share plans and refuse to:
+// the suite's scenario over d2.xlarge, d2.2xlarge (the same Wang
+// break-even point), m4.large (the same period, another break-even
+// point) and a three-year c4.large, every card scaled like
+// marketCards. The horizon is two one-year periods, so one-year
+// reservations lapse and renew inside it and a plan shared across
+// terms would show.
+func reuseScenario(t *testing.T, parallelism int) MarketScenario {
+	t.Helper()
+	sc := marketScenario(t, parallelism)
+	cat := pricing.StandardLinuxUSEast()
+	var cards []pricing.InstanceType
+	for _, name := range []string{"d2.xlarge", "d2.2xlarge", "m4.large", "c4.large"} {
+		it, err := cat.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "c4.large" {
+			if it, err = pricing.ThreeYearTerm(it); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Outcomes, want) {
-				t.Fatalf("session differs from the serial oracle:\n got %+v\nwant %+v", got.Outcomes, want)
-			}
-		})
+		}
+		it.PeriodHours = int(float64(it.PeriodHours) / 6)
+		it.Upfront /= 6
+		cards = append(cards, it)
 	}
+	sc.Cards = cards
+	sc.Base.Hours = 2 * cards[0].PeriodHours
+	return sc
+}
+
+// TestMarketScenarioPoolOracle: the session built in one pass — one
+// cohort, each user planned, replayed and its buy orders kept for
+// every card in one job on per-worker scratch, plans shared between
+// cards that plan alike — equals the naive serial build, which plans
+// every card afresh, outcome for outcome, at parallelism 1, 4 and
+// NumCPU. The suite's scenario shares non-Wang plans; reuseScenario
+// also shares Wang plans and refuses to share across terms.
+func TestMarketScenarioPoolOracle(t *testing.T) {
+	reuse := reuseScenario(t, 1)
+	d2x, d2xx, m4, c4 := reuse.Cards[0], reuse.Cards[1], reuse.Cards[2], reuse.Cards[3]
+	if !purchasing.SamePlan("wang-online", d2x, d2xx) || !purchasing.SamePlan("all-reserved", d2x, m4) ||
+		purchasing.SamePlan("wang-online", d2x, m4) {
+		t.Fatal("reuse scenario's cards do not share plans as the test assumes")
+	}
+	for _, b := range purchasing.Behaviors {
+		if purchasing.SamePlan(b, d2x, c4) {
+			t.Fatalf("%s shares a plan across terms", b)
+		}
+	}
+	check := func(t *testing.T, scenario func(*testing.T, int) MarketScenario) {
+		want := oracleMarketScenario(t, scenario(t, 1))
+		var traded bool
+		for _, o := range want {
+			traded = traded || o.Sold > 0
+		}
+		if !traded {
+			t.Fatal("oracle session traded nothing; the comparison is vacuous")
+		}
+		for _, par := range []int{1, 4, runtime.NumCPU()} {
+			t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+				got, err := RunMarketScenario(context.Background(), scenario(t, par))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Outcomes, want) {
+					t.Fatalf("session differs from the serial oracle:\n got %+v\nwant %+v", got.Outcomes, want)
+				}
+			})
+		}
+	}
+	check(t, marketScenario)
+	t.Run("reuse", func(t *testing.T) { check(t, reuseScenario) })
 }
 
 // TestBatchErrorParity: an engine rejection surfaces as the per-user

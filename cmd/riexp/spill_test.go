@@ -118,29 +118,32 @@ func TestSpillInterruptAndResume(t *testing.T) {
 	// early enough to leave work undone, late enough that the partial
 	// store is non-trivial — the clock raises SIGINT and holds the grid
 	// worker until the signal has cancelled the run, so the run cannot
-	// finish before the signal is handled.
-	driver := planDrivers["sensitivity"]
-	planDrivers["sensitivity"] = func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
-		var raised atomic.Bool
-		clock := func() time.Time {
-			if !raised.Load() && spilledCell(filepath.Join(dir, "sensitivity")) && raised.CompareAndSwap(false, true) {
-				if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-					t.Errorf("raising SIGINT: %v", err)
-				}
-				select {
-				case <-ctx.Done():
-				case <-time.After(30 * time.Second):
-					t.Error("SIGINT did not cancel the run within 30s")
-				}
-			}
-			return obs.SystemClock()
-		}
-		return driver(obs.WithMetrics(ctx, obs.New(clock)), plan)
-	}
+	// finish before the signal is handled. The wrapped driver serves
+	// this run only.
 	var out, errw bytes.Buffer
-	err = run(ctx, interruptArgs("-spill", dir), &out, &errw)
+	err = func() error {
+		driver := planDrivers["sensitivity"]
+		defer func() { planDrivers["sensitivity"] = driver }()
+		planDrivers["sensitivity"] = func(ctx context.Context, plan *experiments.CohortPlan) (string, error) {
+			var raised atomic.Bool
+			clock := func() time.Time {
+				if !raised.Load() && spilledCell(filepath.Join(dir, "sensitivity")) && raised.CompareAndSwap(false, true) {
+					if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+						t.Errorf("raising SIGINT: %v", err)
+					}
+					select {
+					case <-ctx.Done():
+					case <-time.After(30 * time.Second):
+						t.Error("SIGINT did not cancel the run within 30s")
+					}
+				}
+				return obs.SystemClock()
+			}
+			return driver(obs.WithMetrics(ctx, obs.New(clock)), plan)
+		}
+		return run(ctx, interruptArgs("-spill", dir), &out, &errw)
+	}()
 	stop()
-	planDrivers["sensitivity"] = driver
 	if err == nil {
 		t.Fatal("run finished although SIGINT landed mid-grid")
 	}

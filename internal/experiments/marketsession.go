@@ -152,20 +152,40 @@ type sessionWorker struct {
 // builds every card's stream in one cohortFeed fan-out, the plan span:
 // job 0 draws the traces, and job i+1 takes user i through the cards in
 // order on its worker's sessionWorker. Per card it plans the user,
-// unless an earlier card plans alike (purchasing.SamePlan is an
-// equivalence, so the first such card holds the plan); replays the
-// plan once under SellingPolicies[i mod 3] for the sell events; and
-// keeps its buy orders. A serial pass then stable-sorts each card's
+// unless an earlier card plans alike (purchasing.SamePlan; the first
+// such card holds the plan); replays the plan once under
+// SellingPolicies[i mod 3] for the sell events; and keeps its buy
+// orders. A serial pass then stable-sorts each card's
 // events, merged in cohort order, by hour and lays its buy orders out
 // by hour, users in cohort order.
 func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []workload.Trace, error) {
 	sp := obs.StartSpan(ctx, "plan")
 	defer sp.End()
+	cards, m := sc.Cards, obs.FromContext(ctx)
+	// policies[ci] holds card ci's three online sellers, and src[b][ci]
+	// the first card on which behavior b plans as on card ci.
+	policies := make([][]simulate.SellingPolicy, len(cards))
+	src := make([][]int, len(purchasing.Behaviors))
+	for ci, card := range cards {
+		for _, k := range []float64{core.Fraction3T4, core.FractionT2, core.FractionT4} {
+			p, err := core.NewThreshold(card, sc.Base.SellingDiscount, k)
+			if err != nil {
+				return nil, nil, err
+			}
+			policies[ci] = append(policies[ci], p)
+		}
+		for b, behavior := range purchasing.Behaviors {
+			src[b] = append(src[b], ci)
+			if s := slices.IndexFunc(cards[:ci], func(c pricing.InstanceType) bool { return purchasing.SamePlan(behavior, c, card) }); s >= 0 {
+				src[b][ci] = s
+			}
+		}
+	}
 	feed, err := synthFeed(sc.Base, sc.Base.Hours)
 	if err != nil {
 		return nil, nil, err
 	}
-	cards, n, m := sc.Cards, feed.Len(), obs.FromContext(ctx)
+	n := feed.Len()
 	events, buys := make([][][]sellEvent, len(cards)), make([][][]buyOrder, len(cards))
 	for ci := range cards {
 		events[ci], buys[ci] = make([][]sellEvent, n), make([][]buyOrder, n)
@@ -174,27 +194,23 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 	err = feed.run(ctx, sc.Base.Parallelism, func(w, i int, tr workload.Trace) error {
 		sw := &workers[w]
 		sw.newRes = slices.Grow(sw.newRes[:0], len(cards))[:len(cards)]
-		behavior := purchasing.Behaviors[i%len(purchasing.Behaviors)]
+		src := src[i%len(purchasing.Behaviors)]
 		for ci, card := range cards {
 			cfg := sc.Base
 			cfg.Instance = card
-			src := slices.IndexFunc(cards, func(c pricing.InstanceType) bool { return purchasing.SamePlan(behavior, c, card) })
-			if src == ci {
+			if src[ci] == ci {
 				sw.newRes[ci] = slices.Grow(sw.newRes[ci][:0], tr.Len())[:tr.Len()]
 				if _, err := planUser(cfg, i, tr, &sw.planners, sw.newRes[ci]); err != nil {
 					return err
 				}
 			}
-			policy, err := core.NewThreshold(card, cfg.SellingDiscount, []float64{core.Fraction3T4, core.FractionT2, core.FractionT4}[i%3])
-			if err != nil {
-				return err
-			}
+			newRes := sw.newRes[src[ci]]
 			engCfg := simulate.Config{Instance: card, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
-			if _, err := obsTotals(m, &sw.replay, tr.Demand, sw.newRes[src], engCfg, policy); err != nil {
+			if _, err := obsTotals(m, &sw.replay, tr.Demand, newRes, engCfg, policies[ci][i%3]); err != nil {
 				return fmt.Errorf("experiments: user %s: %w", tr.User, err)
 			}
 			events[ci][i] = soldEvents(sw.replay.Records(), tr.User, card.PeriodHours)
-			for h, units := range sw.newRes[src] {
+			for h, units := range newRes {
 				if units > 0 {
 					buys[ci][i] = append(buys[ci][i], buyOrder{h, units})
 				}
@@ -268,7 +284,8 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 		return nil, err
 	}
 
-	res := &MarketResult{Horizon: sc.Base.Hours, Outcomes: make([]MarketOutcome, len(sc.Cards))}
+	horizon := sc.Base.Hours
+	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
 	for ci, st := range streams {
 		t := &tallies[ci]
 		// Per-card conservation: fee+proceeds recomposes the price paid
@@ -277,20 +294,30 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 			return nil, fmt.Errorf("experiments: market session conservation broken for %s: buyers paid %v, sellers+fees received %v",
 				st.card.Name, t.paid, t.split)
 		}
+		var saleProb, meanWait, fillRate float64
+		if t.listed > 0 {
+			saleProb = float64(t.sold) / float64(t.listed)
+		}
+		if t.sold > 0 {
+			meanWait = float64(t.hoursToSale) / float64(t.sold)
+		}
+		if t.demand > 0 {
+			fillRate = float64(t.used) / float64(t.demand)
+		}
 		res.Outcomes[ci] = MarketOutcome{
 			Type:            st.card.Name,
 			Listed:          t.listed,
 			Sold:            t.sold,
 			Expired:         t.expired,
 			OpenAtEnd:       book.Depth(st.card.Name).Open,
-			SaleProbability: ratio(t.sold, t.listed),
-			MeanHoursToSale: ratio(t.hoursToSale, t.sold),
+			SaleProbability: saleProb,
+			MeanHoursToSale: meanWait,
 			BuyerDemand:     t.demand,
 			UsedFills:       t.used,
 			FreshBuys:       t.fresh,
-			FillRate:        ratio(t.used, t.demand),
+			FillRate:        fillRate,
 			PeakDepth:       t.peakDepth,
-			MeanDepth:       float64(t.depthSum) / float64(sc.Base.Hours),
+			MeanDepth:       float64(t.depthSum) / float64(horizon),
 			BuyerPaid:       t.paid,
 			SellerProceeds:  t.proceeds,
 			Fees:            t.fees,
@@ -319,14 +346,6 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	return res, nil
 }
 
-// ratio is num/den, or 0 when den is 0.
-func ratio(num, den int) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
 // sessionLoop is the session's hour loop over the prepared streams,
 // timed as the session_loop span; buyers are named by their cohort
 // traces. It returns one tally per card, in card order.
@@ -342,7 +361,8 @@ func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.Order
 	}
 	for hour := 0; hour < sc.Base.Hours; hour++ {
 		if hour > 0 {
-			for _, lst := range book.Step().Expired {
+			res := book.Step()
+			for _, lst := range res.Expired {
 				byName[lst.Instance.Name].expired++
 				if m != nil {
 					m.MarketExpiries.Add(1)
@@ -408,9 +428,12 @@ func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.Order
 		}
 
 		for ci, st := range streams {
-			open, t := book.Depth(st.card.Name).Open, &tallies[ci]
-			t.depthSum += int64(open)
-			t.peakDepth = max(t.peakDepth, open)
+			d := book.Depth(st.card.Name)
+			t := &tallies[ci]
+			t.depthSum += int64(d.Open)
+			if d.Open > t.peakDepth {
+				t.peakDepth = d.Open
+			}
 		}
 	}
 	return tallies, nil

@@ -192,7 +192,7 @@ func TestMarketScenarioReplayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected engine failure")
-	// user reports whether user u's replay on card fails.
+	// user reports whether demand is user u's.
 	user := func(u int, demand []int) bool { return slices.Equal(demand, traces[u].Demand) }
 	for _, c := range []struct {
 		name  string
@@ -204,21 +204,23 @@ func TestMarketScenarioReplayError(t *testing.T) {
 			return user(9, demand) && card == sc.Cards[0].Name || user(5, demand) && card == sc.Cards[1].Name
 		}, 5},
 	} {
-		orig := simulateTotals
-		simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
-			if c.fails(demand, ec.Instance.Name) {
-				return simulate.Totals{}, injected
+		t.Run(c.name, func(t *testing.T) {
+			orig := simulateTotals
+			defer func() { simulateTotals = orig }()
+			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
+				if c.fails(demand, ec.Instance.Name) {
+					return simulate.Totals{}, injected
+				}
+				return orig(s, demand, newRes, ec, pol)
 			}
-			return orig(s, demand, newRes, ec, pol)
-		}
-		want := fmt.Sprintf("experiments: user %s: %v", traces[c.want].User, injected)
-		for _, par := range []int{1, 4, runtime.NumCPU()} {
-			_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
-			if !errors.Is(err, injected) || err.Error() != want {
-				t.Errorf("%s, parallelism=%d: err = %v, want %q", c.name, par, err, want)
+			want := fmt.Sprintf("experiments: user %s: %v", traces[c.want].User, injected)
+			for _, par := range []int{1, 4, runtime.NumCPU()} {
+				_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
+				if !errors.Is(err, injected) || err.Error() != want {
+					t.Errorf("parallelism=%d: err = %v, want %q", par, err, want)
+				}
 			}
-		}
-		simulateTotals = orig
+		})
 	}
 }
 

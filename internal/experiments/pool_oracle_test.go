@@ -340,18 +340,16 @@ func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
 }
 
 // reuseScenario is a session whose cards share plans and refuse to:
-// the suite's scenario over d2.xlarge, d2.2xlarge (the same Wang
-// break-even point), m4.large (the same period, another break-even
-// point) and a three-year c4.large, every card scaled like
-// marketCards. The horizon is two one-year periods, so one-year
-// reservations lapse and renew inside it and a plan shared across
-// terms would show.
+// the suite's scenario over d2.xlarge, m4.large (the same period) and
+// a three-year c4.large, every card scaled like marketCards. The
+// horizon is two one-year periods, so one-year reservations lapse and
+// renew inside it and a plan shared across terms would show.
 func reuseScenario(t *testing.T, parallelism int) MarketScenario {
 	t.Helper()
 	sc := marketScenario(t, parallelism)
 	cat := pricing.StandardLinuxUSEast()
 	var cards []pricing.InstanceType
-	for _, name := range []string{"d2.xlarge", "d2.2xlarge", "m4.large", "c4.large"} {
+	for _, name := range []string{"d2.xlarge", "m4.large", "c4.large"} {
 		it, err := cat.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -375,13 +373,13 @@ func reuseScenario(t *testing.T, parallelism int) MarketScenario {
 // every card in one job on per-worker scratch, plans shared between
 // cards that plan alike — equals the naive serial build, which plans
 // every card afresh, outcome for outcome, at parallelism 1, 4 and
-// NumCPU. The suite's scenario shares non-Wang plans; reuseScenario
-// also shares Wang plans and refuses to share across terms.
+// NumCPU. Both scenarios share the all-reserved and random plans
+// between one-year cards; reuseScenario also refuses to share them
+// across terms.
 func TestMarketScenarioPoolOracle(t *testing.T) {
 	reuse := reuseScenario(t, 1)
-	d2x, d2xx, m4, c4 := reuse.Cards[0], reuse.Cards[1], reuse.Cards[2], reuse.Cards[3]
-	if !purchasing.SamePlan("wang-online", d2x, d2xx) || !purchasing.SamePlan("all-reserved", d2x, m4) ||
-		purchasing.SamePlan("wang-online", d2x, m4) {
+	d2x, m4, c4 := reuse.Cards[0], reuse.Cards[1], reuse.Cards[2]
+	if !purchasing.SamePlan("all-reserved", d2x, m4) || !purchasing.SamePlan("random", d2x, m4) {
 		t.Fatal("reuse scenario's cards do not share plans as the test assumes")
 	}
 	for _, b := range purchasing.Behaviors {

@@ -110,7 +110,10 @@ func (ps *Planners) For(name string, it pricing.InstanceType, seed int64) (Polic
 		ps.random.seed(seed)
 		return &ps.random, nil
 	case "wang-online", "wang-variant":
-		ps.wang.Instance, ps.wang.BreakEvenScale = it, wangScale(name)
+		ps.wang.Instance, ps.wang.BreakEvenScale = it, 1
+		if name == "wang-variant" {
+			ps.wang.BreakEvenScale = 0.5
+		}
 		ps.wang.reset()
 		return &ps.wang, nil
 	default:
@@ -120,32 +123,19 @@ func (ps *Planners) For(name string, it pricing.InstanceType, seed int64) (Polic
 
 // SamePlan reports whether the behavior plans every demand series on
 // card b exactly as on card a, seed for seed, so a plan made on one
-// card serves the other. It reads only what the planners read: every
-// behavior plans against the card's PeriodHours, and the Wang
-// behaviors against their break-even point too, compared bit for bit.
-// An unknown behavior plans alike on no cards.
+// card serves the other. all-reserved and random read only the card's
+// PeriodHours. The Wang behaviors also read its break-even point;
+// sharing their plans pays only in sessions that trade two cards with
+// one break-even point, such as the d2 family, and no benchmarked
+// session does, so SamePlan shares none of them, nor an unknown
+// behavior's.
 func SamePlan(name string, a, b pricing.InstanceType) bool {
-	if a.PeriodHours != b.PeriodHours {
-		return false
-	}
 	switch name {
 	case "all-reserved", "random":
-		return true
-	case "wang-online", "wang-variant":
-		wa := WangOnline{Instance: a, BreakEvenScale: wangScale(name)}
-		wb := WangOnline{Instance: b, BreakEvenScale: wangScale(name)}
-		return wa.breakEvenHours() == wb.breakEvenHours()
+		return a.PeriodHours == b.PeriodHours
 	default:
 		return false
 	}
-}
-
-// wangScale is the break-even scale a Wang behavior plans with.
-func wangScale(name string) float64 {
-	if name == "wang-variant" {
-		return 0.5
-	}
-	return 1
 }
 
 // AllReserved reserves enough instances at every hour to cover all

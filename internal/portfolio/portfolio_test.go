@@ -146,6 +146,17 @@ func TestEvaluateCustomPurchaser(t *testing.T) {
 	}
 }
 
+// TestEvaluateInvalidPurchaserCard: a Wang purchaser on a card that
+// fails validation is an error, not a divide-by-zero panic, although
+// the service's own card is valid.
+func TestEvaluateInvalidPurchaserCard(t *testing.T) {
+	svc := busyService("web")
+	svc.Purchaser = purchasing.NewWangOnline(pricing.InstanceType{})
+	if _, err := Evaluate([]Service{svc}, Config{SellingDiscount: 0.8}); err == nil || !strings.Contains(err.Error(), "wang planner") {
+		t.Errorf("Evaluate error = %v, want the wang planner's card error", err)
+	}
+}
+
 func TestEvaluatePolicyFactoryError(t *testing.T) {
 	cfg := Config{
 		SellingDiscount: 0.8,

@@ -34,6 +34,9 @@ type Policy interface {
 	Reserve(t, demand, active int) int
 }
 
+// checker is a Policy that can tell before hour 0 that it cannot plan.
+type checker interface{ check() error }
+
 // PlanReservations replays demand through the policy and returns the
 // per-hour new-reservation series n_t. Reservations are active for
 // periodHours hours from the hour they are made; no selling occurs at
@@ -59,6 +62,11 @@ func PlanReservationsInto(newRes, demand []int, periodHours int, p Policy) error
 	}
 	if len(newRes) != len(demand) {
 		return fmt.Errorf("purchasing: plan buffer holds %d hours, demand %d", len(newRes), len(demand))
+	}
+	if c, ok := p.(checker); ok {
+		if err := c.check(); err != nil {
+			return err
+		}
 	}
 	active := 0
 	for t, d := range demand {
@@ -205,9 +213,20 @@ func (r *Random) Reserve(_, demand, active int) int {
 // hour for one period and, when the hour leaves the window, decrements
 // the levels it charged that have not restarted since. The active count
 // is the one PlanReservations passes, so plan with the card's own
-// PeriodHours. A WangOnline plans one demand series, on a card that
-// passes InstanceType.Validate; Planners.For readies a reused one for
-// the next.
+// PeriodHours.
+//
+// Until the first reservation no level has restarted and active is 0,
+// so hour t charges exactly [0, d_t), and level j's count is the number
+// of window hours with demand above j. The planner then keeps only the
+// window's demand histogram and its busy-hour count, level 0's count
+// and so the largest, at O(1) per hour. The first hour that can reserve
+// is the first busy hour whose charge lifts the busy count to beta;
+// there a suffix sum turns the histogram into the per-level counts the
+// walk would have kept, and the walk runs from that hour on.
+//
+// A WangOnline plans one demand series, on a card that passes
+// InstanceType.Validate (PlanReservations refuses it otherwise);
+// Planners.For readies a reused one for the next.
 type WangOnline struct {
 	// Instance supplies R, p, alpha and the window length PeriodHours.
 	Instance pricing.InstanceType
@@ -218,6 +237,11 @@ type WangOnline struct {
 	beta   float64
 	spans  []span  // spans[t%PeriodHours]: the levels hour t charged
 	levels []level // indexed by demand level
+	// lazy holds from reset until the first hour that may reserve.
+	// Meanwhile levels[v-1].count counts the window hours with demand
+	// exactly v, and busy those with any demand.
+	lazy bool
+	busy int
 }
 
 // span is the half-open range of levels one hour charged on-demand.
@@ -261,6 +285,16 @@ func (w *WangOnline) reset() {
 		w.spans = make([]span, p)
 	}
 	w.levels = w.levels[:0]
+	w.lazy, w.busy = true, 0
+}
+
+// check implements checker: the planner's window and break-even point
+// come from its card.
+func (w *WangOnline) check() error {
+	if err := w.Instance.Validate(); err != nil {
+		return fmt.Errorf("purchasing: wang planner: %w", err)
+	}
+	return nil
 }
 
 // Reserve implements Policy.
@@ -271,15 +305,34 @@ func (w *WangOnline) Reserve(t, demand, active int) int {
 	// Hour t-period leaves the window; its slot becomes hour t's.
 	period := len(w.spans)
 	sp := &w.spans[t%period]
-	if t >= period {
+	for len(w.levels) < demand {
+		w.levels = append(w.levels, level{})
+	}
+	if w.lazy {
+		if t >= period && sp.hi > 0 {
+			w.levels[sp.hi-1].count--
+			w.busy--
+		}
+		// Level 0's count, the tallest, would reach busy+1 this hour.
+		if active == 0 && (demand == 0 || float64(w.busy+1) < w.beta) {
+			if demand > 0 {
+				w.levels[demand-1].count++
+				w.busy++
+			}
+			*sp = span{hi: demand}
+			return 0
+		}
+		// Leave the regime: level j counts the window hours above j.
+		w.lazy = false
+		for j := len(w.levels) - 2; j >= 0; j-- {
+			w.levels[j].count += w.levels[j+1].count
+		}
+	} else if t >= period {
 		for j := sp.lo; j < sp.hi; j++ {
 			if lv := &w.levels[j]; lv.since <= t-period {
 				lv.count--
 			}
 		}
-	}
-	for len(w.levels) < demand {
-		w.levels = append(w.levels, level{})
 	}
 	*sp = span{lo: active, hi: demand}
 	reserve := 0

@@ -30,6 +30,9 @@ func TestPlanReservationsValidation(t *testing.T) {
 	if _, err := PlanReservations([]int{-1}, 10, AllReserved{}); err == nil {
 		t.Error("negative demand accepted")
 	}
+	if _, err := PlanReservations([]int{1}, 10, NewWangOnline(pricing.InstanceType{})); err == nil {
+		t.Error("wang planner on an invalid card accepted")
+	}
 }
 
 type negativePolicy struct{}

@@ -132,6 +132,11 @@ func MeasuredRatio(schedule []bool, policy core.Threshold, a float64) (float64, 
 	if err != nil {
 		return 0, err
 	}
+	return ratio(online, opt)
+}
+
+// ratio is online/opt.Cost, an error unless OPT costs more than zero.
+func ratio(online float64, opt core.OfflineDecision) (float64, error) {
 	if opt.Cost <= 0 {
 		return 0, fmt.Errorf("analysis: OPT cost %v not positive", opt.Cost)
 	}
@@ -152,9 +157,25 @@ func VerifyBound(schedule []bool, policy core.Threshold, a float64) (measured fl
 	if err != nil {
 		return 0, Bound{}, err
 	}
-	if measured > bound.Ratio+1e-9 {
-		return measured, bound, fmt.Errorf("analysis: measured ratio %v exceeds proven bound %v (%v)",
-			measured, bound.Ratio, bound.Regime)
+	return measured, bound, bound.check(measured)
+}
+
+// VerifyCosts is VerifyBound on costs already priced, as
+// core.WindowCosts returns them: it returns online/opt.Cost and an
+// error if OPT's cost is not positive or the ratio exceeds the bound.
+func VerifyCosts(online float64, opt core.OfflineDecision, bound Bound) (float64, error) {
+	measured, err := ratio(online, opt)
+	if err != nil {
+		return 0, err
 	}
-	return measured, bound, nil
+	return measured, bound.check(measured)
+}
+
+// check reports a measured ratio above the bound, beyond float noise.
+func (b Bound) check(measured float64) error {
+	if measured > b.Ratio+1e-9 {
+		return fmt.Errorf("analysis: measured ratio %v exceeds proven bound %v (%v)",
+			measured, b.Ratio, b.Regime)
+	}
+	return nil
 }

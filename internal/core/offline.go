@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rimarket/internal/pricing"
+	"rimarket/internal/simulate"
 )
 
 // Billing selects how a reserved instance's hourly fee is accounted in
@@ -107,7 +108,7 @@ type OfflineDecision struct {
 // the candidates in a second one over the ages from the first allowed
 // one on; it makes no allocation.
 func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error) {
-	if err := params.check(schedule); err != nil {
+	if err := params.check(len(schedule)); err != nil {
 		return OfflineDecision{}, err
 	}
 	first := max(params.MinSellAge, 1)
@@ -121,25 +122,137 @@ func OptimalSell(schedule []bool, params OfflineParams) (OfflineDecision, error)
 // checkpoint age, Section IV.C), both at the policy's own selling
 // discount.
 func CompetitiveCosts(schedule []bool, policy Threshold, billing Billing) (online float64, opt OfflineDecision, err error) {
-	ck := policy.CheckpointAge(policy.instance.PeriodHours)
-	params := OfflineParams{
-		Instance:        policy.instance,
-		SellingDiscount: policy.discount,
-		Billing:         billing,
-		MinSellAge:      ck,
-	}
-	if err := params.check(schedule); err != nil {
+	params, ck := competitiveParams(policy, billing)
+	if err := params.check(len(schedule)); err != nil {
 		return 0, OfflineDecision{}, err
 	}
 	x, total := splitBusy(schedule, ck)
 	return params.thresholdCost(policy, ck, x, total), params.optimum(schedule, ck, x, total), nil
 }
 
+// WindowCosts is CompetitiveCosts on the closed form of an instance's
+// busy schedule instead of one bool per hour: demand is the demand over
+// the instance's life, one hour per age, steps its window position over
+// that life (simulate.Scratch.Positions) and worked its busy hours in
+// all (its record's Worked). At age a the instance is busy iff demand[a]
+// exceeds the position of the last step at or before a. Its results and
+// errors are CompetitiveCosts' on that schedule, bit for bit, and it
+// makes no allocation.
+//
+// It prices in one pass: the busy hours before the checkpoint age ck
+// give the online cost, then the walk over the ages from ck on prices
+// OptimalSell's candidate ages as they come. worked stands in for the
+// total count a second pass would take; the walk still reads the last
+// age, so a worked that disagrees with the window is an error. The walk
+// is a cursor over the steps (stepWalk), so a pass can stop at any age
+// and go on from there.
+func WindowCosts(demand []int, steps []simulate.PositionStep, worked int, policy Threshold, billing Billing) (online float64, opt OfflineDecision, err error) {
+	params, ck := competitiveParams(policy, billing)
+	if err := params.check(len(demand)); err != nil {
+		return 0, OfflineDecision{}, err
+	}
+	T := len(demand)
+	if len(steps) == 0 || steps[0].Age != 0 {
+		return 0, OfflineDecision{}, fmt.Errorf("core: position steps must start at age 0")
+	}
+	for i := 1; i < len(steps); i++ {
+		if a := steps[i].Age; a <= steps[i-1].Age || a >= T {
+			return 0, OfflineDecision{}, fmt.Errorf("core: position step age %d not increasing within [0, %d)", a, T)
+		}
+	}
+	w := stepWalk{demand: demand, steps: steps}
+	x := w.count(ck)
+	online = params.thresholdCost(policy, ck, x, worked)
+	opt = params.keepDecision(worked)
+	first := max(ck, 1)
+	x += w.count(first)
+	if first < T {
+		if cost := params.saleCost(first, x, worked); cost < opt.Cost {
+			opt = OfflineDecision{Sell: true, SellAge: first, Cost: cost, KeepCost: opt.KeepCost}
+		}
+		x, opt = w.offerAfterBusy(&params, opt, T-1, x, worked)
+	}
+	if x += w.count(T); x != worked {
+		return 0, OfflineDecision{}, fmt.Errorf("core: worked %d, but the window has %d busy hours", worked, x)
+	}
+	return online, opt, nil
+}
+
+// competitiveParams is the restricted OPT's parameters for A_{kT} at
+// the policy's own discount, with its checkpoint age ck.
+func competitiveParams(policy Threshold, billing Billing) (params OfflineParams, ck int) {
+	ck = policy.CheckpointAge(policy.instance.PeriodHours)
+	return OfflineParams{
+		Instance:        policy.instance,
+		SellingDiscount: policy.discount,
+		Billing:         billing,
+		MinSellAge:      ck,
+	}, ck
+}
+
+// stepWalk walks an instance's ages in order over its demand window
+// and position steps: age is the next age to read and k the step in
+// force there.
+type stepWalk struct {
+	demand []int
+	steps  []simulate.PositionStep
+	age, k int
+}
+
+// segment returns the end of the stretch from the walk's age on that
+// shares one position, capped at to, and that position.
+func (w *stepWalk) segment(to int) (end, pos int) {
+	for w.k+1 < len(w.steps) && w.steps[w.k+1].Age <= w.age {
+		w.k++
+	}
+	end = to
+	if w.k+1 < len(w.steps) {
+		end = min(end, w.steps[w.k+1].Age)
+	}
+	return end, w.steps[w.k].Pos
+}
+
+// count walks to age to and returns the busy hours passed.
+func (w *stepWalk) count(to int) int {
+	n := 0
+	for w.age < to {
+		end, pos := w.segment(to)
+		for _, d := range w.demand[w.age:end] {
+			if d > pos {
+				n++
+			}
+		}
+		w.age = end
+	}
+	return n
+}
+
+// offerAfterBusy walks to age to and prices a sale at the age right
+// after every busy hour it passes, as optimum does, given x, the busy
+// hours before the walk's age, out of total. It returns x advanced
+// past the walk and the best of best and those sales, the earliest of
+// equal costs.
+func (w *stepWalk) offerAfterBusy(p *OfflineParams, best OfflineDecision, to, x, total int) (int, OfflineDecision) {
+	for w.age < to {
+		end, pos := w.segment(to)
+		for a := w.age; a < end; a++ {
+			if w.demand[a] > pos {
+				x++
+				if cost := p.saleCost(a+1, x, total); cost < best.Cost {
+					best = OfflineDecision{Sell: true, SellAge: a + 1, Cost: cost, KeepCost: best.KeepCost}
+				}
+			}
+		}
+		w.age = end
+	}
+	return x, best
+}
+
 // CostIfSoldAt returns the per-instance cost of selling at the given
 // age, under the same accounting as OptimalSell. It exists so analyses
 // and tests can probe individual candidate sale points.
 func CostIfSoldAt(schedule []bool, age int, params OfflineParams) (float64, error) {
-	if err := params.check(schedule); err != nil {
+	if err := params.check(len(schedule)); err != nil {
 		return 0, err
 	}
 	if T := params.Instance.PeriodHours; age < 0 || age > T {
@@ -152,7 +265,7 @@ func CostIfSoldAt(schedule []bool, age int, params OfflineParams) (float64, erro
 // CostIfKept returns the per-instance cost of holding the reservation
 // for its whole period, under the same accounting as OptimalSell.
 func CostIfKept(schedule []bool, params OfflineParams) (float64, error) {
-	if err := params.check(schedule); err != nil {
+	if err := params.check(len(schedule)); err != nil {
 		return 0, err
 	}
 	_, total := splitBusy(schedule, 0)
@@ -170,7 +283,7 @@ func ThresholdCost(schedule []bool, policy Threshold, billing Billing) (float64,
 		SellingDiscount: policy.discount,
 		Billing:         billing,
 	}
-	if err := params.check(schedule); err != nil {
+	if err := params.check(len(schedule)); err != nil {
 		return 0, err
 	}
 	ck := policy.CheckpointAge(policy.instance.PeriodHours)
@@ -178,13 +291,14 @@ func ThresholdCost(schedule []bool, policy Threshold, billing Billing) (float64,
 	return params.thresholdCost(policy, ck, x, total), nil
 }
 
-// check validates the parameters and the schedule's length.
-func (p OfflineParams) check(schedule []bool) error {
+// check validates the parameters and the length of the schedule, or
+// of the demand window that stands for it.
+func (p OfflineParams) check(hours int) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if T := p.Instance.PeriodHours; len(schedule) != T {
-		return fmt.Errorf("core: schedule has %d hours, want the period %d", len(schedule), T)
+	if T := p.Instance.PeriodHours; hours != T {
+		return fmt.Errorf("core: schedule has %d hours, want the period %d", hours, T)
 	}
 	return nil
 }
@@ -243,8 +357,7 @@ func (p *OfflineParams) thresholdCost(policy Threshold, ck, x, total int) float6
 // hours before age from, out of total; from is at most the first
 // allowed age max(MinSellAge, 1).
 func (p *OfflineParams) optimum(schedule []bool, from, x, total int) OfflineDecision {
-	keep := p.keepCost(total)
-	best := OfflineDecision{Sell: false, SellAge: -1, Cost: keep, KeepCost: keep}
+	best := p.keepDecision(total)
 	T := len(schedule)
 	first := max(p.MinSellAge, 1)
 	if first >= T {
@@ -259,8 +372,15 @@ func (p *OfflineParams) optimum(schedule []bool, from, x, total int) OfflineDeci
 			x++
 		}
 		if cost := p.saleCost(e, x, total); cost < best.Cost {
-			best = OfflineDecision{Sell: true, SellAge: e, Cost: cost, KeepCost: keep}
+			best = OfflineDecision{Sell: true, SellAge: e, Cost: cost, KeepCost: best.KeepCost}
 		}
 	}
 	return best
+}
+
+// keepDecision is the decision to keep an instance busy total hours,
+// which every sale must beat.
+func (p *OfflineParams) keepDecision(total int) OfflineDecision {
+	keep := p.keepCost(total)
+	return OfflineDecision{Sell: false, SellAge: -1, Cost: keep, KeepCost: keep}
 }

@@ -37,6 +37,16 @@ type AuditResult struct {
 // instances reserved during the first period live out their full term
 // and have complete schedules.
 //
+// Only those instances, reserved at hours [0, T], can be audited, so
+// each user is planned over those hours alone and reserves nothing
+// later: a later reservation would sit above every audited instance in
+// the working window and change none of their schedules. The user's
+// Keep-Reserved replay records no schedules. It sells nothing, so each
+// instance's schedule has a closed form, its window position over its
+// life (simulate.Scratch.Positions), and core.WindowCosts prices A_{kT}
+// and the restricted OPT from that and the demand in one pass, as
+// core.CompetitiveCosts would on the schedule.
+//
 // The two-period cohort is synthesized as the first job of the fan-out
 // that audits it (cohortFeed), so users are audited as they are drawn.
 // Users fan out over Config.Parallelism workers with runPool's
@@ -44,8 +54,8 @@ type AuditResult struct {
 // reports the lowest-index failing user's error, and cancelling ctx
 // stops synthesis at the next user, drains the in-flight users and
 // returns the context's error. Each worker plans and replays on its
-// own auditWorker, so a user's plan, instance records and busy
-// schedules live in that worker's buffers until its next user.
+// own auditWorker, so a user's plan, instance records and position
+// steps live in that worker's buffers until its next user.
 func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return AuditResult{}, err
@@ -72,12 +82,11 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 	engCfg := simulate.Config{
 		Instance:        cfg.Instance,
 		SellingDiscount: cfg.SellingDiscount,
-		RecordSchedules: true,
 		Metrics:         m.EngineHook(),
 	}
-	// Fan out one job per user: plan, replay with schedules, and verify
-	// every full-period instance, keeping only the ratios. The plan dies
-	// with its job and the schedules are overwritten by the worker's next
+	// Fan out one job per user: plan, replay, and verify every
+	// full-period instance, keeping only the ratios. The plan dies with
+	// its job and the records are overwritten by the worker's next
 	// replay, so the fan-out never holds more than one user's plan and
 	// replay per worker.
 	ratios := make([][]float64, feed.Len())
@@ -87,19 +96,22 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 		if cap(aw.newRes) < tr.Len() {
 			aw.newRes = make([]int, tr.Len())
 		}
-		u, err := planUser(cfg, i, tr, &aw.planners, aw.newRes[:tr.Len()])
-		if err != nil {
+		newRes := aw.newRes[:tr.Len()]
+		prefix := tr
+		prefix.Demand = tr.Demand[:min(tr.Len(), period+1)]
+		if _, err := planUser(cfg, i, prefix, &aw.planners, newRes[:prefix.Len()]); err != nil {
 			return err
 		}
-		if _, err := obsTotals(m, &aw.replay, tr.Demand, u.NewRes, engCfg, core.KeepReserved{}); err != nil {
+		clear(newRes[prefix.Len():])
+		if _, err := obsTotals(m, &aw.replay, tr.Demand, newRes, engCfg, core.KeepReserved{}); err != nil {
 			return err
 		}
 		var rs []float64
-		for _, inst := range aw.replay.Records() {
+		for j, inst := range aw.replay.Records() {
 			if inst.Start+period > tr.Len() {
 				continue // truncated lifetime: schedule incomplete
 			}
-			measured, _, err := analysis.VerifyBound(inst.Schedule, policy, cfg.SellingDiscount)
+			measured, err := aw.verify(j, inst, tr.Demand, policy, bound)
 			if err != nil {
 				return fmt.Errorf("experiments: user %s instance at %d: %w",
 					tr.User, inst.Start, err)
@@ -139,12 +151,29 @@ func RatioAudit(ctx context.Context, cfg Config, fraction float64) (AuditResult,
 }
 
 // auditWorker is one audit worker's memory, reused from one user to
-// the next: the purchasers, the user's reservation series and the
-// replay scratch.
+// the next: the purchasers, the user's reservation series, the replay
+// scratch and an instance's position steps.
 type auditWorker struct {
 	planners purchasing.Planners
 	newRes   []int
 	replay   simulate.Scratch
+	steps    []simulate.PositionStep
+}
+
+// verify measures record j of the worker's last replay, inst, on the
+// user's demand against the bound.
+func (aw *auditWorker) verify(j int, inst simulate.InstanceRecord, demand []int, policy core.Threshold, bound analysis.Bound) (float64, error) {
+	steps, err := aw.replay.Positions(aw.steps, j)
+	aw.steps = steps
+	if err != nil {
+		return 0, err
+	}
+	life := demand[inst.Start : inst.Start+policy.Instance().PeriodHours]
+	online, opt, err := core.WindowCosts(life, steps, inst.Worked, policy, core.BillWhenUsed)
+	if err != nil {
+		return 0, err
+	}
+	return analysis.VerifyCosts(online, opt, bound)
 }
 
 // RenderAudit renders audits for the paper's three fractions.

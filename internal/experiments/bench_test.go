@@ -189,7 +189,8 @@ func BenchmarkColdCohortPlan(b *testing.B) {
 
 // BenchmarkRatioAuditCold measures one paper-scale competitive-ratio
 // audit of A_{3T/4}: the two-period cohort synthesized as the audit's
-// job 0, every user planned, replayed with schedules and verified.
+// job 0, every user planned over hours [0, T] and replayed, and every
+// full-period instance verified on the closed form of its schedule.
 // scripts/bench.sh gates it at -cpu 2.
 func BenchmarkRatioAuditCold(b *testing.B) {
 	b.ReportAllocs()

@@ -98,7 +98,9 @@ func TestCohortFeedPlanOracle(t *testing.T) {
 
 // TestCohortFeedAuditOracle: RatioAudit draws the serial oracle's
 // two-period cohort in order, and replays every user exactly once
-// with the oracle's reservation schedule for that user.
+// with the oracle's reservation schedule for that user over hours
+// [0, T], the reservations that can live out their term, and none
+// after.
 func TestCohortFeedAuditOracle(t *testing.T) {
 	cfg := TestScaleConfig()
 	want := planSerial(t, cfg, 2*cfg.Instance.PeriodHours)
@@ -135,12 +137,16 @@ func TestCohortFeedAuditOracle(t *testing.T) {
 			if len(drawn) != len(want) {
 				t.Fatalf("drew %d traces, want %d", len(drawn), len(want))
 			}
+			audited := cfg.Instance.PeriodHours + 1
 			for i, pu := range want {
 				if !reflect.DeepEqual(drawn[i], pu.Trace) {
 					t.Fatalf("draw %d (%s) differs from the oracle's %s", i, drawn[i].User, pu.Trace.User)
 				}
-				if !reflect.DeepEqual(replayed[i], pu.NewRes) {
-					t.Fatalf("user %d replayed with a plan other than the oracle's", i)
+				if len(replayed[i]) != len(pu.NewRes) || !slices.Equal(replayed[i][:audited], pu.NewRes[:audited]) {
+					t.Fatalf("user %d replayed with a plan other than the oracle's over hours [0, T]", i)
+				}
+				if slices.ContainsFunc(replayed[i][audited:], func(n int) bool { return n != 0 }) {
+					t.Fatalf("user %d replayed with reservations after hour T", i)
 				}
 			}
 		})

@@ -7,9 +7,10 @@ package experiments
 // session outcomes — with
 // matching error text, a deterministic cancelled prefix, spill stores
 // that resume at any worker count, and the same engine counters. The
-// Batch test names date from when this suite pinned the since-deleted
-// batch engine to the pool; the pool is now checked against the
-// per-user Run loop directly.
+// TestBatch names left date from when this suite pinned the
+// since-deleted batch engine to the pool; the pool is now checked
+// against the per-user Run loop directly, and the tests move to
+// TestPool names a few at a time.
 
 import (
 	"context"
@@ -179,11 +180,11 @@ func TestBatchGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchMarketSessionEquivalence: the sale events feeding market
+// TestPoolMarketSessionEquivalence: the sale events feeding market
 // replay come out of the pool in cohort order with the same hours as a
 // serial Run loop, so the session statistics match the serial events
 // fed through the same replay exactly.
-func TestBatchMarketSessionEquivalence(t *testing.T) {
+func TestPoolMarketSessionEquivalence(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	rates := []float64{0.05, 0.5}
 	got, err := marketSession(cfg, rates)
@@ -412,10 +413,10 @@ func TestMarketScenarioPoolOracle(t *testing.T) {
 	t.Run("reuse", func(t *testing.T) { check(t, reuseScenario) })
 }
 
-// TestBatchErrorParity: an engine rejection surfaces as the per-user
+// TestPoolErrorParity: an engine rejection surfaces as the per-user
 // engine's exact error text, for the lowest failing user, behind the
 // grid's cell and user prefix or the baseline's user prefix.
-func TestBatchErrorParity(t *testing.T) {
+func TestPoolErrorParity(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	plan, err := NewCohortPlan(context.Background(), cfg)
 	if err != nil {
@@ -555,12 +556,12 @@ func TestBatchSpillInterop(t *testing.T) {
 	}
 }
 
-// TestBatchObsParity pins the counter contract: a planned grid books
+// TestPoolObsParity pins the counter contract: a planned grid books
 // one pool job per user for planning, one per user for the trunk (the
 // baseline) and one per (cell, user) pair, marks every cell done, and
 // books engine counters equal to what the same runs book through
 // simulate.Run, less the hours each resumed run skips.
-func TestBatchObsParity(t *testing.T) {
+func TestPoolObsParity(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	m := obs.New(obs.SystemClock)
 	ctx := obs.WithMetrics(context.Background(), m)

@@ -93,7 +93,8 @@ func byHour(a, b event) int { return cmp.Compare(a.hour, b.hour) }
 // also holds the segment counters), the instance slab,
 // the per-instance age backing, and the instance records and busy
 // schedules Records returns, which Run allocates afresh for every
-// replay. Every buffer is sized by the instances replayed,
+// replay; it also keeps the last replay's batch list and sale count
+// for Positions. Every buffer is sized by the instances replayed,
 // not by the horizon. Each replay grows the buffers on demand and
 // overwrites or clears every element it reads, so nothing leaks from
 // one replay into the next.
@@ -109,6 +110,8 @@ type Scratch struct {
 	sharedAges []int
 	recs       []InstanceRecord
 	scheds     []bool
+	ran        []batch // the last successful replay's batches
+	sold       int     // and the instances it sold
 }
 
 // grow returns buf resliced to n elements, reallocating only when its
@@ -376,6 +379,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 	alphaHourly := it.ReservedHourly
 	horizon := len(demand)
 	recordSchedules := cfg.RecordSchedules
+	s.ran, s.sold = nil, 0
 
 	s.sharedAges = appendCheckpointAges(s.sharedAges, policy, period)
 	sharedAges := s.sharedAges
@@ -610,6 +614,7 @@ func (s *Scratch) replay(demand, newRes []int, cfg Config, policy SellingPolicy,
 		idle += end - in.rec.Start - in.rec.Worked
 	}
 	cfg.Metrics.RecordRun(horizon-t0, total, sold)
+	s.ran, s.sold = batches, sold
 	return Totals{
 		Cost: CostBreakdown{
 			OnDemand:       onDemandCost,

@@ -41,7 +41,7 @@ esac
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkMarketMatch$' -benchmem -cpu 2 -benchtime=50000x -count 3 ./internal/marketplace
-	go test -run '^$' -bench '^BenchmarkMeasuredRatio$' -benchmem -cpu 2 -count 5 ./internal/analysis
+	go test -run '^$' -bench '^(BenchmarkMeasuredRatio|BenchmarkAuditInstance)$' -benchmem -cpu 2 -count 5 ./internal/analysis
 	go test -run '^$' -bench '^BenchmarkPlanReservations$' -benchmem -cpu 2 -count 5 ./internal/purchasing
 	go test -run '^$' -bench '^BenchmarkCohortSynthesis$' -benchmem -cpu 2 -count 5 .
 } |

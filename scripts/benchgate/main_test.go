@@ -170,7 +170,7 @@ func TestCommittedBaseline(t *testing.T) {
 			exact = append(exact, e.Name)
 		}
 	}
-	want := []string{"BenchmarkCohortSynthesis", "BenchmarkGridSkewed/dist=skewed", "BenchmarkGridSkewed/dist=uniform",
+	want := []string{"BenchmarkAuditInstance", "BenchmarkCohortSynthesis", "BenchmarkGridSkewed/dist=skewed", "BenchmarkGridSkewed/dist=uniform",
 		"BenchmarkMarketMatch/open=100000", "BenchmarkMarketMatch/open=1000000",
 		"BenchmarkMeasuredRatio", "BenchmarkObsOverhead/obs=off", "BenchmarkObsOverhead/obs=on",
 		"BenchmarkPlanReservations/wang-online", "BenchmarkPlanReservations/wang-variant"}

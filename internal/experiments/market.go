@@ -62,11 +62,9 @@ func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPoli
 	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
 	_, err := runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
 		u := &p.users[i]
-		if _, err := obsTotals(m, &scratch[w], u.Trace.Demand, u.NewRes, engCfg, policy); err != nil {
-			return fmt.Errorf("experiments: user %s: %w", u.Trace.User, err)
-		}
-		perUser[i] = soldEvents(scratch[w].Records(), u.Trace.User, cfg.Instance.PeriodHours)
-		return nil
+		evs, err := userSellEvents(m, &scratch[w], u.Trace.User, u.Trace.Demand, u.NewRes, engCfg, policy)
+		perUser[i] = evs
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -74,9 +72,28 @@ func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPoli
 	return slices.Concat(perUser...), nil
 }
 
+// userSellEvents replays one user's plan on s under policy and returns
+// its sell events. No hour after the plan's last in-horizon checkpoint
+// (simulate.LastDecisionHour) can change a decision, so only the hours
+// up to it are replayed: a zero-hour replay when there is none, which
+// still books one engine run. A failure names the user.
+func userSellEvents(m *obs.Metrics, s *simulate.Scratch, user string, demand, newRes []int, cfg simulate.Config, policy simulate.SellingPolicy) ([]sellEvent, error) {
+	if len(demand) == len(newRes) { // else the replay reports the mismatch
+		last := simulate.LastDecisionHour(newRes, policy, cfg.Instance.PeriodHours, len(demand))
+		demand, newRes = demand[:last+1], newRes[:last+1]
+	}
+	if _, err := obsTotals(m, s, demand, newRes, cfg, policy); err != nil {
+		return nil, fmt.Errorf("experiments: user %s: %w", user, err)
+	}
+	return soldEvents(s.Records(), user, cfg.Instance.PeriodHours), nil
+}
+
 // soldEvents returns the sell events among one replay's instance
-// records, in decision order: every reservation the seller sold, with
-// its unexpired share of the card's period.
+// records, in reservation order (start hour ascending, then batch index
+// ascending; the engine decides a batch highest index first): every
+// reservation the seller sold, with its unexpired share of the card's
+// period. A by-hour layout of several sellers' events must keep this
+// order within each seller's hour.
 func soldEvents(recs []simulate.InstanceRecord, seller string, periodHours int) []sellEvent {
 	var evs []sellEvent
 	for _, inst := range recs {

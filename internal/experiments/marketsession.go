@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"rimarket/internal/core"
@@ -153,11 +152,11 @@ type sessionWorker struct {
 // job 0 draws the traces, and job i+1 takes user i through the cards in
 // order on its worker's sessionWorker. Per card it plans the user,
 // unless an earlier card plans alike (purchasing.SamePlan; the first
-// such card holds the plan); replays the plan once under
-// SellingPolicies[i mod 3] for the sell events; and keeps its buy
-// orders. A serial pass then stable-sorts each card's
-// events, merged in cohort order, by hour and lays its buy orders out
-// by hour, users in cohort order.
+// such card holds the plan); replays the plan under
+// SellingPolicies[i mod 3] up to its last checkpoint for the sell
+// events (userSellEvents); and keeps its buy orders. A serial pass then
+// lays each card's events and buy orders out by hour, users in cohort
+// order.
 func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []workload.Trace, error) {
 	sp := obs.StartSpan(ctx, "plan")
 	defer sp.End()
@@ -206,10 +205,11 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 			}
 			newRes := sw.newRes[src[ci]]
 			engCfg := simulate.Config{Instance: card, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
-			if _, err := obsTotals(m, &sw.replay, tr.Demand, newRes, engCfg, policies[ci][i%3]); err != nil {
-				return fmt.Errorf("experiments: user %s: %w", tr.User, err)
+			evs, err := userSellEvents(m, &sw.replay, tr.User, tr.Demand, newRes, engCfg, policies[ci][i%3])
+			if err != nil {
+				return err
 			}
-			events[ci][i] = soldEvents(sw.replay.Records(), tr.User, card.PeriodHours)
+			events[ci][i] = evs
 			for h, units := range newRes {
 				if units > 0 {
 					buys[ci][i] = append(buys[ci][i], buyOrder{h, units})
@@ -224,8 +224,29 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 
 	streams := make([]*cardStream, len(cards))
 	for ci, card := range cards {
-		st := &cardStream{card: card, events: slices.Concat(events[ci]...), buyOff: make([]int, sc.Base.Hours+1)}
-		sort.SliceStable(st.events, func(i, j int) bool { return st.events[i].hour < st.events[j].hour })
+		st := &cardStream{card: card, buyOff: make([]int, sc.Base.Hours+1)}
+		// Counting sort of the events, on buyOff until the buy orders
+		// need it: evOff[h] starts as the count of events before hour h
+		// and advances as hour h's events fill in, users in cohort
+		// order and each user's in its own order, so every hour keeps
+		// the order a stable sort would.
+		evOff := st.buyOff
+		for _, evs := range events[ci] {
+			for _, ev := range evs {
+				evOff[ev.hour+1]++
+			}
+		}
+		for h := 1; h <= sc.Base.Hours; h++ {
+			evOff[h] += evOff[h-1]
+		}
+		st.events = make([]sellEvent, evOff[sc.Base.Hours])
+		for _, evs := range events[ci] {
+			for _, ev := range evs {
+				st.events[evOff[ev.hour]] = ev
+				evOff[ev.hour]++
+			}
+		}
+		clear(st.buyOff)
 		// Counting sort: buyOff[h] sums the units of hours up to h, and
 		// each row fills back to front, last user first.
 		for _, orders := range buys[ci] {

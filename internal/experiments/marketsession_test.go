@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,6 +179,14 @@ func TestMarketScenarioObsCounters(t *testing.T) {
 	if snap.EngineRuns != cards*int64(3*sc.Base.PerGroup) {
 		t.Errorf("engine runs %d, want one replay per seller per card (%d)", snap.EngineRuns, cards*int64(3*sc.Base.PerGroup))
 	}
+	// Every sell decision the replays make reaches the book, though
+	// each replay stops at its plan's last checkpoint.
+	if snap.EngineSold != listed {
+		t.Errorf("engine sold %d, book listed %d", snap.EngineSold, listed)
+	}
+	if full := cards * int64(3*sc.Base.PerGroup) * int64(sc.Base.Hours); snap.EngineHours >= full {
+		t.Errorf("engine hours %d, want fewer than full-horizon replays' %d", snap.EngineHours, full)
+	}
 }
 
 // TestMarketScenarioReplayError: a seller replay that fails aborts the
@@ -192,8 +201,12 @@ func TestMarketScenarioReplayError(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected engine failure")
-	// user reports whether demand is user u's.
-	user := func(u int, demand []int) bool { return slices.Equal(demand, traces[u].Demand) }
+	// user reports whether demand is user u's: a seller replay runs a
+	// prefix of the trace, up to the plan's last checkpoint.
+	user := func(u int, demand []int) bool {
+		full := traces[u].Demand
+		return len(demand) > 0 && slices.Equal(demand, full[:len(demand)])
+	}
 	for _, c := range []struct {
 		name  string
 		fails func(demand []int, card string) bool
@@ -207,15 +220,21 @@ func TestMarketScenarioReplayError(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			orig := simulateTotals
 			defer func() { simulateTotals = orig }()
+			var fired atomic.Int64
 			simulateTotals = func(s *simulate.Scratch, demand, newRes []int, ec simulate.Config, pol simulate.SellingPolicy) (simulate.Totals, error) {
 				if c.fails(demand, ec.Instance.Name) {
+					fired.Add(1)
 					return simulate.Totals{}, injected
 				}
 				return orig(s, demand, newRes, ec, pol)
 			}
 			want := fmt.Sprintf("experiments: user %s: %v", traces[c.want].User, injected)
 			for _, par := range []int{1, 4, runtime.NumCPU()} {
+				fired.Store(0)
 				_, err := RunMarketScenario(context.Background(), marketScenario(t, par))
+				if fired.Load() == 0 {
+					t.Errorf("parallelism=%d: the injected failure never fired", par)
+				}
 				if !errors.Is(err, injected) || err.Error() != want {
 					t.Errorf("parallelism=%d: err = %v, want %q", par, err, want)
 				}

@@ -606,11 +606,11 @@ func TestPoolObsParity(t *testing.T) {
 	}
 }
 
-// TestBatchAtScaleConfig runs the full pipeline comparison once at
+// TestPoolAtScaleConfig runs the full pipeline comparison once at
 // TestScaleConfig — the shape integration tests use — guarding against
 // divergence that only appears past the unit-test cohort size. Skipped
 // in -short mode.
-func TestBatchAtScaleConfig(t *testing.T) {
+func TestPoolAtScaleConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale comparison skipped in -short mode")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -84,6 +85,41 @@ func TestObsMetricsManifest(t *testing.T) {
 	}
 	if mf.WallNs < 0 || mf.End.Before(mf.Start) {
 		t.Errorf("bad timing: start=%v end=%v wall=%d", mf.Start, mf.End, mf.WallNs)
+	}
+}
+
+// TestObsMarketManifest: -exp market plays its buyer rates through the
+// market session's loop, so the manifest's market counters add up the
+// rendered table's listings, sales and expiries over every rate.
+func TestObsMarketManifest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	stdout, _, err := runObs(t, fastArgs("-exp", "market", "-metrics", path))
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var listed, sold, expired int64
+	rows := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		var rate float64
+		var l, s, e int64
+		if n, _ := fmt.Sscanf(line, "%f %d %d %d", &rate, &l, &s, &e); n == 4 {
+			listed, sold, expired, rows = listed+l, sold+s, expired+e, rows+1
+		}
+	}
+	if rows != 4 || listed == 0 {
+		t.Fatalf("parsed %d rate rows listing %d from:\n%s", rows, listed, stdout)
+	}
+	var mf obs.Manifest
+	if err := json.Unmarshal(readFile(t, path), &mf); err != nil {
+		t.Fatalf("manifest parse: %v", err)
+	}
+	if mf.Metrics == nil || mf.Metrics.Market == nil {
+		t.Fatal("manifest has no market section after -exp market")
+	}
+	mk := mf.Metrics.Market
+	if mk.Listings != listed || mk.Trades != sold || mk.Expiries != expired {
+		t.Errorf("manifest listings/trades/expiries %d/%d/%d, table %d/%d/%d",
+			mk.Listings, mk.Trades, mk.Expiries, listed, sold, expired)
 	}
 }
 

@@ -3,8 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sort"
+	"math"
 	"strings"
 
 	"rimarket/internal/core"
@@ -19,24 +18,8 @@ import (
 type MarketPoint struct {
 	// BuyerRate is the mean buyer arrivals per hour.
 	BuyerRate float64
-	// Stats is the session outcome.
-	Stats MarketStats
-}
-
-// MarketStats summarizes one market-dynamics session.
-type MarketStats struct {
-	// Listed, Sold and Expired count listings through their outcomes;
-	// OpenAtEnd is what remained on the book at the horizon.
-	Listed, Sold, Expired, OpenAtEnd int
-	// MeanHoursToSale averages the wait from listing to sale over sold
-	// listings.
-	MeanHoursToSale float64
-	// RealizedFraction is the sellers' after-fee income over what
-	// Eq. (1) would have booked — an instant sale at the listing ask
-	// for every sell event (1 when every listing sells in its listing
-	// hour; lower when listings wait down their declining schedules or
-	// expire unsold).
-	RealizedFraction float64
+	// Stats is the one-card session's outcome.
+	Stats MarketOutcome
 }
 
 // sellEvent is one reservation put up for sale during a simulation:
@@ -46,30 +29,6 @@ type sellEvent struct {
 	hour      int
 	seller    string
 	remaining int
-}
-
-// sellEvents collects every sell event the plan's runs produce under
-// the given selling policy — fanned out over the plan's worker pool,
-// each worker replaying on its own Scratch and keeping only the
-// events, with per-user event slices concatenated in cohort order so
-// the stream is deterministic at any parallelism.
-func (p *CohortPlan) sellEvents(ctx context.Context, policy simulate.SellingPolicy) ([]sellEvent, error) {
-	cfg := p.cfg
-	m := obs.FromContext(ctx)
-	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
-
-	perUser := make([][]sellEvent, p.Len())
-	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
-	_, err := runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
-		u := &p.users[i]
-		evs, err := userSellEvents(m, &scratch[w], u.Trace.User, u.Trace.Demand, u.NewRes, engCfg, policy)
-		perUser[i] = evs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return slices.Concat(perUser...), nil
 }
 
 // userSellEvents replays one user's plan on s under policy and returns
@@ -93,9 +52,19 @@ func userSellEvents(m *obs.Metrics, s *simulate.Scratch, user string, demand, ne
 // ascending; the engine decides a batch highest index first): every
 // reservation the seller sold, with its unexpired share of the card's
 // period. A by-hour layout of several sellers' events must keep this
-// order within each seller's hour.
+// order within each seller's hour. The records are counted first, so
+// the events are allocated once at their exact size (nil when none).
 func soldEvents(recs []simulate.InstanceRecord, seller string, periodHours int) []sellEvent {
-	var evs []sellEvent
+	n := 0
+	for _, inst := range recs {
+		if inst.SoldAt >= 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	evs := make([]sellEvent, 0, n)
 	for _, inst := range recs {
 		if inst.SoldAt >= 0 {
 			evs = append(evs, sellEvent{hour: inst.SoldAt, seller: seller, remaining: inst.Start + periodHours - inst.SoldAt})
@@ -104,72 +73,28 @@ func soldEvents(recs []simulate.InstanceRecord, seller string, periodHours int) 
 	return evs
 }
 
-// replayMarket replays one card's sell events through an order book
-// fed by an exogenous buyer stream. Each hour the book ages (expiring
-// and repricing listings), the hour's sell events list under the
-// declining schedule at the given discount, and the hour's buyers
-// arrive, each taking the cheapest listing. The arrival count is
-// deterministic in the seed: rate r yields floor(r) buyers plus one
-// more when the hour's hash draw is below frac(r). The session ends
-// the hour after the longest-lived listing expires.
-func replayMarket(events []sellEvent, it pricing.InstanceType, discount, rate float64, seed int64) (MarketStats, error) {
-	if len(events) == 0 {
-		return MarketStats{}, fmt.Errorf("experiments: no sell events")
-	}
-	if rate < 0 {
-		return MarketStats{}, fmt.Errorf("experiments: buyer rate %v negative", rate)
-	}
-	sorted := append([]sellEvent(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].hour < sorted[j].hour })
-	if sorted[0].hour < 0 {
-		return MarketStats{}, fmt.Errorf("experiments: sell event at negative hour %d", sorted[0].hour)
-	}
-	horizon := 0
-	for _, ev := range sorted {
-		horizon = max(horizon, ev.hour+ev.remaining+1)
-	}
-	book, err := marketplace.NewOrderBook(marketplace.AmazonFee)
-	if err != nil {
-		return MarketStats{}, err
-	}
-
-	var st MarketStats
-	var assumed, income float64
-	waited, next := 0, 0
-	for hour := 0; hour < horizon; hour++ {
-		if hour > 0 {
-			st.Expired += len(book.Step().Expired)
-		}
-		for ; next < len(sorted) && sorted[next].hour == hour; next++ {
-			ev := sorted[next]
-			if _, err := book.ListDeclining(ev.seller, it, ev.remaining, discount); err != nil {
-				return MarketStats{}, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.seller, hour, err)
-			}
-			st.Listed++
-			assumed += discount * marketplace.ProratedCap(it, ev.remaining) * (1 - marketplace.AmazonFee)
-		}
-		arrivals := int(rate)
-		if frac := rate - float64(arrivals); frac > 0 && hashUniform(uint64(seed), uint64(hour), 0) < frac {
-			arrivals++
-		}
-		for b := 0; b < arrivals; b++ {
-			trades, err := book.Buy("buyer", it.Name, 1)
-			if err != nil {
-				break // ErrNoListings: the rest of the hour's demand goes unfilled
-			}
-			st.Sold++
-			income += trades[0].SellerProceeds
-			waited += trades[0].Hour - trades[0].ListedAt
+// layoutByHour lays the sellers' events out by hour with a counting
+// sort on off, which must be zeroed and one longer than the last event
+// hour: off[h] ends as the count of events up to hour h. Each hour
+// keeps the sellers in perUser order and each seller's events in its
+// own order, as a stable sort by hour would.
+func layoutByHour(perUser [][]sellEvent, off []int) []sellEvent {
+	for _, evs := range perUser {
+		for _, ev := range evs {
+			off[ev.hour+1]++
 		}
 	}
-	st.OpenAtEnd = book.OpenCount()
-	if st.Sold > 0 {
-		st.MeanHoursToSale = float64(waited) / float64(st.Sold)
+	for h := 1; h < len(off); h++ {
+		off[h] += off[h-1]
 	}
-	if assumed > 0 {
-		st.RealizedFraction = income / assumed
+	events := make([]sellEvent, off[len(off)-1])
+	for _, evs := range perUser {
+		for _, ev := range evs {
+			events[off[ev.hour]] = ev
+			off[ev.hour]++
+		}
 	}
-	return st, nil
+	return events
 }
 
 // hashUniform maps (seed, hour, draw) to [0, 1) deterministically.
@@ -188,29 +113,86 @@ func hashUniform(words ...uint64) float64 {
 // MarketSession quantifies the paper's instant-sale assumption: Eq. (1)
 // books income the moment the algorithm decides, while a real
 // marketplace needs a buyer. It collects every sell event the plan's
-// A_{3T/4} runs produce and replays them through order-book sessions
-// at the given buyer arrival rates.
+// A_{3T/4} runs produce, each user replayed on its worker's Scratch up
+// to its last checkpoint (userSellEvents), and runs a one-card session
+// on them per buyer arrival rate (arrivalSessions). The book charges
+// Amazon's 12% fee (marketplace.AmazonFee) whatever the plan's
+// MarketFee, riexp's -fee, says.
 func (p *CohortPlan) MarketSession(ctx context.Context, buyerRates []float64) ([]MarketPoint, error) {
 	cfg := p.cfg
 	policy, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)
 	if err != nil {
 		return nil, err
 	}
-	events, err := p.sellEvents(ctx, policy)
+	m := obs.FromContext(ctx)
+	engCfg := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount, Metrics: m.EngineHook()}
+	perUser := make([][]sellEvent, p.Len())
+	scratch := make([]simulate.Scratch, workerCount(cfg.Parallelism, p.Len()))
+	_, err = runPool(ctx, cfg.Parallelism, p.Len(), func(w, i int) error {
+		u := &p.users[i]
+		evs, err := userSellEvents(m, &scratch[w], u.Trace.User, u.Trace.Demand, u.NewRes, engCfg, policy)
+		perUser[i] = evs
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("experiments: the cohort produced no sell events")
-	}
+	return arrivalSessions(ctx, cfg.Instance, cfg.SellingDiscount, perUser, buyerRates, cfg.Seed)
+}
 
-	points := make([]MarketPoint, 0, len(buyerRates))
-	for _, rate := range buyerRates {
-		stats, err := replayMarket(events, cfg.Instance, cfg.SellingDiscount, rate, cfg.Seed)
+// arrivalSessions runs one one-card session per buyer rate on the
+// sellers' events, laid out by hour once. The buyers are exogenous:
+// rate r brings floor(r) of them each hour, plus one more when the
+// hour's hash draw under seed is below frac(r), and each takes the
+// cheapest listing whatever its ask. A session lists at discount on a
+// book charging marketplace.AmazonFee and ends the hour after the
+// longest-lived listing expires.
+func arrivalSessions(ctx context.Context, card pricing.InstanceType, discount float64, perUser [][]sellEvent, rates []float64, seed int64) ([]MarketPoint, error) {
+	for _, rate := range rates {
+		if rate < 0 {
+			return nil, fmt.Errorf("experiments: buyer rate %v negative", rate)
+		}
+	}
+	// Every listing hour lies inside the session, so an event with no
+	// remaining period reaches ListDeclining and is rejected there.
+	horizon, listed := 0, 0
+	for _, evs := range perUser {
+		for _, ev := range evs {
+			if ev.hour < 0 {
+				return nil, fmt.Errorf("experiments: sell event at negative hour %d", ev.hour)
+			}
+			horizon = max(horizon, ev.hour+1, ev.hour+ev.remaining+1)
+			listed++
+		}
+	}
+	if listed == 0 {
+		return nil, fmt.Errorf("experiments: no sell events")
+	}
+	events := layoutByHour(perUser, make([]int, horizon+1))
+
+	points := make([]MarketPoint, 0, len(rates))
+	for _, rate := range rates {
+		buyOff := make([]int, horizon+1)
+		for h := range horizon {
+			arrivals := int(rate)
+			if frac := rate - float64(arrivals); frac > 0 && hashUniform(uint64(seed), uint64(h), 0) < frac {
+				arrivals++
+			}
+			buyOff[h+1] = buyOff[h] + arrivals
+		}
+		st := cardStream{
+			card:    card,
+			events:  events,
+			buyOff:  buyOff,
+			buyers:  make([]int, buyOff[horizon]),
+			names:   []string{"buyer"},
+			ceiling: math.Inf(1),
+		}
+		res, err := runSession(ctx, marketplace.AmazonFee, discount, horizon, []cardStream{st})
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, MarketPoint{BuyerRate: rate, Stats: stats})
+		points = append(points, MarketPoint{BuyerRate: rate, Stats: res.Outcomes[0]})
 	}
 	return points, nil
 }

@@ -72,8 +72,8 @@ func TestMarketSessionDeterministic(t *testing.T) {
 	}
 }
 
-// replayCard is a short-period card for direct replay tests: R = 100,
-// T = 400 h, so the prorated cap is remaining/4.
+// replayCard is a short-period card for direct one-card session tests:
+// R = 100, T = 400 h, so the prorated cap is remaining/4.
 func replayCard() pricing.InstanceType {
 	return pricing.InstanceType{
 		Name:           "replay.large",
@@ -84,9 +84,19 @@ func replayCard() pricing.InstanceType {
 	}
 }
 
+// replay runs the one-card session on one seller's events at one buyer
+// rate, seed 7.
+func replay(events []sellEvent, discount, rate float64) (MarketOutcome, error) {
+	points, err := arrivalSessions(context.Background(), replayCard(), discount, [][]sellEvent{events}, []float64{rate}, 7)
+	if err != nil {
+		return MarketOutcome{}, err
+	}
+	return points[0].Stats, nil
+}
+
 func TestMarketSessionReplayConfigValidation(t *testing.T) {
 	ok := []sellEvent{{hour: 0, seller: "s", remaining: 10}}
-	if _, err := replayMarket(ok, replayCard(), 0.8, 1, 7); err != nil {
+	if _, err := replay(ok, 0.8, 1); err != nil {
 		t.Fatalf("valid replay rejected: %v", err)
 	}
 	tests := []struct {
@@ -100,7 +110,7 @@ func TestMarketSessionReplayConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := replayMarket(ok, replayCard(), tt.discount, tt.rate, 7); err == nil {
+			if _, err := replay(ok, tt.discount, tt.rate); err == nil {
 				t.Error("invalid replay accepted")
 			}
 		})
@@ -119,7 +129,7 @@ func TestMarketSessionReplayEventValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := replayMarket(tt.events, replayCard(), 0.8, 1, 7); err == nil {
+			if _, err := replay(tt.events, 0.8, 1); err == nil {
 				t.Error("invalid replay accepted")
 			}
 		})
@@ -130,7 +140,7 @@ func TestMarketSessionInstantSaleRealizesAssumedIncome(t *testing.T) {
 	// One listing, a buyer every hour: it sells in the listing hour at
 	// the initial ask, so realized == assumed income.
 	events := []sellEvent{{hour: 0, seller: "alice", remaining: 100}}
-	st, err := replayMarket(events, replayCard(), 0.8, 1, 7)
+	st, err := replay(events, 0.8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestMarketSessionNoBuyersEverythingExpires(t *testing.T) {
 		{hour: 0, seller: "a", remaining: 50},
 		{hour: 5, seller: "b", remaining: 30},
 	}
-	st, err := replayMarket(events, replayCard(), 0.8, 0, 7)
+	st, err := replay(events, 0.8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestMarketSessionDelayedSaleRealizesLess(t *testing.T) {
 	// prorated cap (remaining/4) drops below the flat ask of 0.8 * 5 = 4,
 	// so the fill pays the cap and the realized fraction falls below 1.
 	events := []sellEvent{{hour: 0, seller: "a", remaining: 20}}
-	st, err := replayMarket(events, replayCard(), 0.8, 0.1, 7)
+	st, err := replay(events, 0.8, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +201,11 @@ func TestMarketSessionReplayDeterministic(t *testing.T) {
 		{hour: 3, seller: "b", remaining: 80},
 		{hour: 9, seller: "c", remaining: 300},
 	}
-	s1, err := replayMarket(events, replayCard(), 0.8, 0.5, 7)
+	s1, err := replay(events, 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := replayMarket(events, replayCard(), 0.8, 0.5, 7)
+	s2, err := replay(events, 0.8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +215,10 @@ func TestMarketSessionReplayDeterministic(t *testing.T) {
 }
 
 // TestMarketSessionConservation: every listing ends exactly one way,
-// and realized income never exceeds the instant-sale assumption.
+// every arrival either fills or finds the book empty, and realized
+// income never exceeds the instant-sale assumption and is 0 exactly
+// when nothing sold.
 func TestMarketSessionConservation(t *testing.T) {
-	it := replayCard()
 	f := func(raw []uint8, rateSel uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -219,13 +230,15 @@ func TestMarketSessionConservation(t *testing.T) {
 		for _, b := range raw {
 			events = append(events, sellEvent{hour: int(b) % 50, seller: "s", remaining: 10 + int(b)%300})
 		}
-		st, err := replayMarket(events, it, 0.8, float64(rateSel%30)/10, 7)
+		st, err := replay(events, 0.8, float64(rateSel%30)/10)
 		if err != nil {
 			return false
 		}
 		return st.Listed == len(events) &&
 			st.Sold+st.Expired+st.OpenAtEnd == st.Listed &&
-			st.RealizedFraction >= 0 && st.RealizedFraction <= 1+1e-9
+			st.Sold == st.UsedFills && st.UsedFills+st.FreshBuys == st.BuyerDemand &&
+			st.RealizedFraction >= 0 && st.RealizedFraction <= 1+1e-9 &&
+			(st.RealizedFraction == 0) == (st.Sold == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

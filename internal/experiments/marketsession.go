@@ -77,9 +77,16 @@ type MarketOutcome struct {
 	// MeanHoursToSale averages the listing-to-fill wait over sold
 	// listings.
 	MeanHoursToSale float64
-	// BuyerDemand counts reservation units the cohort's behaviors
-	// wanted; UsedFills of them came off the book, FreshBuys fell
-	// through to a fresh reservation.
+	// RealizedFraction is SellerProceeds over the income Eq. (1) books
+	// for the same listings: an instant sale at each listing's opening
+	// ask, discount a of its prorated cap, less the book's fee. It is 1
+	// when every listing sells in its listing hour, lower when listings
+	// wait down their declining schedules or go unsold, and 0 when
+	// nothing listed.
+	RealizedFraction float64
+	// BuyerDemand counts reservation units the buyers wanted; UsedFills
+	// of them came off the book, FreshBuys fell through to a fresh
+	// reservation (for exogenous buyers: found the book empty).
 	BuyerDemand, UsedFills, FreshBuys int
 	// FillRate is UsedFills/BuyerDemand (0 when no demand).
 	FillRate float64
@@ -120,20 +127,28 @@ type marketTally struct {
 	// split re-sums fee+proceeds per trade in the same order as paid;
 	// paid == split bit-exactly because each trade recomposes exactly.
 	split float64
+	// assumed sums Eq. (1)'s instant-sale income per listing, in
+	// listing order.
+	assumed float64
 }
 
-// cardStream is one card's precomputed session input: the seller
-// events in fill order, and the buy orders the planned users'
-// reservation schedules place, indexed by hour.
+// cardStream is one card's session input: the seller events laid out
+// by hour (layoutByHour), and the buyer side, a per-hour stream of buy
+// orders with the acceptance ceiling they share. Nothing in it changes
+// during a session, so one stream can be played more than once.
 type cardStream struct {
 	card   pricing.InstanceType
 	events []sellEvent
-	next   int
 	// buyOff[h]..buyOff[h+1] indexes buyers for hour h's buy orders.
 	buyOff []int
-	// buyers holds one cohort index per wanted reservation unit, hour
-	// by hour, in cohort order within each hour.
+	// buyers holds one index into names per wanted reservation unit,
+	// hour by hour, in shopping order within each hour.
 	buyers []int
+	names  []string
+	// ceiling is the most a buyer pays per remaining hour of a listing:
+	// it takes the cheapest listing when its ask is at most ceiling
+	// times the listing's remaining hours, and otherwise buys fresh.
+	ceiling float64
 }
 
 // buyOrder is a nonzero hour of one user's plan on one card.
@@ -156,8 +171,10 @@ type sessionWorker struct {
 // SellingPolicies[i mod 3] up to its last checkpoint for the sell
 // events (userSellEvents); and keeps its buy orders. A serial pass then
 // lays each card's events and buy orders out by hour, users in cohort
-// order.
-func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []workload.Trace, error) {
+// order. Buyers are named by their traces, and take a used listing
+// when its ask per remaining hour is at most the card's fresh
+// Upfront/PeriodHours.
+func sessionStreams(ctx context.Context, sc MarketScenario) ([]cardStream, error) {
 	sp := obs.StartSpan(ctx, "plan")
 	defer sp.End()
 	cards, m := sc.Cards, obs.FromContext(ctx)
@@ -169,7 +186,7 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 		for _, k := range []float64{core.Fraction3T4, core.FractionT2, core.FractionT4} {
 			p, err := core.NewThreshold(card, sc.Base.SellingDiscount, k)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			policies[ci] = append(policies[ci], p)
 		}
@@ -182,7 +199,7 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 	}
 	feed, err := synthFeed(sc.Base, sc.Base.Hours)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := feed.Len()
 	events, buys := make([][][]sellEvent, len(cards)), make([][][]buyOrder, len(cards))
@@ -219,33 +236,20 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	streams := make([]*cardStream, len(cards))
+	names := make([]string, n)
+	for i, tr := range feed.traces {
+		names[i] = tr.User
+	}
+	streams := make([]cardStream, len(cards))
 	for ci, card := range cards {
-		st := &cardStream{card: card, buyOff: make([]int, sc.Base.Hours+1)}
-		// Counting sort of the events, on buyOff until the buy orders
-		// need it: evOff[h] starts as the count of events before hour h
-		// and advances as hour h's events fill in, users in cohort
-		// order and each user's in its own order, so every hour keeps
-		// the order a stable sort would.
-		evOff := st.buyOff
-		for _, evs := range events[ci] {
-			for _, ev := range evs {
-				evOff[ev.hour+1]++
-			}
-		}
-		for h := 1; h <= sc.Base.Hours; h++ {
-			evOff[h] += evOff[h-1]
-		}
-		st.events = make([]sellEvent, evOff[sc.Base.Hours])
-		for _, evs := range events[ci] {
-			for _, ev := range evs {
-				st.events[evOff[ev.hour]] = ev
-				evOff[ev.hour]++
-			}
-		}
+		st := &streams[ci]
+		*st = cardStream{card: card, buyOff: make([]int, sc.Base.Hours+1), names: names, ceiling: card.Upfront / float64(card.PeriodHours)}
+		// The events borrow buyOff for their offsets until the buy
+		// orders need it.
+		st.events = layoutByHour(events[ci], st.buyOff)
 		clear(st.buyOff)
 		// Counting sort: buyOff[h] sums the units of hours up to h, and
 		// each row fills back to front, last user first.
@@ -266,20 +270,19 @@ func sessionStreams(ctx context.Context, sc MarketScenario) ([]*cardStream, []wo
 				}
 			}
 		}
-		streams[ci] = st
 	}
-	return streams, feed.traces, nil
+	return streams, nil
 }
 
 // RunMarketScenario synthesizes the scenario's cohort once and, in the
 // same fan-out, plans each user against every card, replays its sell
-// decisions and keeps its buy orders (sessionStreams); then it replays
-// all cards through a single hour-stepped order book: each hour ages
-// the book (expiring and repricing listings), lists the hour's sell
-// decisions, and routes the hour's planned reservations through the
-// book before falling back to fresh purchases. The session loop is
-// sequential, and its inputs are merged in cohort order after the
-// fan-out, so the result is byte-identical at any Parallelism.
+// decisions and keeps its buy orders (sessionStreams); then it plays
+// all cards through a single hour-stepped order book at the scenario's
+// fee over its Hours (runSession), routing the hour's planned
+// reservations through the book before falling back to fresh
+// purchases. The session loop is sequential, and its inputs are merged
+// in cohort order after the fan-out, so the result is byte-identical
+// at any Parallelism.
 //
 // Reservation plans are fixed upstream, as in the paper's pipeline:
 // buying used covers the same demand at the same reserved rate, so the
@@ -291,22 +294,28 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	sp := obs.StartSpan(ctx, "market-session")
 	defer sp.End()
 
-	streams, traces, err := sessionStreams(ctx, sc)
+	streams, err := sessionStreams(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	return runSession(ctx, sc.Base.MarketFee, sc.Base.SellingDiscount, sc.Base.Hours, streams)
+}
+
+// runSession plays the streams through one fresh order book charging
+// fee, listing at discount, for horizon hours (sessionLoop), and builds
+// one outcome per stream, in stream order. Money must be conserved
+// bit-exactly per trade, per card and over the book's ledger.
+func runSession(ctx context.Context, fee, discount float64, horizon int, streams []cardStream) (*MarketResult, error) {
+	book, err := marketplace.NewOrderBook(fee)
+	if err != nil {
+		return nil, err
+	}
+	tallies, err := sessionLoop(ctx, book, fee, discount, horizon, streams)
 	if err != nil {
 		return nil, err
 	}
 
-	book, err := marketplace.NewOrderBook(sc.Base.MarketFee)
-	if err != nil {
-		return nil, err
-	}
-	tallies, err := sessionLoop(ctx, sc, book, traces, streams)
-	if err != nil {
-		return nil, err
-	}
-
-	horizon := sc.Base.Hours
-	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(sc.Cards))}
+	res := &MarketResult{Horizon: horizon, Outcomes: make([]MarketOutcome, len(streams))}
 	for ci, st := range streams {
 		t := &tallies[ci]
 		// Per-card conservation: fee+proceeds recomposes the price paid
@@ -315,33 +324,37 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 			return nil, fmt.Errorf("experiments: market session conservation broken for %s: buyers paid %v, sellers+fees received %v",
 				st.card.Name, t.paid, t.split)
 		}
-		var saleProb, meanWait, fillRate float64
+		var saleProb, meanWait, realized, fillRate float64
 		if t.listed > 0 {
 			saleProb = float64(t.sold) / float64(t.listed)
 		}
 		if t.sold > 0 {
 			meanWait = float64(t.hoursToSale) / float64(t.sold)
 		}
+		if t.assumed > 0 {
+			realized = t.proceeds / t.assumed
+		}
 		if t.demand > 0 {
 			fillRate = float64(t.used) / float64(t.demand)
 		}
 		res.Outcomes[ci] = MarketOutcome{
-			Type:            st.card.Name,
-			Listed:          t.listed,
-			Sold:            t.sold,
-			Expired:         t.expired,
-			OpenAtEnd:       book.Depth(st.card.Name).Open,
-			SaleProbability: saleProb,
-			MeanHoursToSale: meanWait,
-			BuyerDemand:     t.demand,
-			UsedFills:       t.used,
-			FreshBuys:       t.fresh,
-			FillRate:        fillRate,
-			PeakDepth:       t.peakDepth,
-			MeanDepth:       float64(t.depthSum) / float64(horizon),
-			BuyerPaid:       t.paid,
-			SellerProceeds:  t.proceeds,
-			Fees:            t.fees,
+			Type:             st.card.Name,
+			Listed:           t.listed,
+			Sold:             t.sold,
+			Expired:          t.expired,
+			OpenAtEnd:        book.Depth(st.card.Name).Open,
+			SaleProbability:  saleProb,
+			MeanHoursToSale:  meanWait,
+			RealizedFraction: realized,
+			BuyerDemand:      t.demand,
+			UsedFills:        t.used,
+			FreshBuys:        t.fresh,
+			FillRate:         fillRate,
+			PeakDepth:        t.peakDepth,
+			MeanDepth:        float64(t.depthSum) / float64(horizon),
+			BuyerPaid:        t.paid,
+			SellerProceeds:   t.proceeds,
+			Fees:             t.fees,
 		}
 	}
 
@@ -367,20 +380,24 @@ func RunMarketScenario(ctx context.Context, sc MarketScenario) (*MarketResult, e
 	return res, nil
 }
 
-// sessionLoop is the session's hour loop over the prepared streams,
-// timed as the session_loop span; buyers are named by their cohort
-// traces. It returns one tally per card, in card order.
-func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.OrderBook, traces []workload.Trace, streams []*cardStream) ([]marketTally, error) {
+// sessionLoop is the one hour loop that drives an order book, timed as
+// the session_loop span. Each hour ages the book (expiring and
+// repricing listings), lists the hour's sell events under the declining
+// schedule at discount, and routes the hour's buy orders through the
+// book, card by card in stream order. fee is the book's, for Eq. (1)'s
+// assumed income. It returns one tally per stream, in stream order.
+func sessionLoop(ctx context.Context, book *marketplace.OrderBook, fee, discount float64, horizon int, streams []cardStream) ([]marketTally, error) {
 	sp := obs.StartSpan(ctx, "session_loop")
 	defer sp.End()
 	m := obs.FromContext(ctx)
 
 	tallies := make([]marketTally, len(streams))
+	next := make([]int, len(streams))
 	byName := make(map[string]*marketTally, len(streams))
 	for ci, st := range streams {
 		byName[st.card.Name] = &tallies[ci]
 	}
-	for hour := 0; hour < sc.Base.Hours; hour++ {
+	for hour := 0; hour < horizon; hour++ {
 		if hour > 0 {
 			res := book.Step()
 			for _, lst := range res.Expired {
@@ -391,44 +408,41 @@ func sessionLoop(ctx context.Context, sc MarketScenario, book *marketplace.Order
 			}
 		}
 
-		// Sellers list this hour's sell decisions under the scenario's
-		// declining schedule.
 		for ci, st := range streams {
 			t := &tallies[ci]
-			for st.next < len(st.events) && st.events[st.next].hour == hour {
-				ev := st.events[st.next]
-				st.next++
-				if _, err := book.ListDeclining(ev.seller, st.card, ev.remaining, sc.Base.SellingDiscount); err != nil {
+			for ; next[ci] < len(st.events) && st.events[next[ci]].hour == hour; next[ci]++ {
+				ev := st.events[next[ci]]
+				if _, err := book.ListDeclining(ev.seller, st.card, ev.remaining, discount); err != nil {
 					return nil, fmt.Errorf("experiments: listing %s's reservation at hour %d: %w", ev.seller, hour, err)
 				}
 				t.listed++
+				t.assumed += discount * marketplace.ProratedCap(st.card, ev.remaining) * (1 - fee)
 				if m != nil {
 					m.MarketListings.Add(1)
 				}
 			}
 		}
 
-		// Buyers: each planned reservation unit shops the book first, in
-		// cohort order. A used listing is taken when its per-remaining-
-		// hour price beats a fresh reservation's per-hour upfront;
-		// otherwise (or when the book is empty) the unit is bought fresh.
+		// Buyers: each buy order shops the book first, in stream order.
+		// It takes the cheapest listing when its ask is within the
+		// stream's ceiling per remaining hour; otherwise (or when the
+		// book is empty) the unit is bought fresh.
 		for ci, st := range streams {
 			t := &tallies[ci]
-			freshPerHour := st.card.Upfront / float64(st.card.PeriodHours)
 			for _, ui := range st.buyers[st.buyOff[hour]:st.buyOff[hour+1]] {
 				t.demand++
 				if m != nil {
 					m.MarketBuyOrders.Add(1)
 				}
 				d := book.Depth(st.card.Name)
-				if d.Open == 0 || d.BestAsk > freshPerHour*float64(d.BestRemaining) {
+				if d.Open == 0 || d.BestAsk > st.ceiling*float64(d.BestRemaining) {
 					t.fresh++
 					if m != nil {
 						m.MarketFreshBuys.Add(1)
 					}
 					continue
 				}
-				trades, err := book.Buy(traces[ui].User, st.card.Name, 1)
+				trades, err := book.Buy(st.names[ui], st.card.Name, 1)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: buying %s at hour %d: %w", st.card.Name, hour, err)
 				}

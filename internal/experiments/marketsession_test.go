@@ -108,6 +108,14 @@ func TestMarketScenarioEmergentStats(t *testing.T) {
 		if o.Sold > 0 && o.MeanHoursToSale < 0 {
 			t.Errorf("%s: negative mean wait %v", o.Type, o.MeanHoursToSale)
 		}
+		// Sellers never net more than Eq. (1)'s instant sale, and a card
+		// realizes nothing exactly when none of its listings sold.
+		if o.RealizedFraction < 0 || o.RealizedFraction > 1+1e-9 {
+			t.Errorf("%s: realized fraction %v outside [0, 1]", o.Type, o.RealizedFraction)
+		}
+		if (o.RealizedFraction == 0) != (o.Sold == 0) {
+			t.Errorf("%s: realized fraction %v with %d sold", o.Type, o.RealizedFraction, o.Sold)
+		}
 		listed += o.Listed
 		sold += o.Sold
 		paid += o.BuyerPaid

@@ -130,10 +130,10 @@ func oracleCohort(t *testing.T, cfg Config) []UserResult {
 	return out
 }
 
-// TestBatchCohortEquivalence: the full paper pipeline — baselines, all
+// TestPoolCohortEquivalence: the full paper pipeline — baselines, all
 // six selling-policy cells, normalization — equals the per-user Run
 // loop bit for bit at every worker count, under -race.
-func TestBatchCohortEquivalence(t *testing.T) {
+func TestPoolCohortEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	want := oracleCohort(t, cfg)
 	for _, par := range parallelisms() {
@@ -149,10 +149,10 @@ func TestBatchCohortEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchGridEquivalence compares RunGrid cell by cell with the Run
+// TestPoolGridEquivalence compares RunGrid cell by cell with the Run
 // loop, including the cached Keep-Reserved baselines (total and idle
 // hours) the grid normalizes against.
-func TestBatchGridEquivalence(t *testing.T) {
+func TestPoolGridEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	plan, err := NewCohortPlan(context.Background(), cfg)
 	if err != nil {
@@ -180,10 +180,10 @@ func TestBatchGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestPoolMarketSessionEquivalence: the sale events feeding market
-// replay come out of the pool in cohort order with the same hours as a
-// serial Run loop, so the session statistics match the serial events
-// fed through the same replay exactly.
+// TestPoolMarketSessionEquivalence: the sale events feeding the
+// one-card market session come out of the pool in cohort order with
+// the same hours as a serial Run loop, so the session outcomes match
+// the serial events fed through the same session exactly.
 func TestPoolMarketSessionEquivalence(t *testing.T) {
 	cfg := withParallelism(smallConfig(), runtime.GOMAXPROCS(0))
 	rates := []float64{0.05, 0.5}
@@ -201,25 +201,23 @@ func TestPoolMarketSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := simulate.Config{Instance: cfg.Instance, SellingDiscount: cfg.SellingDiscount}
-	var events []sellEvent
+	var events [][]sellEvent
 	for _, u := range plan.Users() {
+		var evs []sellEvent
 		for _, inst := range oracleRun(t, u, ec, policy).Instances {
 			if inst.SoldAt >= 0 {
-				events = append(events, sellEvent{
+				evs = append(evs, sellEvent{
 					hour:      inst.SoldAt,
 					seller:    u.Trace.User,
 					remaining: inst.Start + cfg.Instance.PeriodHours - inst.SoldAt,
 				})
 			}
 		}
+		events = append(events, evs)
 	}
-	want := make([]MarketPoint, 0, len(rates))
-	for _, rate := range rates {
-		stats, err := replayMarket(events, cfg.Instance, cfg.SellingDiscount, rate, cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, MarketPoint{BuyerRate: rate, Stats: stats})
+	want, err := arrivalSessions(context.Background(), cfg.Instance, cfg.SellingDiscount, events, rates, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pooled market session differs from the serial Run loop's events")
@@ -276,6 +274,7 @@ func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
 	}
 	waits := make([]int, len(sc.Cards))
 	depths := make([]int, len(sc.Cards))
+	assumed := make([]float64, len(sc.Cards))
 	for hour := 0; hour < sc.Base.Hours; hour++ {
 		if hour > 0 {
 			for _, lst := range book.Step().Expired {
@@ -291,6 +290,7 @@ func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
 					t.Fatal(err)
 				}
 				out[ci].Listed++
+				assumed[ci] += sc.Base.SellingDiscount * marketplace.ProratedCap(card, ev.remaining) * (1 - sc.Base.MarketFee)
 			}
 		}
 		for ci, card := range sc.Cards {
@@ -331,6 +331,9 @@ func oracleMarketScenario(t *testing.T, sc MarketScenario) []MarketOutcome {
 		}
 		if o.Sold > 0 {
 			o.MeanHoursToSale = float64(waits[ci]) / float64(o.Sold)
+		}
+		if assumed[ci] > 0 {
+			o.RealizedFraction = o.SellerProceeds / assumed[ci]
 		}
 		if o.BuyerDemand > 0 {
 			o.FillRate = float64(o.UsedFills) / float64(o.BuyerDemand)

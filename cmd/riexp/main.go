@@ -35,6 +35,7 @@ import (
 	"rimarket/internal/core"
 	"rimarket/internal/experiments"
 	"rimarket/internal/gtrace"
+	"rimarket/internal/marketplace"
 	"rimarket/internal/obs"
 	"rimarket/internal/pricing"
 )
@@ -59,6 +60,8 @@ type params struct {
 	traceBud        int
 	jsonOut, csvOut string
 	spill, resume   string
+	// feeSet records an explicit -fee, which -exp market refuses.
+	feeSet bool
 }
 
 func run(ctx context.Context, args []string, w, stderr io.Writer) error {
@@ -81,6 +84,7 @@ func run(ctx context.Context, args []string, w, stderr io.Writer) error {
 		}
 		return cli.Usage(err)
 	}
+	fs.Visit(func(f *flag.Flag) { p.feeSet = p.feeSet || f.Name == "fee" })
 
 	// The session brackets the whole parsed run: its metrics ride ctx
 	// into the drivers, and Finish writes the manifest with the run's
@@ -195,6 +199,9 @@ func runParsed(ctx context.Context, p params, sess *cli.ObsSession, w, stderr io
 	}
 	if noCohort && p.cohort.TraceDir != "" {
 		return cli.Usagef("-exp %s reads no cohort, so -tracedir does not apply", p.exp)
+	}
+	if p.exp == "market" && p.feeSet {
+		return cli.Usagef("-exp market lists at the fixed marketplace.AmazonFee (%g), so -fee does not apply", marketplace.AmazonFee)
 	}
 	if !cohortExps[p.exp] && (p.jsonOut != "" || p.csvOut != "") {
 		return cli.Usagef("-json and -csv export a cohort result, which -exp %s does not build", p.exp)

@@ -322,6 +322,26 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestMarketFee: -exp market lists at the fixed marketplace.AmazonFee,
+// so an explicit -fee, even the default 0, is a usage error that names
+// it and writes no stdout, while a run without the flag succeeds.
+func TestMarketFee(t *testing.T) {
+	for _, fee := range []string{"0.05", "0"} {
+		var out strings.Builder
+		err := run(context.Background(), []string{"-exp", "market", "-pergroup", "3", "-fee", fee}, &out, io.Discard)
+		if code := cli.ExitCode(err); code != cli.ExitUsage || !strings.Contains(fmt.Sprint(err), "marketplace.AmazonFee") {
+			t.Errorf("-exp market -fee %s = %v (exit %d), want a usage error (exit %d) naming marketplace.AmazonFee", fee, err, code, cli.ExitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp market -fee %s wrote %d bytes of stdout", fee, out.Len())
+		}
+	}
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-exp", "market", "-pergroup", "3"}, &out, io.Discard); err != nil || out.Len() == 0 {
+		t.Fatalf("-exp market without -fee = %v, %d bytes of stdout", err, out.Len())
+	}
+}
+
 // TestBatchStdoutIdentity: -batch left with the streaming batch engine
 // it selected. Every experiment must now reject it as a usage error
 // before writing a byte of stdout, so a script that still passes it

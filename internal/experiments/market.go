@@ -117,7 +117,7 @@ func hashUniform(words ...uint64) float64 {
 // to its last checkpoint (userSellEvents), and runs a one-card session
 // on them per buyer arrival rate (arrivalSessions). The book charges
 // Amazon's 12% fee (marketplace.AmazonFee) whatever the plan's
-// MarketFee, riexp's -fee, says.
+// MarketFee says; riexp refuses -exp market with an explicit -fee.
 func (p *CohortPlan) MarketSession(ctx context.Context, buyerRates []float64) ([]MarketPoint, error) {
 	cfg := p.cfg
 	policy, err := core.NewA3T4(cfg.Instance, cfg.SellingDiscount)

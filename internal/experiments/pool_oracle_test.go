@@ -6,11 +6,7 @@ package experiments
 // norms, sold counts, Keep-Reserved baselines, market events, market
 // session outcomes — with
 // matching error text, a deterministic cancelled prefix, spill stores
-// that resume at any worker count, and the same engine counters. The
-// TestBatch names left date from when this suite pinned the
-// since-deleted batch engine to the pool; the pool is now checked
-// against the per-user Run loop directly, and the tests move to
-// TestPool names a few at a time.
+// that resume at any worker count, and the same engine counters.
 
 import (
 	"context"
@@ -451,11 +447,11 @@ func TestPoolErrorParity(t *testing.T) {
 	}
 }
 
-// TestBatchGridCancellation: on a single worker, cancelling right after
+// TestPoolGridCancellation: on a single worker, cancelling right after
 // the cancelAfter-th cell's last user drains the in-flight run,
 // discards the cell it opened, and reports exactly the first
 // cancelAfter cells through *CancelError, each equal to the Run loop.
-func TestBatchGridCancellation(t *testing.T) {
+func TestPoolGridCancellation(t *testing.T) {
 	cfg := withParallelism(smallConfig(), 1)
 	plan, err := NewCohortPlan(context.Background(), cfg)
 	if err != nil {
@@ -506,11 +502,11 @@ func TestBatchGridCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchSpillInterop: Parallelism is execution plumbing, never part
+// TestPoolSpillInterop: Parallelism is execution plumbing, never part
 // of the grid's identity, so a store spilled one user at a time
 // ("per-user") resumes on a four-worker pool ("batch") and back again
 // without recomputing a single cell.
-func TestBatchSpillInterop(t *testing.T) {
+func TestPoolSpillInterop(t *testing.T) {
 	cfg := smallConfig()
 	for _, dir := range []struct {
 		name           string

@@ -75,7 +75,7 @@ func (s *Server) envelope(next http.Handler) http.Handler {
 				s.logf("error", "handler panic contained",
 					"path", r.URL.Path, "panic", stringify(v), "stack", string(debug.Stack()))
 				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError, ErrorResponse{Error: "internal error"})
+					writeError(sw, http.StatusInternalServerError, "internal error")
 				}
 			}
 		}()
@@ -90,7 +90,7 @@ func (s *Server) envelope(next http.Handler) http.Handler {
 				m.ServeShed.Add(1)
 			}
 			sw.Header().Set("Retry-After", "1")
-			writeJSON(sw, http.StatusServiceUnavailable, ErrorResponse{Error: "overloaded, retry later"})
+			writeError(sw, http.StatusServiceUnavailable, "overloaded, retry later")
 			return
 		}
 
@@ -123,7 +123,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	set := s.snap.Load()
@@ -136,12 +136,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	b, err := json.MarshalIndent(s.cfg.Metrics.Snapshot(), "", "  ")
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "metrics snapshot failed"})
+		writeError(w, http.StatusInternalServerError, "metrics snapshot failed")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -150,23 +150,27 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 
 // handleRecommend is the daemon's reason to exist: decode one typed
 // Query, evaluate it against the immutable snapshot, answer with the
-// typed Recommendation. Everything else in this file is armor.
+// typed Recommendation. Everything else in this file is armor. The
+// body and the answer share one pooled buffer (wire.go); the bytes on
+// the wire are json.Marshal(rec) + "\n", the offline bit-identity the
+// chaos suite asserts.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var q experiments.Query
-	if err := dec.Decode(&q); err != nil {
+	bp := getWireBuf()
+	defer putWireBuf(bp)
+	body, readErr := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), (*bp)[:0])
+	*bp = body
+	q, err := decodeQuery(body, readErr)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: "request body too large"})
+			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 
@@ -177,16 +181,23 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		if m := s.cfg.Metrics; m != nil {
 			m.ServeTimeouts.Add(1)
 		}
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "request deadline exceeded"})
+		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		return
 	}
 
 	rec, err := s.snap.Load().Evaluate(q)
 	if err != nil {
-		writeJSON(w, evalStatus(err), ErrorResponse{Error: err.Error()})
+		writeError(w, evalStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	b, ok := appendRecommendation((*bp)[:0], rec)
+	*bp = b
+	if !ok {
+		// A NaN or infinite cost: json.Marshal would fail here too.
+		w.WriteHeader(http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }
 
 // evalStatus maps Evaluate's sentinel errors onto status codes:
@@ -205,12 +216,9 @@ func evalStatus(err error) int {
 	}
 }
 
-// writeJSON marshals v and writes it as one response with a trailing
-// newline. Marshal-then-write keeps responses all-or-nothing: a panic
-// before this point leaves the stream clean for the 500 path, and the
-// encoded bytes for a Recommendation are exactly
-// json.Marshal(rec) + "\n" — the offline bit-identity the chaos suite
-// asserts.
+// writeJSON marshals v and sends it with a trailing newline; the
+// recommend path's two answer types have append encoders instead
+// (wire.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -218,11 +226,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(status)
-	w.Write(b)
+	writeBody(w, status, append(b, '\n'))
 }
 
 // stringify renders a recovered panic value for the log record.

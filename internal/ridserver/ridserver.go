@@ -11,8 +11,13 @@
 // problem, so the envelope is the architecture:
 //
 //   - evaluation state is a read-only snapshot swapped atomically
-//     (atomic.Pointer), so request handling is lock-free and the hot
-//     path allocates only for JSON encode/decode;
+//     (atomic.Pointer), so request handling is lock-free;
+//   - a recommendation's body and answer share one pooled buffer: a
+//     strict fast path decodes the canonical query, anything else goes
+//     to encoding/json, and append encoders write json.Marshal's bytes
+//     (wire.go), so the handler chain makes nine allocations a request,
+//     four of them the deadline context (BenchmarkRidServe/mode=serve
+//     reads 25 with its own request set-up);
 //   - a bounded admission gate sheds load with 503 + Retry-After
 //     instead of queueing toward collapse;
 //   - every request gets a deadline and a body-size limit;

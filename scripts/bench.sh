@@ -17,7 +17,10 @@
 # hold a cold paper-scale plan and audit, whose synthesis overlaps their
 # planning on the second core; MarketScenario holds a paper-scale
 # three-card market session, whose allocs/op are not exact because
-# per-worker buffer growth depends on scheduling; CohortSynthesis is
+# per-worker buffer growth depends on scheduling; MarketSession holds
+# the riexp -exp market path (a cold test-scale plan and a one-rate,
+# one-card session), whose allocs/op are not exact for the same reason
+# as the cold plan's; CohortSynthesis is
 # single-threaded and GridSkewed runs a fixed four workers off one
 # shared cursor, so their allocs/op are exact. MillionUsers
 # takes seconds per op, so it repeats twice; MarketMatch runs a fixed op
@@ -36,7 +39,7 @@ case "$*" in
 esac
 
 {
-	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan|BenchmarkDecisions|BenchmarkColdCohortPlan|BenchmarkRatioAuditCold|BenchmarkMarketScenario)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
+	go test -run '^$' -bench '^(BenchmarkEngineRun|BenchmarkObsOverhead|BenchmarkGridSkewed|BenchmarkSensitivityGridCachedPlan|BenchmarkDecisions|BenchmarkColdCohortPlan|BenchmarkRatioAuditCold|BenchmarkMarketScenario|BenchmarkMarketSession)$' -benchmem -cpu 2 -count 5 . ./internal/experiments
 	go test -run '^$' -bench '^(BenchmarkLoadEC2LogDir|BenchmarkLoadColtDir)$' -benchmem -cpu 2 -count 5 ./internal/gtrace
 	go test -run '^$' -bench '^BenchmarkRidServe$' -benchmem -cpu 2 -count 5 ./internal/ridserver
 	go test -run '^$' -bench '^BenchmarkMillionUsers$' -benchmem -cpu 2 -count 2 -timeout 30m ./internal/experiments
